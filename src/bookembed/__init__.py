@@ -20,6 +20,7 @@ from .embedding import (
 from .errors import (
     BookEmbedError,
     InvalidCertificate,
+    InvalidOrder,
     InvalidSize,
     NotAClique,
     SizeTooSmall,
@@ -56,6 +57,7 @@ __all__ = [
     "DecompositionReport",
     "Graph",
     "InvalidCertificate",
+    "InvalidOrder",
     "InvalidSize",
     "KTreeCertificate",
     "NotAClique",

@@ -99,7 +99,6 @@ def _cmd_bt(args: argparse.Namespace) -> int:
         max_pages=args.max_pages,
         time_budget=args.time_budget,
         node_limit=args.node_limit,
-        threads=args.threads,
     )
     report = book_thickness_exact(g, opts)
     _emit(report.to_json_dict())
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pages", type=int)
     p.add_argument("--time-budget", type=float)
     p.add_argument("--node-limit", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--witness", help="write the witness embedding JSON here")
     p.set_defaults(func=_cmd_bt)
 

@@ -3,7 +3,8 @@
 Two edges on the same page conflict when their chords cross, i.e. when
 exactly one endpoint of one edge lies on the open arc strictly between the
 other edge's endpoints.  Cutting the circle anywhere turns that into a plain
-interval-interleaving test, which is what everything below uses.
+interval-interleaving test (`_add_arc`), and a page is non-crossing iff its
+intervals nest like parentheses, which one stack sweep decides (`_push_arc`).
 """
 
 from __future__ import annotations
@@ -74,26 +75,41 @@ class ValidationResult:
 def crosses(order: Sequence[int], e: tuple[int, int], f: tuple[int, int]) -> bool:
     """True iff chords e and f cross when the vertices sit on a circle in
     this order.  Edges sharing an endpoint never cross."""
-    if len({e[0], e[1], f[0], f[1]}) < 4:
+    return crossing_masks([e, f], order)[0] != 0
+
+
+def _add_arc(arcs: list[tuple[int, int]], masks: list[int], a: int, b: int) -> None:
+    """Append arc a < b to a crossing graph kept as parallel lists: arcs[i]
+    is arc i's (left, right) spine position, bit j of masks[i] says arcs i
+    and j cross.  This is the package's only pairwise crossing test outside
+    the brute-force reference."""
+    t = len(arcs)
+    bit = 1 << t
+    mk = 0
+    for j, (aj, bj) in enumerate(arcs):
+        if aj < a < bj < b or a < aj < b < bj:
+            mk |= 1 << j
+            masks[j] |= bit
+    arcs.append((a, b))
+    masks.append(mk)
+
+
+def _push_arc(stack: list[tuple[int, tuple[int, int]]], a: int, b: int,
+              e: tuple[int, int]) -> bool:
+    """Push arc a < b, labelled e, onto one page's stack of open arcs.
+
+    Arcs must arrive sorted by (a, -b).  A page is non-crossing iff its arcs
+    nest like parentheses, so arcs still open at a are nested and only the
+    innermost one can cross the new arc.  Pops arcs closed by a, then fails,
+    leaving the crossing arc on top, iff the top's right end lies strictly
+    inside (a, b).  Stack entries are (right end, label).
+    """
+    while stack and stack[-1][0] <= a:
+        stack.pop()
+    if stack and stack[-1][0] < b:
         return False
-    pos = {v: i for i, v in enumerate(order)}
-    a1, b1 = sorted((pos[e[0]], pos[e[1]]))
-    a2, b2 = sorted((pos[f[0]], pos[f[1]]))
-    return a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
-
-
-def _intervals(edges: Sequence[tuple[int, int]], pos: Sequence[int]) -> list[tuple[int, int]]:
-    out = []
-    for u, v in edges:
-        a, b = pos[u], pos[v]
-        out.append((a, b) if a < b else (b, a))
-    return out
-
-
-def _interleave(i1: tuple[int, int], i2: tuple[int, int]) -> bool:
-    a1, b1 = i1
-    a2, b2 = i2
-    return a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
+    stack.append((b, e))
+    return True
 
 
 def crossing_masks(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[int]:
@@ -101,16 +117,14 @@ def crossing_masks(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> li
     pos = [0] * (max(order) + 1 if order else 0)
     for i, v in enumerate(order):
         pos[v] = i
-    iv = _intervals(edges, pos)
-    m = len(edges)
-    masks = [0] * m
-    for i in range(m):
-        a1, b1 = iv[i]
-        for j in range(i + 1, m):
-            a2, b2 = iv[j]
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    arcs: list[tuple[int, int]] = []
+    masks: list[int] = []
+    for u, v in edges:
+        a, b = pos[u], pos[v]
+        if a < b:
+            _add_arc(arcs, masks, a, b)
+        else:
+            _add_arc(arcs, masks, b, a)
     return masks
 
 
@@ -119,9 +133,9 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
 
     Structural problems (order not a permutation of the vertex set, page map
     not covering exactly the edge set, page numbers outside 1..page_count)
-    come back as ok=False with a `finding`.  Otherwise same-page pairs are
-    swept page by page in sorted edge order and the first crossing pair, if
-    any, is reported.
+    come back as ok=False with a `finding`.  Otherwise each page's arcs are
+    swept left to right with a stack of open arcs, and the first crossing
+    pair met, if any, is reported as (open arc's edge, new arc's edge).
     """
     used = len(set(emb.pages.values()))
     if sorted(emb.order) != list(range(g.n)):
@@ -145,24 +159,30 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
     pos = [0] * g.n
     for i, v in enumerate(emb.order):
         pos[v] = i
-    by_page: dict[int, list[tuple[int, int]]] = {}
-    for e in sorted(emb.pages):
-        by_page.setdefault(emb.pages[e], []).append(e)
-    for p in sorted(by_page):
-        page_edges = by_page[p]
-        iv = _intervals(page_edges, pos)
-        for i in range(len(page_edges)):
-            for j in range(i + 1, len(page_edges)):
-                if _interleave(iv[i], iv[j]):
-                    return ValidationResult(
-                        False, used, first_conflict=(page_edges[i], page_edges[j])
-                    )
+    arcs = []
+    for e, p in emb.pages.items():
+        a, b = sorted((pos[e[0]], pos[e[1]]))
+        arcs.append((p, a, -b, e))
+    arcs.sort()
+    page, stack = None, []
+    for p, a, neg_b, e in arcs:
+        if p != page:
+            page, stack = p, []
+        if not _push_arc(stack, a, -neg_b, e):
+            return ValidationResult(False, used, first_conflict=(stack[-1][1], e))
     return ValidationResult(True, used)
 
 
 def density_lower_bound(g: Graph) -> int:
     """Smallest p >= 0 with |E| < (p+1)|V|; every embedding needs this many
-    pages because a single page holds under |V| edges of an n-vertex graph."""
+    pages.
+
+    Edges joining spine neighbours cross nothing, and there are at most n of
+    them; every other edge is a chord of the n-gon, and one page holds at
+    most n-3 non-crossing chords.  So p pages hold at most n + p(n-3) <
+    (p+1)n edges (Bernhart and Kainen, JCTB 1979), and a graph with
+    |E| >= pn edges needs at least p pages.
+    """
     if g.n < 1:
         raise ValueError("needs at least one vertex")
     return -(-(g.m + 1) // g.n) - 1

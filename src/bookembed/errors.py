@@ -19,3 +19,7 @@ class SizeTooSmall(BookEmbedError):
 
 class InvalidCertificate(BookEmbedError):
     """A construction certificate does not replay to the given graph."""
+
+
+class InvalidOrder(BookEmbedError):
+    """A vertex order is not a permutation of the graph's vertices."""

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .embedding import BookEmbedding, _interleave
-from .errors import InvalidCertificate
+from .embedding import BookEmbedding, _push_arc
+from .errors import InvalidCertificate, InvalidOrder
 from .graph import Graph, KTreeCertificate
 from .treedec import decomposition_from_certificate
 
@@ -16,8 +16,12 @@ def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
 
     Edges are taken sorted by (left endpoint position, longest arc first) and
     each goes to the lowest-numbered page where it crosses nothing already
-    placed, opening a new page when none fits.  Always valid.
+    placed, opening a new page when none fits; that order lets one stack of
+    open arcs per page decide each fit.  Always valid.  Raises InvalidOrder
+    when `order` is not a permutation of the vertices.
     """
+    if sorted(order) != list(range(g.n)):
+        raise InvalidOrder(f"order is not a permutation of the {g.n} vertices")
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
@@ -26,24 +30,21 @@ def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
         a, b = pos[u], pos[v]
         if a > b:
             a, b = b, a
-        items.append((a, a - b, (u, v)))  # a - b: longer arcs first at ties
+        items.append((a, -b, (u, v)))
     items.sort()
 
-    page_members: list[list[tuple[int, int]]] = []
+    stacks: list[list[tuple[int, tuple[int, int]]]] = []
     assignment: dict[tuple[int, int], int] = {}
-    for a, neg_len, e in items:
-        iv = (a, a - neg_len)
-        placed = False
-        for p, members in enumerate(page_members):
-            if not any(_interleave(iv, other) for other in members):
-                members.append(iv)
-                assignment[e] = p + 1
-                placed = True
+    for a, neg_b, e in items:
+        b = -neg_b
+        for p, stack in enumerate(stacks, 1):
+            if _push_arc(stack, a, b, e):
+                assignment[e] = p
                 break
-        if not placed:
-            page_members.append([iv])
-            assignment[e] = len(page_members)
-    return BookEmbedding(tuple(order), assignment, len(page_members))
+        else:
+            stacks.append([(b, e)])
+            assignment[e] = len(stacks)
+    return BookEmbedding(tuple(order), assignment, len(stacks))
 
 
 def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:

@@ -13,15 +13,14 @@ seeded with a maximal pairwise-crossing set.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .embedding import (
     BookEmbedding,
+    _add_arc,
     _greedy_clique_mask,
     crossing_masks,
     density_lower_bound,
@@ -41,7 +40,6 @@ class SolverOptions:
     max_pages: int | None = None  # stop distinguishing values above this
     time_budget: float | None = None  # seconds of wall clock
     node_limit: int | None = None  # search nodes (placements)
-    threads: int = 1  # position-1 branches searched concurrently
 
 
 @dataclass
@@ -181,17 +179,13 @@ def min_pages_for_order(g: Graph, order: Sequence[int]) -> int:
 # ---- order search ----
 
 
-class _Shared:
-    """Best-so-far state; shared across branch workers."""
+class _Search:
+    """Best-so-far state and budget of one search."""
 
-    __slots__ = (
-        "lock", "best", "witness", "lb", "stop", "budget_hit",
-        "nodes", "deadline", "node_limit",
-    )
+    __slots__ = ("best", "witness", "lb", "stop", "budget_hit", "nodes", "deadline", "node_limit")
 
     def __init__(self, best: int, witness: BookEmbedding, lb: int,
                  deadline: float | None, node_limit: int | None) -> None:
-        self.lock = threading.Lock()
         self.best = best
         self.witness = witness
         self.lb = lb
@@ -206,47 +200,31 @@ class _Shared:
         return self.best if max_pages is None else min(self.best, max_pages + 1)
 
     def offer(self, pages: int, witness: BookEmbedding) -> None:
-        with self.lock:
-            if pages < self.best:
-                self.best = pages
-                self.witness = witness
-                if pages <= self.lb:
-                    self.stop = True
+        if pages < self.best:
+            self.best = pages
+            self.witness = witness
+            if pages <= self.lb:
+                self.stop = True
 
-    def hit_budget(self) -> None:
-        with self.lock:
+    def check_budget(self) -> None:
+        if (self.node_limit is not None and self.nodes >= self.node_limit) or (
+            self.deadline is not None and time.monotonic() >= self.deadline
+        ):
             self.budget_hit = True
             self.stop = True
 
 
-def _run_branch(g: Graph, first: int, shared: _Shared, max_pages: int | None,
-                batch_nodes: bool) -> None:
+def _search_orders(g: Graph, search: _Search, max_pages: int | None) -> None:
+    # runs only for n > 2; each branch fixes position 1, and the budget is
+    # checked after every placement below it
     n = g.n
     neigh = [sorted(g.neighbors(v)) for v in range(n)]
     order = [0] * n
     pos = [-1] * n
-    order[0] = 0
     pos[0] = 0
     edges: list[tuple[int, int]] = []
-    ivs: list[tuple[int, int]] = []
+    arcs: list[tuple[int, int]] = []
     masks: list[int] = []
-    local = 0  # nodes not yet flushed to shared
-
-    def flush() -> None:
-        nonlocal local
-        if local:
-            with shared.lock:
-                shared.nodes += local
-            local = 0
-
-    def over_budget() -> bool:
-        if shared.node_limit is not None:
-            flush()
-            if shared.nodes >= shared.node_limit:
-                return True
-        if shared.deadline is not None and time.monotonic() >= shared.deadline:
-            return True
-        return False
 
     def place(v: int, d: int) -> int:
         order[d] = v
@@ -254,17 +232,9 @@ def _run_branch(g: Graph, first: int, shared: _Shared, max_pages: int | None,
         added = 0
         for u in neigh[v]:
             a = pos[u]
-            if 0 <= a < d:
-                t = len(edges)
-                mk = 0
-                for j in range(t):
-                    aj, bj = ivs[j]
-                    if aj < a < bj < d or a < aj < d < bj:
-                        mk |= 1 << j
-                        masks[j] |= 1 << t
+            if a >= 0:
+                _add_arc(arcs, masks, a, d)
                 edges.append((u, v) if u < v else (v, u))
-                ivs.append((a, d))
-                masks.append(mk)
                 added += 1
         return added
 
@@ -274,7 +244,7 @@ def _run_branch(g: Graph, first: int, shared: _Shared, max_pages: int | None,
             t = len(edges) - 1
             mk = masks.pop()
             edges.pop()
-            ivs.pop()
+            arcs.pop()
             bit = ~(1 << t)
             while mk:
                 j = (mk & -mk).bit_length() - 1
@@ -295,49 +265,42 @@ def _run_branch(g: Graph, first: int, shared: _Shared, max_pages: int | None,
         return clique.bit_count() > t
 
     def leaf() -> None:
-        if n >= 3 and order[1] > order[n - 1]:
+        if order[1] > order[n - 1]:
             return  # reflected twin of an order already counted
-        cap = shared.cap(max_pages)
+        cap = search.cap(max_pages)
         clique_mask = _greedy_clique_mask(masks, (1 << len(masks)) - 1)
         seed = _clique_bits(clique_mask)
         for p in range(max(1, len(seed)), cap):
             colors = _try_color(masks, p, seed)
             if colors is not None:
                 pages = {e: colors[i] + 1 for i, e in enumerate(edges)}
-                shared.offer(p, BookEmbedding(tuple(order), pages, p))
+                search.offer(p, BookEmbedding(tuple(order), pages, p))
                 return
 
     def dfs(d: int) -> None:
-        nonlocal local
         for v in range(1, n):
             if pos[v] >= 0:
                 continue
-            if shared.stop:
+            if search.stop:
                 return
             added = place(v, d)
-            local += 1
-            if not batch_nodes or local >= 64:
-                flush()
-            if (local & 63) == 0 and over_budget():
-                shared.hit_budget()
-            if not pruned(shared.cap(max_pages)):
+            search.nodes += 1
+            search.check_budget()
+            if not pruned(search.cap(max_pages)):
                 if d == n - 1:
                     leaf()
                 else:
                     dfs(d + 1)
             unplace(v, added)
 
-    added0 = place(first, 1)
-    local += 1
-    if not pruned(shared.cap(max_pages)):
-        if n == 2:
-            pass  # single order, incumbent already covers it
-        elif n - 1 == 1:
-            leaf()
-        else:
+    for first in range(1, n):
+        if search.stop:
+            break
+        added = place(first, 1)
+        search.nodes += 1
+        if not pruned(search.cap(max_pages)):
             dfs(2)
-    unplace(first, added0)
-    flush()
+        unplace(first, added)
 
 
 def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverReport:
@@ -346,8 +309,7 @@ def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverR
     Budgets never raise: blowing the time or node budget yields status
     TIMEOUT with the best bounds found.  With max_pages set, a graph needing
     more pages comes back LOWER_BOUND_ONLY with lower_bound = max_pages + 1.
-    With identical inputs and budgets and threads=1 the report is
-    deterministic, and the book_thickness value is thread-count invariant.
+    Without a time budget the report is deterministic.
     """
     opts = opts or SolverOptions()
     start = time.monotonic()
@@ -360,32 +322,19 @@ def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverR
     lb = max(1, density_lower_bound(g))
     incumbent = first_fit_pages(g, tuple(range(n)))
     deadline = start + opts.time_budget if opts.time_budget is not None else None
-    shared = _Shared(incumbent.page_count, incumbent, lb, deadline, opts.node_limit)
+    search = _Search(incumbent.page_count, incumbent, lb, deadline, opts.node_limit)
+    if n > 2:
+        _search_orders(g, search, opts.max_pages)
 
-    if n > 2 and not shared.stop:
-        branches = list(range(1, n))
-        if opts.threads <= 1:
-            for first in branches:
-                if shared.stop:
-                    break
-                _run_branch(g, first, shared, opts.max_pages, batch_nodes=False)
-        else:
-            with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-                for _ in pool.map(
-                    lambda f: _run_branch(g, f, shared, opts.max_pages, batch_nodes=True),
-                    branches,
-                ):
-                    pass
-
-    best = shared.best
+    best = search.best
     elapsed = time.monotonic() - start
-    if shared.budget_hit and best > lb:
+    if search.budget_hit and best > lb:
         status, lower = SolverStatus.TIMEOUT, lb
     elif opts.max_pages is not None and best > opts.max_pages:
         status, lower = SolverStatus.LOWER_BOUND_ONLY, max(opts.max_pages + 1, lb)
     else:
         status, lower = SolverStatus.EXACT, best
-    return SolverReport(status, best, lower, shared.witness, shared.nodes, elapsed)
+    return SolverReport(status, best, lower, search.witness, search.nodes, elapsed)
 
 
 def is_outerplanar(g: Graph) -> bool:

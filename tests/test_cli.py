@@ -175,6 +175,18 @@ def test_embed_first_fit_with_explicit_order(capsys, tmp_path):
     assert validate_embedding(g, emb).ok
 
 
+def test_embed_first_fit_rejects_a_bad_order(capsys, tmp_path):
+    gpath = tmp_path / "k5.json"
+    gpath.write_text(complete_graph(5).to_json())
+    opath = tmp_path / "bad.json"
+    opath.write_text(json.dumps([0, 1, 2, 2, 3]))
+    code, out, err = _run(capsys, "embed", "--graph", str(gpath), "--method", "first-fit",
+                          "--order", str(opath))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---- treedec validate ----
 
 

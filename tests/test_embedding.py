@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookembed import (
     BookEmbedding,
@@ -11,8 +13,10 @@ from bookembed import (
     crosses,
     crossing_clique_lower_bound,
     density_lower_bound,
+    first_fit_pages,
     validate_embedding,
 )
+from bookembed.bruteforce import _arc_crossing
 from bookembed.constructions import build_q, complete_split
 from bookembed.embedding import crossing_masks
 from bookembed.solver import min_pages_for_order
@@ -56,7 +60,9 @@ def test_crossing_masks_agree_with_crosses():
         for i, e in enumerate(g.edges):
             for j, f in enumerate(g.edges):
                 if i != j:
-                    assert bool(masks[i] >> j & 1) == crosses(order, e, f)
+                    expected = _arc_crossing(tuple(order), e, f)
+                    assert bool(masks[i] >> j & 1) == expected
+                    assert crosses(order, e, f) == expected
 
 
 # ---- validation ----
@@ -157,3 +163,52 @@ def test_crossing_clique_never_exceeds_best_assignment():
         rng.shuffle(order)
         lb = crossing_clique_lower_bound(g, order)
         assert lb <= min_pages_for_order(g, order)
+
+
+# ---- stack sweeps against the brute-force crossing test ----
+
+# fixed examples, so tier-1 runs the same cases every time
+_PROFILE = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+@st.composite
+def _paged_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    order = tuple(draw(st.permutations(range(n))))
+    pages = {e: draw(st.integers(1, 3)) for e in sorted(edges)}
+    return Graph(n, edges), order, pages
+
+
+@_PROFILE
+@given(_paged_graphs())
+def test_validation_sweep_matches_pairwise_crossings(case):
+    g, order, pages = case
+    res = validate_embedding(g, _emb(g, order, pages, page_count=3))
+    clash = any(
+        pages[e] == pages[f] and _arc_crossing(order, e, f)
+        for i, e in enumerate(g.edges)
+        for f in g.edges[i + 1:]
+    )
+    assert res.ok == (not clash)
+    if res.first_conflict is not None:
+        e, f = res.first_conflict
+        assert pages[e] == pages[f] and _arc_crossing(order, e, f)
+
+
+@_PROFILE
+@given(_paged_graphs())
+def test_first_fit_takes_the_lowest_page_without_a_crossing(case):
+    g, order, _ = case
+    pos = {v: i for i, v in enumerate(order)}
+    arcs = sorted((min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in g.edges)
+    expected: dict[tuple[int, int], int] = {}
+    for _, _, e in arcs:
+        p = 1
+        while any(q == p and _arc_crossing(order, e, f) for f, q in expected.items()):
+            p += 1
+        expected[e] = p
+    emb = first_fit_pages(g, order)
+    assert emb.pages == expected
+    assert emb.page_count == max(expected.values(), default=0)

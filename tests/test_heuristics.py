@@ -5,7 +5,9 @@ import random
 import pytest
 
 from bookembed import (
+    BookEmbedError,
     InvalidCertificate,
+    InvalidOrder,
     book_thickness_exact,
     build_q,
     complete_graph,
@@ -55,6 +57,14 @@ def test_first_fit_never_beats_the_exact_solver():
         order = list(range(n))
         rng.shuffle(order)
         assert first_fit_pages(g, order).page_count >= exact
+
+
+def test_first_fit_rejects_orders_that_are_not_permutations():
+    k5 = complete_graph(5)
+    for bad in ([0, 1, 2, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 9]):
+        with pytest.raises(InvalidOrder):
+            first_fit_pages(k5, bad)
+    assert issubclass(InvalidOrder, BookEmbedError)
 
 
 # ---- certificate-guided k-tree embedding ----

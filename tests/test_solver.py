@@ -135,7 +135,7 @@ def test_budget_irrelevant_when_bound_met_early():
     assert rep.nodes_explored == 0
 
 
-# ---- determinism and threading ----
+# ---- determinism ----
 
 
 def test_reports_are_deterministic():
@@ -149,17 +149,6 @@ def test_reports_are_deterministic():
         assert a.lower_bound == b.lower_bound
         assert a.nodes_explored == b.nodes_explored
         assert a.witness == b.witness
-
-
-def test_thread_count_does_not_change_the_answer():
-    rng = random.Random(59)
-    for _ in range(5):
-        g = random_connected_graph(7, rng)
-        seq = _bt(g).book_thickness
-        par = _bt(g, threads=3)
-        assert par.book_thickness == seq
-        assert par.status is SolverStatus.EXACT
-        assert validate_embedding(g, par.witness).ok
 
 
 # ---- structural properties ----
