@@ -20,6 +20,7 @@ from .embedding import (
 from .errors import (
     BookEmbedError,
     InvalidCertificate,
+    InvalidInput,
     InvalidOrder,
     InvalidSize,
     NotAClique,
@@ -57,6 +58,7 @@ __all__ = [
     "DecompositionReport",
     "Graph",
     "InvalidCertificate",
+    "InvalidInput",
     "InvalidOrder",
     "InvalidSize",
     "KTreeCertificate",

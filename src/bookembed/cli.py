@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import constructions
 from .bruteforce import oracle_suite
 from .embedding import BookEmbedding, validate_embedding
-from .errors import BookEmbedError
+from .errors import BookEmbedError, InvalidInput
 from .graph import Graph, complete_graph, is_k_tree
 from .heuristics import embed_ktree, first_fit_pages
 from .solver import SolverOptions, book_thickness_exact
@@ -29,11 +30,48 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+@contextmanager
+def _reading(what: str):
+    """Re-raise what a parser or constructor rejects as InvalidInput, which
+    main reports in one line with exit code 2."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InvalidInput(f"{what}: {detail}") from exc
+
+
+def _require_ints(values, what: str) -> None:
+    # JSON numbers such as 1.0 would pass the range checks and fail later
+    if not all(type(v) is int for v in values):
+        raise TypeError(f"{what} must be integers")
+
+
 def _load_graph(path: str) -> Graph:
     text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return Graph.from_json(text)
-    return Graph.from_text(text)
+    with _reading(f"graph {path}"):
+        g = Graph.from_json(text) if text.lstrip().startswith("{") else Graph.from_text(text)
+        _require_ints([v for e in g.edges for v in e], "edge endpoints")
+    return g
+
+
+def _load_order(path: str) -> list[int]:
+    text = Path(path).read_text()
+    with _reading(f"order {path}"):
+        order = json.loads(text)
+        if not isinstance(order, list):
+            raise TypeError("expected a JSON list of vertex ids")
+        _require_ints(order, "vertex ids")
+    return order
+
+
+def _load_embedding(path: str) -> BookEmbedding:
+    text = Path(path).read_text()
+    with _reading(f"embedding {path}"):
+        emb = BookEmbedding.from_json(text)
+        _require_ints(emb.order, "vertex ids")
+        _require_ints([x for (u, v), p in emb.pages.items() for x in (u, v, p)], "page entries")
+    return emb
 
 
 # ---- gen ----
@@ -52,26 +90,28 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             return 2
 
     decomposition: TreeDecomposition | None = None
-    if fam == "complete":
-        g = complete_graph(args.n)
-    elif fam == "complete-bipartite":
-        g = constructions.complete_bipartite(args.k, args.m)
-    elif fam == "split":
-        g = constructions.complete_split(args.k, args.m)
-    elif fam == "q":
-        art = constructions.build_q(args.k, args.n)
-        g, decomposition = art.graph, art.decomposition
-    elif fam == "path-power":
-        g = constructions.path_power(args.n, args.k)
-    elif fam == "dujwoo":
-        g = constructions.dujwoo_gadget(args.k, args.m)
-    else:
-        g, cert = constructions.random_ktree(args.n, args.k, args.seed)
-        decomposition = decomposition_from_certificate(cert)
+    with _reading(f"--family {fam}"):
+        if fam == "complete":
+            g = complete_graph(args.n)
+        elif fam == "complete-bipartite":
+            g = constructions.complete_bipartite(args.k, args.m)
+        elif fam == "split":
+            g = constructions.complete_split(args.k, args.m)
+        elif fam == "q":
+            art = constructions.build_q(args.k, args.n)
+            g, decomposition = art.graph, art.decomposition
+        elif fam == "path-power":
+            g = constructions.path_power(args.n, args.k)
+        elif fam == "dujwoo":
+            g = constructions.dujwoo_gadget(args.k, args.m)
+        else:
+            g, cert = constructions.random_ktree(args.n, args.k, args.seed)
+            decomposition = decomposition_from_certificate(cert)
 
     want_td = args.with_treedec
     if want_td and decomposition is None:
-        cert = is_k_tree(g, args.k) if args.k else None
+        with _reading("--k"):
+            cert = is_k_tree(g, args.k) if args.k else None
         if cert is None:
             _say(f"--with-treedec is not available for family {fam}")
             return 2
@@ -131,16 +171,14 @@ def _infer_certificate(g: Graph, k: int | None):
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.method == "ktree":
-        cert = _infer_certificate(g, args.k)
+        with _reading("--k"):
+            cert = _infer_certificate(g, args.k)
         if cert is None:
             _say("graph is not a k-tree for the requested (or any matching) k")
             return 1
         emb = embed_ktree(g, cert)
     else:
-        if args.order:
-            order = json.loads(Path(args.order).read_text())
-        else:
-            order = list(range(g.n))
+        order = _load_order(args.order) if args.order else list(range(g.n))
         emb = first_fit_pages(g, order)
     _emit(emb.to_json_dict())
     _say(f"embedding uses {emb.pages_used()} pages")
@@ -152,7 +190,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    emb = BookEmbedding.from_json(Path(args.embedding).read_text())
+    emb = _load_embedding(args.embedding)
     result = validate_embedding(g, emb)
     _emit(result.to_json_dict())
     _say("embedding is valid" if result.ok else "embedding is INVALID")
@@ -164,7 +202,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_treedec_validate(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    td = TreeDecomposition.from_json(Path(args.treedec).read_text())
+    text = Path(args.treedec).read_text()
+    with _reading(f"decomposition {args.treedec}"):
+        td = TreeDecomposition.from_json(text)
     report = validate_decomposition(g, td)
     _emit(report.to_json_dict())
     _say(

@@ -188,6 +188,26 @@ def density_lower_bound(g: Graph) -> int:
     return -(-(g.m + 1) // g.n) - 1
 
 
+def _bernhart_kainen_bound(g: Graph) -> int:
+    """Fewest pages the edge count alone forces: 0 without edges, else
+    max(1, ceil((m - n) / (n - 3))), and 1 when n < 4.
+
+    The n edges joining spine neighbours cross nothing, and one page holds
+    at most n - 3 further non-crossing chords of the n-gon (a triangulated
+    polygon).  So p pages hold at most n + p(n - 3) edges (Bernhart and
+    Kainen, JCTB 1979), and for n >= 4 a graph with m edges needs
+    p >= (m - n) / (n - 3).  On K_n this is ceil(n / 2), the exact value.
+    Graphs with n < 4 are outerplanar, so one page is both necessary and
+    enough once there is an edge.
+    """
+    n, m = g.n, g.m
+    if m == 0:
+        return 0
+    if n < 4:
+        return 1
+    return max(1, -(-(m - n) // (n - 3)))
+
+
 def _greedy_clique_mask(masks: list[int], universe: int) -> int:
     # grow from the highest-degree vertex, always adding the candidate with
     # most neighbors inside the shrinking candidate set; ties to lowest id

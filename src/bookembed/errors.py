@@ -23,3 +23,7 @@ class InvalidCertificate(BookEmbedError):
 
 class InvalidOrder(BookEmbedError):
     """A vertex order is not a permutation of the graph's vertices."""
+
+
+class InvalidInput(BookEmbedError):
+    """A command-line input file or parameter does not describe a valid object."""

@@ -1,14 +1,23 @@
 """Exact book thickness for small graphs.
 
-Searches circular orders depth-first, filling positions 1..n-1 left to right
-with vertex 0 pinned at position 0 and reflected orders skipped, so exactly
-(n-1)!/2 orders are considered.  Once both endpoints of an edge are placed
-its crossings with other completed edges are final, so every node carries a
-partial crossing graph that only grows toward the leaves; a prefix is
-abandoned as soon as that partial graph already needs as many pages as the
-best embedding found so far.  At a leaf the order's exact page count is the
-chromatic number of its crossing graph, computed by backtracking coloring
-seeded with a maximal pairwise-crossing set.
+Two facts of Bernhart and Kainen (JCTB 1979) come before any search.  The
+book thickness of a graph is the maximum over its blocks (biconnected
+components and bridges), so each block is solved on its own, a bridge
+needs one page and no search, and the witnesses are spliced at the cut
+vertices.  And p pages hold at most n + p(n-3) edges, so a block's search
+starts from the lower bound ceil((m-n)/(n-3)), which already equals the
+answer on complete graphs.
+
+Each remaining block's circular orders are searched depth-first, filling
+positions 1..n-1 left to right with vertex 0 pinned at position 0 and
+reflected orders skipped, so exactly (n-1)!/2 orders are considered.  Once
+both endpoints of an edge are placed its crossings with other completed
+edges are final, so every node carries a partial crossing graph that only
+grows toward the leaves; a prefix is abandoned as soon as that partial graph
+already needs as many pages as the best embedding found so far.  At a leaf
+the order's exact page count is the chromatic number of its crossing graph,
+computed by backtracking coloring seeded with a maximal pairwise-crossing
+set.
 """
 
 from __future__ import annotations
@@ -21,11 +30,11 @@ from typing import Sequence
 from .embedding import (
     BookEmbedding,
     _add_arc,
+    _bernhart_kainen_bound,
     _greedy_clique_mask,
     crossing_masks,
-    density_lower_bound,
 )
-from .graph import Graph
+from .graph import Graph, _norm_edge
 from .heuristics import first_fit_pages
 
 
@@ -185,13 +194,13 @@ class _Search:
     __slots__ = ("best", "witness", "lb", "stop", "budget_hit", "nodes", "deadline", "node_limit")
 
     def __init__(self, best: int, witness: BookEmbedding, lb: int,
-                 deadline: float | None, node_limit: int | None) -> None:
+                 deadline: float | None, node_limit: int | None, nodes: int) -> None:
         self.best = best
         self.witness = witness
         self.lb = lb
         self.stop = best <= lb
         self.budget_hit = False
-        self.nodes = 0
+        self.nodes = nodes  # spent by earlier blocks under the same budget
         self.deadline = deadline
         self.node_limit = node_limit
 
@@ -303,40 +312,161 @@ def _search_orders(g: Graph, search: _Search, max_pages: int | None) -> None:
         unplace(first, added)
 
 
+# ---- blocks ----
+
+
+def _blocks(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The blocks (biconnected components and bridges) as (root, edges).
+
+    One iterative Hopcroft-Tarjan pass over a depth-first search with an
+    edge stack: a tree edge (u, w) closes the block on top of the stack when
+    no back edge from w's subtree climbs above u (low[w] >= disc[u]).  The
+    root u is then a cut vertex or the start of the search, and every other
+    vertex of the block lies below it, so a block comes out after each block
+    that hangs from one of its vertices.  Isolated vertices are in no block.
+    """
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    neigh = [sorted(g.neighbors(v)) for v in range(n)]
+    edge_stack: list[tuple[int, int]] = []
+    blocks: list[tuple[int, list[tuple[int, int]]]] = []
+    clock = 0
+    for r in range(n):
+        if disc[r] >= 0 or not neigh[r]:
+            continue
+        disc[r] = low[r] = clock
+        clock += 1
+        stack = [(r, -1, iter(neigh[r]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if disc[w] < 0:
+                    edge_stack.append((v, w))
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, v, iter(neigh[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:  # back edge to an ancestor
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        block = [edge_stack.pop()]
+                        while block[-1] != (u, v):
+                            block.append(edge_stack.pop())
+                        blocks.append((u, block))
+    return blocks
+
+
+def _solve_block(g: Graph, edges: list[tuple[int, int]], opts: SolverOptions,
+                 deadline: float | None, nodes: int):
+    """Order search on one block with at least three vertices.  Returns
+    (upper, lower, circular order, page map, nodes spent so far), with the
+    order and pages in g's vertex ids."""
+    verts = sorted({v for e in edges for v in e})
+    if len(verts) == g.n:  # the only block, so it is all of g
+        sub = g
+    else:
+        local = {v: i for i, v in enumerate(verts)}
+        sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
+    lb = _bernhart_kainen_bound(sub)
+    incumbent = first_fit_pages(sub, range(sub.n))
+    search = _Search(incumbent.page_count, incumbent, lb, deadline, opts.node_limit, nodes)
+    max_pages = opts.max_pages
+    if not search.stop and (max_pages is None or lb <= max_pages):
+        search.check_budget()  # an earlier block may have spent it
+        _search_orders(sub, search, max_pages)
+
+    best = search.best
+    if search.budget_hit and best > lb:
+        lower = lb
+    elif max_pages is not None and best > max_pages:
+        lower = max(max_pages + 1, lb)
+    else:
+        lower = best
+    w = search.witness
+    # verts is sorted, so local edges (u < v) map to normalized edges
+    pages = {(verts[u], verts[v]): p for (u, v), p in w.pages.items()}
+    return best, lower, [verts[v] for v in w.order], pages, search.nodes
+
+
 def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverReport:
-    """Exact book thickness by exhaustive order search with pruning.
+    """Exact book thickness: the maximum over the blocks, each solved by
+    exhaustive order search with pruning under one shared budget.
+
+    The witness is spliced along the block-cut tree, parents first.  A
+    block's order is rotated to start at the vertex it shares with the
+    blocks already placed (its root), and its other vertices go in as one
+    run right after that vertex, keeping their own page numbers.  No placed
+    vertex lies in the new run, so every placed arc either contains the run,
+    misses it, or touches it only at the root, and no new arc can cross an
+    old one; the rotation keeps the block's own crossings as they were.
+    A block that starts a new component opens a new run at the end.
 
     Budgets never raise: blowing the time or node budget yields status
     TIMEOUT with the best bounds found.  With max_pages set, a graph needing
-    more pages comes back LOWER_BOUND_ONLY with lower_bound = max_pages + 1.
+    more pages comes back LOWER_BOUND_ONLY with lower_bound > max_pages.
     Without a time budget the report is deterministic.
     """
     opts = opts or SolverOptions()
     start = time.monotonic()
-    n, m = g.n, g.m
-
-    if m == 0:
+    n = g.n
+    if g.m == 0:
         emb = BookEmbedding(tuple(range(n)), {}, 0)
         return SolverReport(SolverStatus.EXACT, 0, 0, emb, 0, time.monotonic() - start)
 
-    lb = max(1, density_lower_bound(g))
-    incumbent = first_fit_pages(g, tuple(range(n)))
     deadline = start + opts.time_budget if opts.time_budget is not None else None
-    search = _Search(incumbent.page_count, incumbent, lb, deadline, opts.node_limit)
-    if n > 2:
-        _search_orders(g, search, opts.max_pages)
+    upper = lower = nodes = 0
+    pages: dict[tuple[int, int], int] = {}
+    nxt = [-1] * n  # the spliced order as a linked list of runs
+    placed = [False] * n
+    heads: list[int] = []
+    for root, edges in reversed(_blocks(g)):
+        if len(edges) == 1:  # a bridge: one page, no search
+            (u, v), = edges
+            b_upper = b_lower = 1
+            b_order, b_pages = [u, v], {_norm_edge(u, v): 1}
+        else:
+            b_upper, b_lower, b_order, b_pages, nodes = _solve_block(
+                g, edges, opts, deadline, nodes)
+        upper, lower = max(upper, b_upper), max(lower, b_lower)
+        pages.update(b_pages)
 
-    best = search.best
-    elapsed = time.monotonic() - start
-    if search.budget_hit and best > lb:
-        status, lower = SolverStatus.TIMEOUT, lb
-    elif opts.max_pages is not None and best > opts.max_pages:
-        status, lower = SolverStatus.LOWER_BOUND_ONLY, max(opts.max_pages + 1, lb)
+        i = b_order.index(root)
+        if not placed[root]:  # the first block of a component
+            heads.append(root)
+            placed[root] = True
+        prev, tail = root, nxt[root]
+        for v in b_order[i + 1:] + b_order[:i]:
+            nxt[prev] = v
+            prev = v
+            placed[v] = True
+        nxt[prev] = tail
+
+    order = []
+    for v in heads:
+        while v >= 0:
+            order.append(v)
+            v = nxt[v]
+    order += [v for v in range(n) if not placed[v]]
+
+    if opts.max_pages is not None and lower > opts.max_pages:
+        status = SolverStatus.LOWER_BOUND_ONLY
+    elif lower == upper:
+        status = SolverStatus.EXACT
     else:
-        status, lower = SolverStatus.EXACT, best
-    return SolverReport(status, best, lower, search.witness, search.nodes, elapsed)
+        status = SolverStatus.TIMEOUT
+    witness = BookEmbedding(tuple(order), pages, upper)
+    return SolverReport(status, upper, lower, witness, nodes, time.monotonic() - start)
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """True iff the graph fits on one page (edgeless graphs count)."""
+    """True iff the graph fits on one page (edgeless graphs count).  Only
+    blocks with a cycle are searched, so trees and long pendant paths cost
+    nothing."""
     return book_thickness_exact(g).book_thickness <= 1

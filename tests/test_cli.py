@@ -1,6 +1,7 @@
 """End-to-end CLI flows, driven in-process through main(argv)."""
 
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from bookembed import (
     validate_decomposition,
     validate_embedding,
 )
+from bookembed.bruteforce import random_connected_graph
 from bookembed.cli import main
 from util import cycle
 
@@ -99,13 +101,14 @@ def test_bt_writes_report_and_witness(capsys, tmp_path):
 
 
 def test_bt_respects_budgets(capsys, tmp_path):
-    gpath = tmp_path / "k7.json"
-    gpath.write_text(complete_graph(7).to_json())
-    code, out, _ = _run(capsys, "bt", "--graph", str(gpath), "--max-pages", "2")
+    # bt 3, root bound 2: the root bound alone would close a complete graph
+    gpath = tmp_path / "g9.json"
+    gpath.write_text(random_connected_graph(9, random.Random(9), 0.5).to_json())
+    code, out, _ = _run(capsys, "bt", "--graph", str(gpath), "--max-pages", "1")
     assert code == 0
     report = json.loads(out)
     assert report["status"] == "lower-bound-only"
-    assert report["lower_bound"] == 3
+    assert report["lower_bound"] == 2
 
 
 def test_check_flags_bad_embedding(capsys, tmp_path):
@@ -126,6 +129,42 @@ def test_check_flags_bad_embedding(capsys, tmp_path):
 def test_bt_missing_file_is_a_usage_error(capsys, tmp_path):
     code, _, err = _run(capsys, "bt", "--graph", str(tmp_path / "missing.json"))
     assert code == 2 and "error:" in err
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bt_bad_text_header_is_a_usage_error(capsys, tmp_path):
+    gpath = tmp_path / "bad.txt"
+    gpath.write_text("3 x\n0 1\n")
+    _assert_one_line_error(*_run(capsys, "bt", "--graph", str(gpath)))
+
+
+@pytest.mark.parametrize("command", ["bt", "embed"])
+def test_out_of_range_edge_is_a_usage_error(capsys, tmp_path, command):
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(json.dumps({"n": 3, "edges": [[0, 5]]}))
+    _assert_one_line_error(*_run(capsys, command, "--graph", str(gpath)))
+
+
+def test_gen_empty_complete_graph_is_a_usage_error(capsys):
+    _assert_one_line_error(*_run(capsys, "gen", "--family", "complete", "--n", "0"))
+
+
+def test_non_integer_vertex_ids_are_usage_errors(capsys, tmp_path):
+    gpath = tmp_path / "p3.json"
+    gpath.write_text(Graph(3, [(0, 1), (1, 2)]).to_json())
+    epath = tmp_path / "emb.json"
+    epath.write_text(json.dumps({"order": [0, 1, "x"], "pages": [[0, 1, 1], [1, 2, 1]]}))
+    _assert_one_line_error(*_run(capsys, "check", "--graph", str(gpath),
+                                 "--embedding", str(epath)))
+    opath = tmp_path / "order.json"
+    opath.write_text(json.dumps([0, 2, 1.0]))
+    _assert_one_line_error(*_run(capsys, "embed", "--graph", str(gpath), "--method",
+                                 "first-fit", "--order", str(opath)))
 
 
 # ---- embed ----

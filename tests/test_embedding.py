@@ -16,9 +16,9 @@ from bookembed import (
     first_fit_pages,
     validate_embedding,
 )
-from bookembed.bruteforce import _arc_crossing
+from bookembed.bruteforce import _arc_crossing, book_thickness_brute, enumerate_graphs
 from bookembed.constructions import build_q, complete_split
-from bookembed.embedding import crossing_masks
+from bookembed.embedding import _bernhart_kainen_bound, crossing_masks
 from bookembed.solver import min_pages_for_order
 from util import cycle, random_graph, random_tree
 
@@ -134,6 +134,21 @@ def test_density_lower_bound_values():
     assert density_lower_bound(build_q(4).graph) == 3
     with pytest.raises(ValueError):
         density_lower_bound(Graph(0))
+
+
+def test_edge_bound_never_exceeds_brute_force():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            assert _bernhart_kainen_bound(g) <= book_thickness_brute(g), g.edges
+
+
+def test_edge_bound_is_exact_on_complete_graphs():
+    for n in range(4, 13):
+        assert _bernhart_kainen_bound(complete_graph(n)) == (n + 1) // 2
+    assert _bernhart_kainen_bound(Graph(5)) == 0
+    assert _bernhart_kainen_bound(complete_graph(3)) == 1
+    q = build_q(4).graph  # never weaker than the density bound
+    assert _bernhart_kainen_bound(q) >= density_lower_bound(q)
 
 
 def test_crossing_clique_fixed_cases():

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bookembed import (
     Graph,
     SolverOptions,
@@ -98,33 +101,50 @@ def test_matches_brute_force_on_random_six_vertex_graphs():
 # ---- budgets and statuses ----
 
 
+def _needs_search():
+    # bt 3 but root bound 2, so the answer takes ~29k search nodes; complete
+    # graphs close at the root and cannot exercise the budgets
+    return random_connected_graph(9, random.Random(9), 0.5)
+
+
 def test_max_pages_cap():
-    rep = _bt(complete_graph(7), max_pages=2)
+    g = _needs_search()
+    rep = _bt(g, max_pages=1)
     assert rep.status is SolverStatus.LOWER_BOUND_ONLY
-    assert rep.lower_bound == 3
-    assert rep.book_thickness >= 4  # upper bound from the incumbent
+    assert rep.lower_bound == 2
+    assert rep.book_thickness >= 3  # upper bound from the incumbent
     # a cap at or above the answer still yields the exact value
-    rep = _bt(complete_graph(7), max_pages=4)
-    assert rep.status is SolverStatus.EXACT and rep.book_thickness == 4
+    rep = _bt(g, max_pages=3)
+    assert rep.status is SolverStatus.EXACT and rep.book_thickness == 3
     rep = _bt(complete_graph(4), max_pages=2)
     assert rep.status is SolverStatus.EXACT and rep.book_thickness == 2
 
 
 def test_node_limit_times_out():
-    rep = _bt(complete_graph(7), node_limit=50)
+    g = _needs_search()
+    rep = _bt(g, node_limit=50)
     assert rep.status is SolverStatus.TIMEOUT
     assert rep.nodes_explored >= 50
-    assert rep.lower_bound == 3
-    assert rep.book_thickness >= 4
-    assert rep.lower_bound <= 4 <= rep.book_thickness
+    assert rep.lower_bound == 2
+    assert rep.book_thickness >= 3
+    assert rep.lower_bound <= 3 <= rep.book_thickness
     # the reported upper bound is still a real embedding
-    assert validate_embedding(complete_graph(7), rep.witness).ok
+    assert validate_embedding(g, rep.witness).ok
 
 
 def test_time_budget_times_out():
-    rep = _bt(complete_graph(8), time_budget=0.005)
+    rep = _bt(_needs_search(), time_budget=0.005)
     assert rep.status is SolverStatus.TIMEOUT
     assert rep.lower_bound <= rep.book_thickness
+
+
+def test_root_bound_closes_complete_graphs():
+    for n in (7, 8):
+        rep = _bt(complete_graph(n))
+        assert rep.status is SolverStatus.EXACT
+        assert rep.book_thickness == rep.lower_bound == 4
+        assert rep.nodes_explored <= 10
+        assert validate_embedding(complete_graph(n), rep.witness).ok
 
 
 def test_budget_irrelevant_when_bound_met_early():
@@ -181,3 +201,97 @@ def test_is_outerplanar():
     assert is_outerplanar(Graph(3))
     assert not is_outerplanar(complete_graph(4))
     assert not is_outerplanar(complete_bipartite(2, 3))
+
+
+# ---- blocks ----
+
+
+def _pendant_graph():
+    # K_{2,3} with a 9-vertex path hanging from vertex 4: n=14, bt 2
+    k23 = complete_bipartite(2, 3)
+    tail = [(v, v + 1) for v in range(4, 13)]
+    return Graph(14, list(k23.edges) + tail)
+
+
+def test_pendant_graph_reduces_to_its_one_block():
+    g = _pendant_graph()
+    rep = _bt(g)
+    assert rep.status is SolverStatus.EXACT
+    assert rep.book_thickness == rep.lower_bound == 2
+    assert rep.nodes_explored < 100
+    res = validate_embedding(g, rep.witness)
+    assert res.ok and res.pages_used == 2
+    assert not is_outerplanar(g)
+
+
+def _blocks_by_definition(g):
+    """Edge sets of the blocks: two edges at a vertex w share a block iff
+    their far ends stay connected once w is deleted."""
+    root = {e: e for e in g.edges}
+
+    def find(e):
+        while root[e] != e:
+            e = root[e]
+        return e
+
+    for w in range(g.n):
+        comp = [-1] * g.n
+        for s in range(g.n):
+            if s == w or comp[s] >= 0:
+                continue
+            comp[s], todo = s, [s]
+            while todo:
+                x = todo.pop()
+                for y in g.neighbors(x):
+                    if y != w and comp[y] < 0:
+                        comp[y] = s
+                        todo.append(y)
+        near = sorted(g.neighbors(w))
+        for i, a in enumerate(near):
+            for b in near[i + 1:]:
+                if comp[a] == comp[b]:
+                    root[find((min(a, w), max(a, w)))] = find((min(b, w), max(b, w)))
+    blocks = {}
+    for e in g.edges:
+        blocks.setdefault(find(e), []).append(e)
+    return list(blocks.values())
+
+
+@st.composite
+def _glued_graphs(draw):
+    """Small random pieces, each glued to the graph so far at a cut vertex,
+    hung from it by a bridge, or left as a component of its own; then the
+    vertices are shuffled."""
+    n, edges = 0, []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(2, 5))
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        piece = draw(st.lists(st.sampled_from(pairs), min_size=len(pairs) // 2, unique=True))
+        glue = draw(st.sampled_from(["cut", "bridge", "apart"])) if n else "apart"
+        ids = list(range(n, n + k))
+        if glue == "cut":
+            ids = [draw(st.integers(0, n - 1))] + ids[:-1]
+        elif glue == "bridge":
+            edges.append((draw(st.integers(0, n - 1)), n))
+        n = max(n, ids[-1] + 1)
+        edges += [(ids[u], ids[v]) for u, v in piece]
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_glued_graphs())
+def test_block_split_matches_blocks_solved_apart(g):
+    rep = _bt(g)
+    assert rep.status is SolverStatus.EXACT
+    apart = []
+    for block in _blocks_by_definition(g):
+        verts = sorted({v for e in block for v in e})
+        local = {v: i for i, v in enumerate(verts)}
+        apart.append(_bt(Graph(len(verts), [(local[u], local[v]) for u, v in block])).book_thickness)
+    assert rep.book_thickness == max(apart, default=0)
+    if g.n <= 7:
+        assert rep.book_thickness == book_thickness_brute(g)
+    res = validate_embedding(g, rep.witness)
+    assert res.ok
+    assert res.pages_used == rep.witness.page_count == rep.book_thickness
