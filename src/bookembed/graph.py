@@ -202,13 +202,9 @@ class KTreeCertificate:
     def vertex_count(self) -> int:
         return len(self.base_clique) + len(self.additions)
 
-    def replay(self) -> Graph:
-        """Rebuild the graph this certificate describes.
-
-        Raises InvalidCertificate if any step is malformed (wrong clique size,
-        unknown attachment vertex, attachment set not a clique so far, or a
-        non-dense vertex id space).
-        """
+    def _replay_edges(self) -> tuple[int, set[tuple[int, int]]]:
+        """Vertex count and normalized edge set the certificate replays to,
+        with every check `replay` documents."""
         k = self.k
         if k < 1:
             raise InvalidCertificate("k must be positive")
@@ -226,7 +222,7 @@ class KTreeCertificate:
             if not clique <= placed:
                 raise InvalidCertificate(f"attachment clique for {v} uses unplaced vertices")
             for a, b in combinations(sorted(clique), 2):
-                if _norm_edge(a, b) not in edges:
+                if (a, b) not in edges:
                     raise InvalidCertificate(
                         f"attachment set for {v} is not a clique: missing ({a}, {b})"
                     )
@@ -235,15 +231,28 @@ class KTreeCertificate:
         n = len(placed)
         if placed != set(range(n)):
             raise InvalidCertificate("certificate vertex ids are not dense 0..n-1")
+        return n, edges
+
+    def replay(self) -> Graph:
+        """Rebuild the graph this certificate describes.
+
+        Raises InvalidCertificate if any step is malformed (wrong clique size,
+        unknown attachment vertex, attachment set not a clique so far, or a
+        non-dense vertex id space).
+        """
+        n, edges = self._replay_edges()
         return Graph(n, edges)
 
     def is_valid_for(self, g: Graph) -> bool:
-        """True iff replaying reproduces g's vertex set and edges exactly."""
+        """True iff replaying reproduces g's vertex set and edges exactly.
+
+        Compares the replayed edge set with g's directly, without building a
+        Graph."""
         try:
-            h = self.replay()
+            n, edges = self._replay_edges()
         except InvalidCertificate:
             return False
-        return h.n == g.n and h._edge_set == g._edge_set
+        return n == g.n and edges == g._edge_set
 
 
 def ktree_edge_count(n: int, k: int) -> int:

@@ -1,5 +1,7 @@
-"""Heuristic embedders.  Validity is guaranteed; page counts are whatever
-first-fit lands on and are reported, not promised."""
+"""Embedders.  Validity is guaranteed.  `first_fit_pages` reports whatever
+page count first-fit lands on; `embed_ktree` constructs a k-tree's pages from
+a proper (k+1)-colouring and never uses more than k+1, the Ganley-Heath bound
+that Q(k) meets exactly."""
 
 from __future__ import annotations
 
@@ -7,8 +9,8 @@ from typing import Sequence
 
 from .embedding import BookEmbedding, _push_arc
 from .errors import InvalidCertificate, InvalidOrder
-from .graph import Graph, KTreeCertificate
-from .treedec import decomposition_from_certificate
+from .graph import Graph, KTreeCertificate, _norm_edge
+from .treedec import _parent_bags
 
 
 def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
@@ -48,34 +50,80 @@ def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
 
 
 def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
-    """Embed a k-tree guided by its certificate.
+    """Embed a k-tree on at most k+1 pages (Ganley-Heath), guided by its
+    certificate, in O(nk).
 
-    The spine starts with the base clique in id order and walks the bag tree
-    depth-first; each added vertex is inserted immediately clockwise of the
-    lowest-position member of its attachment clique.  Pages are then assigned
-    first-fit.  Raises InvalidCertificate when the certificate does not
-    replay to g.
+    Spine: the base clique in id order, then the bag tree (bag i is addition
+    i's clique plus its vertex, hung from the lowest-index bag holding the
+    clique) walked depth-first, children by index.  Each added vertex v goes
+    immediately after u0, the leftmost member of its clique C.  Inserting
+    never changes the order of placed vertices, so each bag keeps its
+    members in spine order; C in its parent's order starts with u0, and the
+    child's order is [u0, v] + the rest of C.  The spine is a linked list, so
+    each addition costs O(k).
+
+    Pages: the base vertices get colours 0..k in id order, and each added
+    vertex the one colour its clique lacks, a proper (k+1)-colouring.  Each
+    edge goes on page 1 + the colour of its older endpoint (the base is aged
+    in id order), so colour c's page holds the edges from colour-c vertices
+    to their younger neighbours.
+
+    Why no page has a crossing.  Inserting never reorders placed vertices,
+    so only a new vertex's edges can create one.  Invariant: for every bag
+    whose subtree is being placed, with members w0, ..., wk in spine order,
+    and every a < b, no edge on w_b's page has exactly one endpoint strictly
+    between w_a and w_b, unless it ends at w_b.  The base satisfies it: w_b's
+    page holds only edges from w_b to later base vertices.  When v joins
+    right after u0, its edge to u0 spans no vertex, and its edge to w_b, on
+    w_b's page, could cross only an edge the invariant for (u0, w_b) rules
+    out.  The child bag [u0, v, ...] inherits the invariant: pairs inside C
+    keep it (v's edge on w_b's page ends at w_b), (u0, v) spans nothing, and
+    (v, w_b) spans what (u0, w_b) spans.  A bag keeps it while its subtree is
+    placed: descendants enter only the gaps right after w0 and after w1, and
+    each interval (w_a, w_b) holds a whole gap or none of it; a descendant's
+    neighbours are descendants in its own gap or bag members, and w_b is the
+    bag's only member of its colour, so a descendant's edge on w_b's page
+    stays inside its gap or ends at w_b.
+
+    Colour k's page is unused when no vertex of colour k has a younger
+    neighbour (always for n = k+1), so `page_count` counts the pages in use.
+    Raises InvalidCertificate when the certificate does not replay to g.
     """
     if not cert.is_valid_for(g):
         raise InvalidCertificate("certificate does not replay to this graph")
-    td = decomposition_from_certificate(cert)
-    nb = len(td.bags)
-    children: list[list[int]] = [[] for _ in range(nb)]
-    for i, j in td.tree_edges:
-        children[i].append(j)
+    k = cert.k
+    base = sorted(cert.base_clique)
+    parents = _parent_bags(cert)
+    children: list[list[int]] = [[] for _ in range(len(parents) + 1)]
+    for i, p in enumerate(parents, 1):
+        children[p].append(i)
 
-    spine: list[int] = sorted(cert.base_clique)
-    stack = [0]
-    seen = [False] * nb
+    nxt = [-1] * g.n
+    colour = [0] * g.n
+    pages: dict[tuple[int, int], int] = {}
+    for c, u in enumerate(base):
+        colour[u] = c
+        if c:
+            nxt[base[c - 1]] = u
+        for w in base[c + 1:]:
+            pages[(u, w)] = c + 1
+    members: list[list[int]] = [base] + [[]] * len(parents)
+    all_colours = k * (k + 1) // 2
+    stack = children[0][::-1]
     while stack:
         b = stack.pop()
-        if seen[b]:
-            continue
-        seen[b] = True
-        if b > 0:
-            v, clique = cert.additions[b - 1]
-            at = min(spine.index(u) for u in clique)
-            spine.insert(at + 1, v)
-        for c in sorted(children[b], reverse=True):
-            stack.append(c)
-    return first_fit_pages(g, spine)
+        v, clique = cert.additions[b - 1]
+        u0, *rest = (u for u in members[parents[b - 1]] if u in clique)
+        nxt[v], nxt[u0] = nxt[u0], v
+        members[b] = [u0, v, *rest]
+        colour[v] = all_colours - sum(colour[u] for u in clique)
+        for u in clique:
+            pages[_norm_edge(u, v)] = colour[u] + 1
+        stack.extend(children[b][::-1])
+
+    order = []
+    v = base[0]
+    while v >= 0:
+        order.append(v)
+        v = nxt[v]
+    return BookEmbedding(tuple(order), pages, len(set(pages.values())))

@@ -182,6 +182,22 @@ def test_embed_ktree_via_cli(capsys, tmp_path):
     assert "pages" in err
 
 
+def test_embed_ktree_puts_q4_on_five_pages(capsys, tmp_path):
+    code, out, _ = _run(capsys, "gen", "--family", "q", "--k", "4")
+    assert code == 0
+    gpath = tmp_path / "q4.json"
+    gpath.write_text(out)
+    code, out, err = _run(capsys, "embed", "--graph", str(gpath), "--method", "ktree")
+    assert code == 0
+    assert "uses 5 pages" in err
+    epath = tmp_path / "emb.json"
+    epath.write_text(out)
+    code, out, _ = _run(capsys, "check", "--graph", str(gpath), "--embedding", str(epath))
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["ok"] is True and verdict["pages_used"] == 5
+
+
 def test_embed_infers_k_when_omitted(capsys, tmp_path):
     code, out, _ = _run(capsys, "gen", "--family", "random-ktree", "--n", "10", "--k", "2")
     gpath = tmp_path / "t2.json"

@@ -161,6 +161,37 @@ def test_is_valid_for_checks_exact_edges():
     assert not cert.is_valid_for(complete_graph(9))
 
 
+def _replays_to(cert, g):
+    try:
+        return cert.replay() == g
+    except InvalidCertificate:
+        return False
+
+
+def test_is_valid_for_agrees_with_replay_on_mutated_certificates():
+    rng = random.Random(41)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        g, cert = random_ktree(rng.randint(k + 2, k + 12), k, seed=rng.randrange(10**6))
+        adds = list(cert.additions)
+        i, j = rng.randrange(len(adds)), rng.randrange(len(adds))
+        swapped = list(adds)
+        swapped[i], swapped[j] = (adds[i][0], adds[j][1]), (adds[j][0], adds[i][1])
+        foreign, _ = random_ktree(g.n, k, seed=rng.randrange(10**6))
+        cases = [
+            (cert, g),
+            (KTreeCertificate(k, cert.base_clique, tuple(adds[:i] + adds[i + 1:])), g),
+            (KTreeCertificate(k, cert.base_clique, tuple(swapped)), g),
+            (cert, foreign),
+            (cert, g.without_edge(*g.edges[-1])),
+            (cert, Graph(g.n + 1, g.edges)),  # one isolated vertex more
+        ]
+        for c, h in cases:
+            assert c.is_valid_for(h) == _replays_to(c, h)
+        assert cert.is_valid_for(g)
+        assert not cert.is_valid_for(g.without_edge(*g.edges[-1]))
+
+
 # ---- recognition ----
 
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from bookembed import (
     BookEmbedError,
@@ -18,7 +19,7 @@ from bookembed import (
     random_ktree,
     validate_embedding,
 )
-from util import cycle, random_graph
+from util import cycle, ktree_cases, random_graph, reference_spine
 
 
 # ---- first fit under a fixed order ----
@@ -81,6 +82,15 @@ def test_embed_ktree_small_families():
     assert emb.page_count >= 3
 
 
+def test_embed_ktree_counts_only_pages_in_use_on_a_base_clique():
+    # the youngest base vertex's colour is never an older endpoint
+    for k in range(1, 8):
+        g = complete_graph(k + 1)
+        emb = embed_ktree(g, is_k_tree(g, k))
+        assert validate_embedding(g, emb).ok
+        assert emb.pages_used() == emb.page_count == k
+
+
 def test_embed_ktree_random_ktrees_stay_valid():
     rng = random.Random(79)
     for _ in range(25):
@@ -112,8 +122,23 @@ def test_embed_ktree_rejects_foreign_certificates():
 
 
 def test_embed_ktree_on_the_q_construction():
-    art = build_q(4)
-    emb = embed_ktree(art.graph, art.certificate)
-    res = validate_embedding(art.graph, emb)
-    assert res.ok
-    assert res.pages_used >= 4  # frozen floor; the heuristic used 6 when written
+    # bt(Q(k)) = k+1 (the paper) and every k-tree fits on k+1 pages
+    # (Ganley-Heath): the colour rule meets both bounds
+    for k in (4, 5, 6):
+        art = build_q(k)
+        for cert in (art.certificate, is_k_tree(art.graph, k)):
+            emb = embed_ktree(art.graph, cert)
+            res = validate_embedding(art.graph, emb)
+            assert res.ok
+            assert res.pages_used == emb.page_count == k + 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(ktree_cases())
+def test_embed_ktree_uses_at_most_k_plus_one_pages_on_the_reference_spine(case):
+    g, cert, k = case
+    emb = embed_ktree(g, cert)
+    assert validate_embedding(g, emb).ok
+    # the base clique's edges alone fill k colour pages
+    assert k <= emb.pages_used() == emb.page_count <= k + 1
+    assert list(emb.order) == reference_spine(cert)

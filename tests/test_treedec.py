@@ -2,8 +2,13 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings
+
 from bookembed import (
     Graph,
+    InvalidCertificate,
+    KTreeCertificate,
     TreeDecomposition,
     complete_graph,
     decomposition_from_certificate,
@@ -11,6 +16,7 @@ from bookembed import (
     validate_decomposition,
 )
 from bookembed.constructions import complete_split, random_ktree
+from util import ktree_cases, reference_decomposition
 
 
 def _td(bags, tree_edges):
@@ -127,6 +133,32 @@ def test_bag_mutation_breaks_validity_or_smoothness():
         mutated = TreeDecomposition(tuple(bags), td.tree_edges)
         rep = validate_decomposition(g, mutated)
         assert not (rep.valid and rep.smooth)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(ktree_cases())
+def test_certificate_decomposition_matches_scanning_all_bags(case):
+    g, cert, k = case
+    td = decomposition_from_certificate(cert)
+    assert (td.bags, td.tree_edges) == reference_decomposition(cert)
+    rep = validate_decomposition(g, td)
+    assert rep.valid and rep.smooth and rep.width == k
+
+
+def test_certificate_decomposition_rejects_a_clique_in_no_earlier_bag():
+    with pytest.raises(InvalidCertificate):  # 5 is never placed
+        decomposition_from_certificate(
+            KTreeCertificate(2, (0, 1, 2), ((3, frozenset({0, 5})),)))
+    with pytest.raises(InvalidCertificate):  # 2 and 3 are not adjacent
+        decomposition_from_certificate(KTreeCertificate(
+            2, (0, 1, 2), ((3, frozenset({0, 1})), (4, frozenset({2, 3})))))
+
+
+def test_certificate_decomposition_rejects_cliques_of_the_wrong_size():
+    for clique in ({0, 1, 2}, {0}):
+        with pytest.raises(InvalidCertificate):
+            decomposition_from_certificate(
+                KTreeCertificate(2, (0, 1, 2), ((3, frozenset(clique)),)))
 
 
 # ---- serialization ----
