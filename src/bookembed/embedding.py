@@ -3,8 +3,9 @@
 Two edges on the same page conflict when their chords cross, i.e. when
 exactly one endpoint of one edge lies on the open arc strictly between the
 other edge's endpoints.  Cutting the circle anywhere turns that into a plain
-interval-interleaving test (`_add_arc`), and a page is non-crossing iff its
-intervals nest like parentheses, which one stack sweep decides (`_push_arc`).
+interval-interleaving test (`crossing_masks`), and a page is non-crossing iff
+its intervals nest like parentheses, which one stack sweep decides
+(`_push_arc`).
 """
 
 from __future__ import annotations
@@ -78,22 +79,6 @@ def crosses(order: Sequence[int], e: tuple[int, int], f: tuple[int, int]) -> boo
     return crossing_masks([e, f], order)[0] != 0
 
 
-def _add_arc(arcs: list[tuple[int, int]], masks: list[int], a: int, b: int) -> None:
-    """Append arc a < b to a crossing graph kept as parallel lists: arcs[i]
-    is arc i's (left, right) spine position, bit j of masks[i] says arcs i
-    and j cross.  This is the package's only pairwise crossing test outside
-    the brute-force reference."""
-    t = len(arcs)
-    bit = 1 << t
-    mk = 0
-    for j, (aj, bj) in enumerate(arcs):
-        if aj < a < bj < b or a < aj < b < bj:
-            mk |= 1 << j
-            masks[j] |= bit
-    arcs.append((a, b))
-    masks.append(mk)
-
-
 def _push_arc(stack: list[tuple[int, tuple[int, int]]], a: int, b: int,
               e: tuple[int, int]) -> bool:
     """Push arc a < b, labelled e, onto one page's stack of open arcs.
@@ -113,18 +98,22 @@ def _push_arc(stack: list[tuple[int, tuple[int, int]]], a: int, b: int,
 
 
 def crossing_masks(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[int]:
-    """Crossing graph over `edges` as adjacency bitmasks, under `order`."""
+    """Crossing graph over `edges` as adjacency bitmasks under `order`: bit j
+    of masks[i] says edges i and j cross.  This is the package's only
+    pairwise crossing test outside the brute-force reference; the solver
+    fills its orders left to right and reads each new arc's crossings off
+    the arcs that cover its left end."""
     pos = [0] * (max(order) + 1 if order else 0)
     for i, v in enumerate(order):
         pos[v] = i
-    arcs: list[tuple[int, int]] = []
-    masks: list[int] = []
-    for u, v in edges:
-        a, b = pos[u], pos[v]
-        if a < b:
-            _add_arc(arcs, masks, a, b)
-        else:
-            _add_arc(arcs, masks, b, a)
+    arcs = [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges]
+    masks = [0] * len(arcs)
+    for i, (a, b) in enumerate(arcs):
+        for j in range(i):
+            aj, bj = arcs[j]
+            if aj < a < bj < b or a < aj < b < bj:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
     return masks
 
 

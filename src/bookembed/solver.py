@@ -9,15 +9,22 @@ starts from the lower bound ceil((m-n)/(n-3)), which already equals the
 answer on complete graphs.
 
 Each remaining block's circular orders are searched depth-first, filling
-positions 1..n-1 left to right with vertex 0 pinned at position 0 and
-reflected orders skipped, so exactly (n-1)!/2 orders are considered.  Once
-both endpoints of an edge are placed its crossings with other completed
-edges are final, so every node carries a partial crossing graph that only
-grows toward the leaves; a prefix is abandoned as soon as that partial graph
-already needs as many pages as the best embedding found so far.  At a leaf
-the order's exact page count is the chromatic number of its crossing graph,
-computed by backtracking coloring seeded with a maximal pairwise-crossing
-set.
+positions 1..n-1 left to right with a maximum-degree vertex pinned at
+position 0.  Reflecting an order about position 0 reverses positions
+1..n-1, so keeping only the orders that place two fixed other vertices x, y
+with x first skips one of each reflected pair, as soon as y comes up, and
+exactly (n-1)!/2 orders are considered.
+
+Every node carries a partial crossing graph that each completion of its
+prefix contains, and a prefix is abandoned as soon as that graph already
+needs as many pages as the best embedding found so far.  Its nodes are the
+completed edges, whose crossings are final once both endpoints are placed,
+plus one node per placed vertex that still has an unplaced neighbour: such
+a pending edge will end to the right of every completed arc, so it crosses
+exactly the completed arcs that strictly contain its placed endpoint,
+whatever order the rest takes (see `_Prefix.needs`).  At a leaf the order's
+exact page count is the chromatic number of its crossing graph, computed by
+backtracking coloring seeded with a maximal pairwise-crossing set.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from typing import Sequence
 
 from .embedding import (
     BookEmbedding,
-    _add_arc,
     _bernhart_kainen_bound,
     _greedy_clique_mask,
     crossing_masks,
@@ -140,28 +146,6 @@ def _try_color(masks: list[int], p: int, seed: Sequence[int]) -> list[int] | Non
     return None
 
 
-def _bipartite(masks: list[int]) -> bool:
-    m = len(masks)
-    side = [-1] * m
-    for s in range(m):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            mk = masks[v]
-            while mk:
-                u = (mk & -mk).bit_length() - 1
-                mk &= mk - 1
-                if side[u] < 0:
-                    side[u] = side[v] ^ 1
-                    stack.append(u)
-                elif side[u] == side[v]:
-                    return False
-    return True
-
-
 def _clique_bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -223,59 +207,176 @@ class _Search:
             self.stop = True
 
 
-def _search_orders(g: Graph, search: _Search, max_pages: int | None) -> None:
-    # runs only for n > 2; each branch fixes position 1, and the budget is
-    # checked after every placement below it
-    n = g.n
-    neigh = [sorted(g.neighbors(v)) for v in range(n)]
-    order = [0] * n
-    pos = [-1] * n
-    pos[0] = 0
-    edges: list[tuple[int, int]] = []
-    arcs: list[tuple[int, int]] = []
-    masks: list[int] = []
+class _Prefix:
+    """A spine order filled left to right at positions 0..d, and the partial
+    crossing graph that every completion of it contains.
 
-    def place(v: int, d: int) -> int:
-        order[d] = v
+    `arcs`, `masks` and `edges` hold the completed edges (both endpoints
+    placed): arc t's (left, right) positions, its crossings as a bitmask
+    over arcs, and its edge.  Bit t of `cover[a]` says arc t strictly
+    contains position a, bit a of `pend` says the vertex at position a
+    still has an unplaced neighbour, and `unplaced[v]` counts v's unplaced
+    neighbours.  `place` and `unplace` keep all of them, so no node
+    rebuilds them.
+    """
+
+    __slots__ = ("neigh", "order", "pos", "edges", "arcs", "masks", "cover", "unplaced", "pend")
+
+    def __init__(self, g: Graph) -> None:
+        n = g.n
+        self.neigh = [sorted(g.neighbors(v)) for v in range(n)]
+        self.order = [-1] * n
+        self.pos = [-1] * n
+        self.edges: list[tuple[int, int]] = []
+        self.arcs: list[tuple[int, int]] = []
+        self.masks: list[int] = []
+        self.cover = [0] * n
+        self.unplaced = [len(nb) for nb in self.neigh]
+        self.pend = 0
+
+    def place(self, v: int, d: int) -> tuple:
+        """Put v at position d, the first free one; returns what `unplace`
+        needs to undo it.
+
+        Each new arc (a, d) ends at the rightmost position, so it crosses an
+        earlier arc (x, y) iff x < a < y: its crossings are cover[a], taken
+        before this placement's arcs, which share the endpoint d."""
+        pos, cover, unplaced = self.pos, self.cover, self.unplaced
+        arcs, masks, edges = self.arcs, self.masks, self.edges
+        undo = (len(arcs), masks[:], cover[:], unplaced[:], self.pend)
+        self.order[d] = v
         pos[v] = d
-        added = 0
-        for u in neigh[v]:
+        earlier = (1 << len(arcs)) - 1
+        pend = self.pend
+        for u in self.neigh[v]:
+            unplaced[u] -= 1
             a = pos[u]
             if a >= 0:
-                _add_arc(arcs, masks, a, d)
+                bit = 1 << len(arcs)
+                mk = cover[a] & earlier
+                c = mk
+                while c:
+                    masks[(c & -c).bit_length() - 1] |= bit
+                    c &= c - 1
+                arcs.append((a, d))
+                masks.append(mk)
                 edges.append((u, v) if u < v else (v, u))
-                added += 1
-        return added
+                for i in range(a + 1, d):
+                    cover[i] |= bit
+                if not unplaced[u]:
+                    pend &= ~(1 << a)
+        if unplaced[v]:
+            pend |= 1 << d
+        self.pend = pend
+        return undo
 
-    def unplace(v: int, added: int) -> None:
-        pos[v] = -1
-        for _ in range(added):
-            t = len(edges) - 1
-            mk = masks.pop()
-            edges.pop()
-            arcs.pop()
-            bit = ~(1 << t)
-            while mk:
-                j = (mk & -mk).bit_length() - 1
-                mk &= mk - 1
-                masks[j] &= bit
+    def unplace(self, v: int, undo: tuple) -> None:
+        """Undo `place(v, d)`, which returned `undo`."""
+        t, self.masks[:], self.cover[:], self.unplaced[:], self.pend = undo
+        del self.arcs[t:], self.edges[t:]
+        self.pos[v] = -1
 
-    def pruned(cap: int) -> bool:
-        t = cap - 1
+    def hubs(self) -> list[int]:
+        """The nonzero `cover` masks of positions whose vertex has an
+        unplaced neighbour."""
+        out = []
+        p = self.pend
+        while p:
+            c = self.cover[(p & -p).bit_length() - 1]
+            p &= p - 1
+            if c:
+                out.append(c)
+        return out
+
+    def bipartite(self) -> bool:
+        """Whether the partial crossing graph is 2-colourable.  Hubs with no
+        arc are isolated, so a search from every arc meets the rest: the
+        hubs next to arc (a, b) are the pending positions strictly inside
+        it, and each puts all the arcs it crosses on one side, the side of
+        the arc it was reached from."""
+        masks, arcs, cover = self.masks, self.arcs, self.cover
+        side = [-1] * len(masks)
+        fresh = self.pend  # hubs not reached yet
+        for s in range(len(masks)):
+            if side[s] >= 0:
+                continue
+            side[s] = 0
+            stack = [s]
+            while stack:
+                t = stack.pop()
+                here = side[t]
+                mk = masks[t]
+                while mk:
+                    u = (mk & -mk).bit_length() - 1
+                    mk &= mk - 1
+                    if side[u] < 0:
+                        side[u] = here ^ 1
+                        stack.append(u)
+                    elif side[u] == here:
+                        return False
+                a, b = arcs[t]
+                hubs = fresh & ((1 << b) - (2 << a))
+                fresh &= ~hubs
+                while hubs:
+                    c = cover[(hubs & -hubs).bit_length() - 1]
+                    hubs &= hubs - 1
+                    while c:
+                        u = (c & -c).bit_length() - 1
+                        c &= c - 1
+                        if side[u] < 0:
+                            side[u] = here
+                            stack.append(u)
+                        elif side[u] != here:
+                            return False
+        return True
+
+    def needs(self, pages: int) -> bool:
+        """True when every completion of this prefix needs at least `pages`
+        pages: the partial crossing graph is not empty (2 pages), not
+        bipartite (3), or holds a greedy clique of `pages` nodes.
+
+        The graph's nodes are the completed edges, with their crossings,
+        and one hub per placed vertex u, at position a, with an unplaced
+        neighbour.  Any edge (u, w) with w unplaced ends to the right of
+        every completed arc (x, y), so it crosses (x, y) iff x < a < y, in
+        every completion; the hub stands for all such edges of u, which
+        share an endpoint and cross nothing else known yet.  Two hubs get no
+        edge, although their edges may cross once placed.  So every
+        completion's crossing graph contains this graph as a subgraph, and
+        needs at least as many pages.  Hubs are pairwise non-adjacent, so a
+        clique holds at most one, and a clique through a hub is the hub
+        plus a clique among the arcs it crosses.
+        """
+        t = pages - 1
+        masks = self.masks
         if t <= 0:
-            return bool(edges)
-        if all(mk == 0 for mk in masks):
+            return bool(masks) or bool(self.pend)
+        hubs = self.hubs()
+        if not hubs and not any(masks):
             return False
         if t == 1:
             return True
         if t == 2:
-            return not _bipartite(masks)
-        clique = _greedy_clique_mask(masks, (1 << len(masks)) - 1)
-        return clique.bit_count() > t
+            return not self.bipartite()
+        if _greedy_clique_mask(masks, (1 << len(masks)) - 1).bit_count() > t:
+            return True
+        return any(c.bit_count() >= t and _greedy_clique_mask(masks, c).bit_count() >= t
+                   for c in hubs)
+
+
+def _search_orders(g: Graph, search: _Search, max_pages: int | None) -> None:
+    # runs only for n > 2; the budget is checked after every placement
+    n = g.n
+    prefix = _Prefix(g)
+    order, pos, edges, masks = prefix.order, prefix.pos, prefix.edges, prefix.masks
+    place, unplace, needs = prefix.place, prefix.unplace, prefix.needs
+    root = max(range(n), key=g.degree)
+    place(root, 0)
+    # of each pair of orders reflected about position 0, exactly one places
+    # x before y
+    x, y = [v for v in range(n) if v != root][:2]
 
     def leaf() -> None:
-        if order[1] > order[n - 1]:
-            return  # reflected twin of an order already counted
         cap = search.cap(max_pages)
         clique_mask = _greedy_clique_mask(masks, (1 << len(masks)) - 1)
         seed = _clique_bits(clique_mask)
@@ -287,29 +388,22 @@ def _search_orders(g: Graph, search: _Search, max_pages: int | None) -> None:
                 return
 
     def dfs(d: int) -> None:
-        for v in range(1, n):
-            if pos[v] >= 0:
+        for v in range(n):
+            if pos[v] >= 0 or (v == y and pos[x] < 0):
                 continue
             if search.stop:
                 return
-            added = place(v, d)
+            undo = place(v, d)
             search.nodes += 1
             search.check_budget()
-            if not pruned(search.cap(max_pages)):
+            if not needs(search.cap(max_pages)):
                 if d == n - 1:
                     leaf()
                 else:
                     dfs(d + 1)
-            unplace(v, added)
+            unplace(v, undo)
 
-    for first in range(1, n):
-        if search.stop:
-            break
-        added = place(first, 1)
-        search.nodes += 1
-        if not pruned(search.cap(max_pages)):
-            dfs(2)
-        unplace(first, added)
+    dfs(1)
 
 
 # ---- blocks ----

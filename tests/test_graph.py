@@ -1,6 +1,8 @@
 """Graph construction, k-tree certificates, recognition, and serialization."""
 
 import random
+import re
+from itertools import combinations
 
 import pytest
 
@@ -152,6 +154,45 @@ def test_certificate_attachment_must_be_clique_so_far():
     )
     with pytest.raises(InvalidCertificate):
         cert.replay()
+
+
+def _first_non_clique(cert):
+    """(vertex, missing pairs) at the first attachment set that is not a
+    clique of the graph built so far, found by looking up every pair; None
+    if every attachment set is a clique."""
+    edges = set(combinations(sorted(cert.base_clique), 2))
+    for v, clique in cert.additions:
+        missing = {p for p in combinations(sorted(clique), 2) if p not in edges}
+        if missing:
+            return v, missing
+        edges.update((min(u, v), max(u, v)) for u in clique)
+    return None
+
+
+def test_clique_check_matches_the_pairwise_check():
+    # each certificate has one attachment set redrawn from the vertices
+    # placed before it, so a non-clique is its only possible fault
+    rng = random.Random(43)
+    faults = 0
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        _, cert = random_ktree(rng.randint(k + 2, k + 15), k, seed=rng.randrange(10**6))
+        adds = list(cert.additions)
+        i = rng.randrange(len(adds))
+        older = list(cert.base_clique) + [v for v, _ in adds[:i]]
+        adds[i] = (adds[i][0], frozenset(rng.sample(older, k)))
+        cert = KTreeCertificate(k, cert.base_clique, tuple(adds))
+        expected = _first_non_clique(cert)
+        if expected is None:
+            cert.replay()
+            continue
+        faults += 1
+        with pytest.raises(InvalidCertificate) as err:
+            cert.replay()
+        v, a, b = map(int, re.search(
+            r"for (\d+) is not a clique: missing \((\d+), (\d+)\)", str(err.value)).groups())
+        assert v == expected[0] and (a, b) in expected[1]
+    assert faults > 100
 
 
 def test_is_valid_for_checks_exact_edges():

@@ -17,7 +17,15 @@ from bookembed import (
     path_power,
     validate_embedding,
 )
-from bookembed.bruteforce import book_thickness_brute, enumerate_graphs, random_connected_graph
+from bookembed.bruteforce import (
+    _arc_crossing,
+    book_thickness_brute,
+    enumerate_graphs,
+    random_connected_graph,
+)
+from bookembed.embedding import crossing_masks
+from bookembed.graph import _norm_edge
+from bookembed.solver import _Prefix, _try_color
 from util import cycle, path, random_tree
 
 
@@ -102,7 +110,7 @@ def test_matches_brute_force_on_random_six_vertex_graphs():
 
 
 def _needs_search():
-    # bt 3 but root bound 2, so the answer takes ~29k search nodes; complete
+    # bt 3 but root bound 2, so the answer takes ~1.9k search nodes; complete
     # graphs close at the root and cannot exercise the budgets
     return random_connected_graph(9, random.Random(9), 0.5)
 
@@ -295,3 +303,140 @@ def test_block_split_matches_blocks_solved_apart(g):
     res = validate_embedding(g, rep.witness)
     assert res.ok
     assert res.pages_used == rep.witness.page_count == rep.book_thickness
+
+
+# ---- the pending-edge bound ----
+
+
+def _shuffled_outerplanar():
+    # a 12-cycle plus the nested chords (0, 6) and (1, 5), labels shuffled:
+    # one page, which only orders along its Hamiltonian cycle reach
+    perm = list(range(12))
+    random.Random(1).shuffle(perm)
+    edges = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (1, 5)]
+    return Graph(12, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_shuffled_outerplanar_graph_within_a_node_budget():
+    # pruning on completed edges alone needs 891k nodes here
+    g = _shuffled_outerplanar()
+    rep = _bt(g, node_limit=100_000)
+    assert rep.status is SolverStatus.EXACT
+    assert rep.book_thickness == rep.lower_bound == 1
+    assert validate_embedding(g, rep.witness).ok
+    assert is_outerplanar(g)
+
+
+def _literal_prefix_graph(g, order, d):
+    """The partial crossing graph of order[0..d], from its definition:
+    the completed edges, crossing as the brute-force test says, and one hub
+    per placed vertex with an unplaced neighbour, joined to the completed
+    edges whose endpoints lie on both sides of it.  Returns (completed
+    edges, hub -> crossed edges, crossing pairs)."""
+    placed = order[:d + 1]
+    pos = {v: i for i, v in enumerate(placed)}
+    done = {e for e in g.edges if e[0] in pos and e[1] in pos}
+    hubs = {}
+    for v in placed:
+        if any(w not in pos for w in g.neighbors(v)):
+            hubs[v] = frozenset(e for e in done
+                                if min(pos[e[0]], pos[e[1]]) < pos[v] < max(pos[e[0]], pos[e[1]]))
+    pairs = {frozenset((e, f)) for e in done for f in done
+             if _arc_crossing(tuple(placed), e, f)}
+    return done, hubs, pairs
+
+
+def _two_colourable(links):
+    side = {}
+    for start in {x for link in links for x in link}:
+        if start in side:
+            continue
+        side[start], todo = 0, [start]
+        while todo:
+            x = todo.pop()
+            for a, b in links:
+                y = b if a == x else a if b == x else None
+                if y is None:
+                    continue
+                if y not in side:
+                    side[y] = 1 - side[x]
+                    todo.append(y)
+                elif side[y] == side[x]:
+                    return False
+    return True
+
+
+def _bits(mask):
+    return [t for t in range(mask.bit_length()) if mask >> t & 1]
+
+
+def _some_edges(draw, n, most):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = draw(st.integers(0, min(most, len(pairs))))
+    return draw(st.permutations(pairs))[:m]
+
+
+@st.composite
+def _graphs_and_orders(draw):
+    n = draw(st.integers(2, 8))
+    return Graph(n, _some_edges(draw, n, 28)), draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_graphs_and_orders())
+def test_prefix_bound_never_exceeds_the_full_order(case):
+    """At every prefix of an order, each pending edge crosses exactly the
+    completed edges its hub does, so the full order's page assignment, each
+    hub taking one of its pending edges' pages, is a proper coloring of the
+    partial crossing graph: that graph needs no more pages than the order.
+    The solver's incremental prefix holds exactly that graph, tells edges
+    and odd cycles in it as a literal search does, never claims more pages
+    than the order needs, and unwinds to empty."""
+    g, order = case
+    edges = list(g.edges)
+    crossed = {e: {f for f in edges if _arc_crossing(tuple(order), e, f)} for e in edges}
+    pages = min_pages_for_order(g, order)
+    page = dict(zip(edges, _try_color(crossing_masks(edges, order), pages, [])))
+    assert all(page[e] != page[f] for e in edges for f in crossed[e])
+    prefix = _Prefix(g)
+    placed = []
+    for d, v in enumerate(order):
+        placed.append((v, prefix.place(v, d)))
+        done, hubs, pairs = _literal_prefix_graph(g, order, d)
+        for u, hub_crossed in hubs.items():
+            pending = [_norm_edge(u, w) for w in g.neighbors(u) if w not in order[:d + 1]]
+            assert all(crossed[e] & done == hub_crossed for e in pending)
+            assert all(page[pending[0]] != page[e] for e in hub_crossed)
+        assert all(page[e] != page[f] for e, f in map(tuple, pairs))
+        assert set(prefix.edges) == done
+        assert {prefix.order[a]: frozenset(prefix.edges[t] for t in _bits(prefix.cover[a]))
+                for a in _bits(prefix.pend)} == hubs
+        assert {frozenset((prefix.edges[i], prefix.edges[j]))
+                for i, mk in enumerate(prefix.masks) for j in _bits(mk)} == pairs
+        links = [tuple(p) for p in pairs] + [(("hub", u), e) for u, es in hubs.items() for e in es]
+        assert prefix.needs(2) == bool(links)
+        assert prefix.bipartite() == _two_colourable(links)
+        assert not prefix.needs(pages + 1)
+    for v, added in reversed(placed):
+        prefix.unplace(v, added)
+    assert (prefix.edges, prefix.masks, prefix.pend) == ([], [], 0)
+    assert prefix.cover == [0] * g.n and prefix.pos == [-1] * g.n
+    assert prefix.unplaced == [g.degree(v) for v in range(g.n)]
+
+
+@st.composite
+def _small_relabelled_graphs(draw):
+    n = draw(st.integers(3, 7))
+    edges = _some_edges(draw, n, 14)  # more would cost the brute force seconds
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_small_relabelled_graphs())
+def test_matches_brute_force_on_relabelled_graphs(g):
+    rep = _bt(g)
+    assert rep.status is SolverStatus.EXACT
+    assert rep.book_thickness == book_thickness_brute(g)
+    res = validate_embedding(g, rep.witness)
+    assert res.ok and res.pages_used == rep.book_thickness
