@@ -159,12 +159,11 @@ def _cmd_bt(args: argparse.Namespace) -> int:
 def _infer_certificate(g: Graph, k: int | None):
     if k is not None:
         return is_k_tree(g, k)
-    # try only widths whose edge-count identity matches
+    # is_k_tree rejects a width whose edge count does not match in O(1)
     for kk in range(1, g.n):
-        if kk * g.n - kk * (kk + 1) // 2 == g.m:
-            cert = is_k_tree(g, kk)
-            if cert is not None:
-                return cert
+        cert = is_k_tree(g, kk)
+        if cert is not None:
+            return cert
     return None
 
 
@@ -205,6 +204,8 @@ def _cmd_treedec_validate(args: argparse.Namespace) -> int:
     text = Path(args.treedec).read_text()
     with _reading(f"decomposition {args.treedec}"):
         td = TreeDecomposition.from_json(text)
+        _require_ints([v for b in td.bags for v in b], "bag members")
+        _require_ints([x for e in td.tree_edges for x in e], "tree edge ends")
     report = validate_decomposition(g, td)
     _emit(report.to_json_dict())
     _say(

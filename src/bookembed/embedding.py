@@ -163,21 +163,6 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
 
 
 def density_lower_bound(g: Graph) -> int:
-    """Smallest p >= 0 with |E| < (p+1)|V|; every embedding needs this many
-    pages.
-
-    Edges joining spine neighbours cross nothing, and there are at most n of
-    them; every other edge is a chord of the n-gon, and one page holds at
-    most n-3 non-crossing chords.  So p pages hold at most n + p(n-3) <
-    (p+1)n edges (Bernhart and Kainen, JCTB 1979), and a graph with
-    |E| >= pn edges needs at least p pages.
-    """
-    if g.n < 1:
-        raise ValueError("needs at least one vertex")
-    return -(-(g.m + 1) // g.n) - 1
-
-
-def _bernhart_kainen_bound(g: Graph) -> int:
     """Fewest pages the edge count alone forces: 0 without edges, else
     max(1, ceil((m - n) / (n - 3))), and 1 when n < 4.
 
@@ -187,9 +172,11 @@ def _bernhart_kainen_bound(g: Graph) -> int:
     Kainen, JCTB 1979), and for n >= 4 a graph with m edges needs
     p >= (m - n) / (n - 3).  On K_n this is ceil(n / 2), the exact value.
     Graphs with n < 4 are outerplanar, so one page is both necessary and
-    enough once there is an edge.
+    enough once there is an edge.  Raises ValueError on the empty graph.
     """
     n, m = g.n, g.m
+    if n < 1:
+        raise ValueError("needs at least one vertex")
     if m == 0:
         return 0
     if n < 4:

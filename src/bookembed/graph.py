@@ -202,49 +202,65 @@ class KTreeCertificate:
     def vertex_count(self) -> int:
         return len(self.base_clique) + len(self.additions)
 
-    def _replay_edges(self) -> tuple[int, set[tuple[int, int]]]:
-        """Vertex count and normalized edge set the certificate replays to,
-        with every check `replay` documents.
+    def _parent_bags(self) -> list[int]:
+        """Parent bag of each addition, after every check `replay` documents.
 
-        Each attachment set is checked in O(k), not with k(k-1)/2 edge
-        lookups.  Let w be its newest vertex.  The other members are older
-        than w, and w's older neighbours are exactly w's own attachment
-        clique, so the set is a clique iff the others lie inside that
-        clique.  If w is a base vertex, all members are, and the base is
-        complete.
+        Bag 0 is the base clique and bag i is addition i's attachment clique
+        plus its vertex.  Let w be the newest member of an attachment set C,
+        the one in the highest-index bag.  No bag before w's own holds w, so
+        the lowest-index bag holding C is w's bag if C lies in it.  And C is
+        a clique exactly when it does: the other members are older than w,
+        and w's older neighbours are exactly w's own attachment clique; if w
+        is a base vertex, all members are, and the base is complete.  So the
+        clique check and the parent both cost O(k) per addition, and a
+        member outside w's bag names a missing pair.
         """
         k = self.k
         if k < 1:
             raise InvalidCertificate("k must be positive")
         if len(self.base_clique) != k + 1 or len(set(self.base_clique)) != k + 1:
             raise InvalidCertificate("base clique must have k+1 distinct vertices")
-        age = dict.fromkeys(self.base_clique, -1)  # index of the addition, -1 in the base
-        attached: list[frozenset[int]] = []
-        edges: set[tuple[int, int]] = {
-            _norm_edge(a, b) for a, b in combinations(self.base_clique, 2)
-        }
-        for i, (v, clique) in enumerate(self.additions):
-            if v in age:
+        bag_of = dict.fromkeys(self.base_clique, 0)
+        parents: list[int] = []
+        for i, (v, clique) in enumerate(self.additions, 1):
+            if v in bag_of:
                 raise InvalidCertificate(f"vertex {v} added twice")
             if len(clique) != k:
                 raise InvalidCertificate(f"attachment clique for {v} must have size {k}")
-            if not clique <= age.keys():
+            if not clique <= bag_of.keys():
                 raise InvalidCertificate(f"attachment clique for {v} uses unplaced vertices")
-            w = max(clique, key=age.__getitem__)
-            if age[w] >= 0:
-                stray = clique - attached[age[w]] - {w}
+            w = max(clique, key=bag_of.__getitem__)
+            parent = bag_of[w]
+            if parent:
+                stray = clique - self.additions[parent - 1][1] - {w}
                 if stray:
                     a, b = _norm_edge(min(stray), w)
                     raise InvalidCertificate(
                         f"attachment set for {v} is not a clique: missing ({a}, {b})"
                     )
-            age[v] = i
-            attached.append(clique)
-            edges.update(_norm_edge(v, u) for u in clique)
-        n = len(age)
-        if age.keys() != set(range(n)):
+            bag_of[v] = i
+            parents.append(parent)
+        if bag_of.keys() != set(range(len(bag_of))):
             raise InvalidCertificate("certificate vertex ids are not dense 0..n-1")
-        return n, edges
+        return parents
+
+    def _edges(self) -> set[tuple[int, int]]:
+        """The normalized edge set the certificate replays to, unchecked."""
+        edges = {_norm_edge(a, b) for a, b in combinations(self.base_clique, 2)}
+        edges.update(_norm_edge(v, u) for v, clique in self.additions for u in clique)
+        return edges
+
+    def _parents_for(self, g: Graph) -> list[int] | None:
+        """`_parent_bags()` if the certificate replays to g's vertex set and
+        edges exactly, else None.  Compares the edge sets directly, without
+        building a Graph."""
+        try:
+            parents = self._parent_bags()
+        except InvalidCertificate:
+            return None
+        if self.vertex_count() != g.n or self._edges() != g._edge_set:
+            return None
+        return parents
 
     def replay(self) -> Graph:
         """Rebuild the graph this certificate describes.
@@ -253,19 +269,12 @@ class KTreeCertificate:
         unknown attachment vertex, attachment set not a clique so far, or a
         non-dense vertex id space).
         """
-        n, edges = self._replay_edges()
-        return Graph(n, edges)
+        self._parent_bags()
+        return Graph(self.vertex_count(), self._edges())
 
     def is_valid_for(self, g: Graph) -> bool:
-        """True iff replaying reproduces g's vertex set and edges exactly.
-
-        Compares the replayed edge set with g's directly, without building a
-        Graph."""
-        try:
-            n, edges = self._replay_edges()
-        except InvalidCertificate:
-            return False
-        return n == g.n and edges == g._edge_set
+        """True iff replaying reproduces g's vertex set and edges exactly."""
+        return self._parents_for(g) is not None
 
 
 def ktree_edge_count(n: int, k: int) -> int:

@@ -10,7 +10,6 @@ from typing import Sequence
 from .embedding import BookEmbedding, _push_arc
 from .errors import InvalidCertificate, InvalidOrder
 from .graph import Graph, KTreeCertificate, _norm_edge
-from .treedec import _parent_bags
 
 
 def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
@@ -89,11 +88,11 @@ def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
     neighbour (always for n = k+1), so `page_count` counts the pages in use.
     Raises InvalidCertificate when the certificate does not replay to g.
     """
-    if not cert.is_valid_for(g):
+    parents = cert._parents_for(g)
+    if parents is None:
         raise InvalidCertificate("certificate does not replay to this graph")
     k = cert.k
     base = sorted(cert.base_clique)
-    parents = _parent_bags(cert)
     children: list[list[int]] = [[] for _ in range(len(parents) + 1)]
     for i, p in enumerate(parents, 1):
         children[p].append(i)

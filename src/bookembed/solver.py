@@ -5,8 +5,8 @@ book thickness of a graph is the maximum over its blocks (biconnected
 components and bridges), so each block is solved on its own, a bridge
 needs one page and no search, and the witnesses are spliced at the cut
 vertices.  And p pages hold at most n + p(n-3) edges, so a block's search
-starts from the lower bound ceil((m-n)/(n-3)), which already equals the
-answer on complete graphs.
+starts from that edge bound (`density_lower_bound`), which already equals
+the answer on complete graphs.
 
 Each remaining block's circular orders are searched depth-first, filling
 positions 1..n-1 left to right with a maximum-degree vertex pinned at
@@ -36,9 +36,9 @@ from typing import Sequence
 
 from .embedding import (
     BookEmbedding,
-    _bernhart_kainen_bound,
     _greedy_clique_mask,
     crossing_masks,
+    density_lower_bound,
 )
 from .graph import Graph, _norm_edge
 from .heuristics import first_fit_pages
@@ -146,27 +146,25 @@ def _try_color(masks: list[int], p: int, seed: Sequence[int]) -> list[int] | Non
     return None
 
 
-def _clique_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
+def _fewest_colours(masks: list[int], cap: int | None = None) -> tuple[int, list[int]] | None:
+    """Fewest colours p < cap (no cap when None) that properly colour the
+    conflict graph, with such a colouring; None if it needs cap or more.
+    A greedy clique seeds `_try_color` and sets the first p tried."""
+    clique = _greedy_clique_mask(masks, (1 << len(masks)) - 1)
+    seed = [v for v in range(len(masks)) if clique >> v & 1]
+    p = len(seed)  # 0 only when there is nothing to colour
+    while cap is None or p < cap:
+        colors = _try_color(masks, p, seed)
+        if colors is not None:
+            return p, colors
+        p += 1
+    return None
 
 
 def min_pages_for_order(g: Graph, order: Sequence[int]) -> int:
     """Fewest pages any assignment needs under this fixed circular order:
     the chromatic number of the order's crossing graph.  Exact."""
-    edges = list(g.edges)
-    if not edges:
-        return 0
-    masks = crossing_masks(edges, order)
-    seed = _clique_bits(_greedy_clique_mask(masks, (1 << len(edges)) - 1))
-    p = max(1, len(seed))
-    while True:
-        if _try_color(masks, p, seed) is not None:
-            return p
-        p += 1
+    return _fewest_colours(crossing_masks(g.edges, order))[0]
 
 
 # ---- order search ----
@@ -377,15 +375,11 @@ def _search_orders(g: Graph, search: _Search, max_pages: int | None) -> None:
     x, y = [v for v in range(n) if v != root][:2]
 
     def leaf() -> None:
-        cap = search.cap(max_pages)
-        clique_mask = _greedy_clique_mask(masks, (1 << len(masks)) - 1)
-        seed = _clique_bits(clique_mask)
-        for p in range(max(1, len(seed)), cap):
-            colors = _try_color(masks, p, seed)
-            if colors is not None:
-                pages = {e: colors[i] + 1 for i, e in enumerate(edges)}
-                search.offer(p, BookEmbedding(tuple(order), pages, p))
-                return
+        found = _fewest_colours(masks, search.cap(max_pages))
+        if found is not None:
+            p, colors = found
+            pages = {e: colors[i] + 1 for i, e in enumerate(edges)}
+            search.offer(p, BookEmbedding(tuple(order), pages, p))
 
     def dfs(d: int) -> None:
         for v in range(n):
@@ -468,7 +462,7 @@ def _solve_block(g: Graph, edges: list[tuple[int, int]], opts: SolverOptions,
     else:
         local = {v: i for i, v in enumerate(verts)}
         sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
-    lb = _bernhart_kainen_bound(sub)
+    lb = density_lower_bound(sub)
     incumbent = first_fit_pages(sub, range(sub.n))
     search = _Search(incumbent.page_count, incumbent, lb, deadline, opts.node_limit, nodes)
     max_pages = opts.max_pages

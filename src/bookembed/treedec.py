@@ -12,7 +12,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InvalidCertificate
 from .graph import Graph, KTreeCertificate
 
 
@@ -156,59 +155,15 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     )
 
 
-def _parent_bags(cert: KTreeCertificate) -> list[int]:
-    """Parent bag of each addition: the lowest-index bag containing its clique.
-
-    Bag 0 is the base clique and bag i is addition i's clique plus its
-    vertex.  Index each vertex by the bag that introduced it (0 for the base).
-    A bag holding clique C holds C's newest vertex w, and no bag before w's own
-    bag does.  In a certificate valid up to C, every bag is a clique, so C - {w}
-    lies among w's neighbours placed before w, which is w's own attachment
-    clique: C lies in w's bag.  The parent is therefore w's bag, the largest
-    index over C, found in O(k) through a dict keyed by vertex.  Raises
-    InvalidCertificate when k < 1, the base is not k+1 distinct vertices, a
-    vertex is added twice, a clique does not have k vertices, or a clique lies
-    in no earlier bag.
-    """
-    k = cert.k
-    base = frozenset(cert.base_clique)
-    if k < 1:
-        raise InvalidCertificate("k must be positive")
-    if len(cert.base_clique) != k + 1 or len(base) != k + 1:
-        raise InvalidCertificate("base clique must have k+1 distinct vertices")
-    bag_of = dict.fromkeys(base, 0)
-    parents: list[int] = []
-    for i, (v, clique) in enumerate(cert.additions, 1):
-        if v in bag_of:
-            raise InvalidCertificate(f"vertex {v} added twice")
-        if len(clique) != k:
-            raise InvalidCertificate(f"attachment clique for {v} must have size {k}")
-        try:
-            parent = max(bag_of[u] for u in clique)
-        except KeyError:
-            raise InvalidCertificate(
-                f"attachment clique for {v} uses unplaced vertices") from None
-        if parent == 0:
-            inside = clique <= base
-        else:
-            w, home = cert.additions[parent - 1]
-            inside = all(u == w or u in home for u in clique)
-        if not inside:
-            raise InvalidCertificate(f"attachment clique for {v} lies in no earlier bag")
-        bag_of[v] = i
-        parents.append(parent)
-    return parents
-
-
 def decomposition_from_certificate(cert: KTreeCertificate) -> TreeDecomposition:
     """Smooth width-k decomposition read straight off a k-tree certificate.
 
     Bag 0 is the base clique; each addition (v, C) contributes the bag C + {v},
     attached to the lowest-index bag that contains C.  O(nk).  Raises
-    InvalidCertificate when a bag would not be smooth or has no parent (see
-    `_parent_bags`).
+    InvalidCertificate whenever `cert.replay()` would (see
+    `KTreeCertificate._parent_bags`).
     """
-    parents = _parent_bags(cert)
+    parents = cert._parent_bags()
     bags = [frozenset(cert.base_clique)]
     bags.extend(frozenset(clique).union((v,)) for v, clique in cert.additions)
     return TreeDecomposition(

@@ -270,6 +270,20 @@ def test_treedec_validate_via_cli(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("bags, tree_edges", [
+    ([[0, 1, "a"], [0, 1, 3]], [[0, 1]]),
+    ([[0, 1, 2.0], [0, 1, 3]], [[0, 1]]),  # would pass every check as vertex 2
+    ([[0, 1, 2], [0, 1, 3]], [[0.0, 1]]),
+])
+def test_treedec_validate_rejects_non_integer_ids(capsys, tmp_path, bags, tree_edges):
+    gpath = tmp_path / "g.json"  # K4 minus (2, 3): bags {0, 1, 2} - {0, 1, 3}
+    gpath.write_text(Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]).to_json())
+    tpath = tmp_path / "td.json"
+    tpath.write_text(json.dumps({"bags": bags, "tree_edges": tree_edges}))
+    _assert_one_line_error(*_run(capsys, "treedec", "validate", "--graph", str(gpath),
+                                 "--treedec", str(tpath)))
+
+
 # ---- oracle ----
 
 

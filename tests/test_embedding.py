@@ -18,7 +18,7 @@ from bookembed import (
 )
 from bookembed.bruteforce import _arc_crossing, book_thickness_brute, enumerate_graphs
 from bookembed.constructions import build_q, complete_split
-from bookembed.embedding import _bernhart_kainen_bound, crossing_masks
+from bookembed.embedding import crossing_masks
 from bookembed.solver import min_pages_for_order
 from util import cycle, random_graph, random_tree
 
@@ -127,9 +127,9 @@ def test_embedding_json_round_trip():
 
 def test_density_lower_bound_values():
     rng = random.Random(3)
-    assert density_lower_bound(random_tree(6, rng)) == 0
+    assert density_lower_bound(random_tree(6, rng)) == 1
     assert density_lower_bound(cycle(5)) == 1
-    assert density_lower_bound(complete_graph(5)) == 2
+    assert density_lower_bound(complete_graph(5)) == 3
     assert density_lower_bound(Graph(4)) == 0
     assert density_lower_bound(build_q(4).graph) == 3
     with pytest.raises(ValueError):
@@ -139,16 +139,16 @@ def test_density_lower_bound_values():
 def test_edge_bound_never_exceeds_brute_force():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
-            assert _bernhart_kainen_bound(g) <= book_thickness_brute(g), g.edges
+            assert density_lower_bound(g) <= book_thickness_brute(g), g.edges
 
 
 def test_edge_bound_is_exact_on_complete_graphs():
     for n in range(4, 13):
-        assert _bernhart_kainen_bound(complete_graph(n)) == (n + 1) // 2
-    assert _bernhart_kainen_bound(Graph(5)) == 0
-    assert _bernhart_kainen_bound(complete_graph(3)) == 1
-    q = build_q(4).graph  # never weaker than the density bound
-    assert _bernhart_kainen_bound(q) >= density_lower_bound(q)
+        assert density_lower_bound(complete_graph(n)) == (n + 1) // 2
+    assert density_lower_bound(Graph(5)) == 0
+    assert density_lower_bound(complete_graph(3)) == 1
+    q = build_q(4).graph  # never weaker than |E| < (p+1)|V|, i.e. floor(m/n)
+    assert density_lower_bound(q) >= q.m // q.n
 
 
 def test_crossing_clique_fixed_cases():
@@ -227,3 +227,20 @@ def test_first_fit_takes_the_lowest_page_without_a_crossing(case):
     emb = first_fit_pages(g, order)
     assert emb.pages == expected
     assert emb.page_count == max(expected.values(), default=0)
+
+
+@_PROFILE
+@given(_paged_graphs(), st.integers(0, 6), st.booleans())
+def test_rotation_and_reflection_keep_crossings_and_verdicts(case, shift, flip):
+    # crossing is a property of the circle, not of where it is cut or which
+    # way it is read
+    g, order, pages = case
+    shift %= g.n
+    turned = order[shift:] + order[:shift]
+    if flip:
+        turned = turned[::-1]
+    assert crossing_masks(g.edges, turned) == crossing_masks(g.edges, order)
+    before = validate_embedding(g, _emb(g, order, pages, page_count=3))
+    after = validate_embedding(g, _emb(g, turned, pages, page_count=3))
+    assert (after.ok, after.pages_used) == (before.ok, before.pages_used)
+    assert (after.first_conflict is None) == (before.first_conflict is None)

@@ -5,6 +5,8 @@ import re
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookembed import (
     Graph,
@@ -14,12 +16,15 @@ from bookembed import (
     NotAClique,
     add_simplicial,
     complete_graph,
+    decomposition_from_certificate,
+    embed_ktree,
     is_k_tree,
     ktree_edge_count,
+    validate_embedding,
 )
 from bookembed.bruteforce import enumerate_graphs, is_k_tree_brute, random_connected_graph
 from bookembed.constructions import path_power, random_ktree
-from util import random_graph
+from util import ktree_cases, random_graph, reference_decomposition, relabelled_certificate
 
 
 # ---- basic graph behaviour ----
@@ -231,6 +236,57 @@ def test_is_valid_for_agrees_with_replay_on_mutated_certificates():
             assert c.is_valid_for(h) == _replays_to(c, h)
         assert cert.is_valid_for(g)
         assert not cert.is_valid_for(g.without_edge(*g.edges[-1]))
+
+
+@st.composite
+def _mutated_certificates(draw):
+    """(graph, certificate): a `ktree_cases` case whose certificate has at
+    most one mutation: one addition's clique redrawn, two additions' cliques
+    swapped, one addition dropped, or one vertex renamed outside 0..n-1."""
+    g, cert, k = draw(ktree_cases())
+    adds = list(cert.additions)
+    kind = draw(st.sampled_from(["none", "redraw", "swap", "drop", "rename"]))
+    if kind == "rename":
+        v = draw(st.integers(0, g.n - 1))
+        return g, relabelled_certificate(cert, [g.n if u == v else u for u in range(g.n)])
+    if kind == "none" or not adds:
+        return g, cert
+    i = draw(st.integers(0, len(adds) - 1))
+    v = adds[i][0]
+    if kind == "redraw":
+        others = draw(st.permutations([u for u in range(g.n) if u != v]))
+        adds[i] = (v, frozenset(others[:k]))
+    elif kind == "swap":
+        j = draw(st.integers(0, len(adds) - 1))
+        adds[i], adds[j] = (v, adds[j][1]), (adds[j][0], adds[i][1])
+    else:
+        del adds[i]
+    return g, KTreeCertificate(k, cert.base_clique, tuple(adds))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_mutated_certificates())
+def test_every_certificate_user_makes_the_same_checks(case):
+    # replay, is_valid_for, decomposition_from_certificate and embed_ktree
+    # share one walk, so they accept and reject the same certificates
+    g, cert = case
+    try:
+        h = cert.replay()
+    except InvalidCertificate:
+        assert not cert.is_valid_for(g)
+        with pytest.raises(InvalidCertificate):
+            decomposition_from_certificate(cert)
+        with pytest.raises(InvalidCertificate):
+            embed_ktree(g, cert)
+        return
+    td = decomposition_from_certificate(cert)
+    assert (td.bags, td.tree_edges) == reference_decomposition(cert)
+    assert cert.is_valid_for(h)
+    assert validate_embedding(h, embed_ktree(h, cert)).ok
+    assert cert.is_valid_for(g) == (h == g)
+    if h != g:
+        with pytest.raises(InvalidCertificate):
+            embed_ktree(g, cert)
 
 
 # ---- recognition ----
