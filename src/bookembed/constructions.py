@@ -223,13 +223,14 @@ def random_ktree(n: int, k: int, seed: int = 0) -> tuple[Graph, KTreeCertificate
     rng = random.Random(seed)
     base = tuple(range(k + 1))
     edges: list[tuple[int, int]] = list(combinations(base, 2))
-    pool: list[frozenset[int]] = [frozenset(c) for c in combinations(base, k)]
+    # k-cliques as sorted tuples: v is the largest id so far, so dropping
+    # one member and appending v keeps a clique sorted
+    pool: list[tuple[int, ...]] = list(combinations(base, k))
     additions: list[tuple[int, frozenset[int]]] = []
     for v in range(k + 1, n):
         clique = pool[rng.randrange(len(pool))]
-        additions.append((v, clique))
-        edges.extend((u, v) for u in sorted(clique))
-        for c in sorted(clique):
-            pool.append((clique - {c}) | {v})
+        additions.append((v, frozenset(clique)))
+        edges.extend((u, v) for u in clique)
+        pool.extend(clique[:i] + clique[i + 1:] + (v,) for i in range(k))
     cert = KTreeCertificate(k=k, base_clique=base, additions=tuple(additions))
     return Graph(n, edges), cert

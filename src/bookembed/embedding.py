@@ -125,32 +125,45 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
     come back as ok=False with a `finding`.  Otherwise each page's arcs are
     swept left to right with a stack of open arcs, and the first crossing
     pair met, if any, is reported as (open arc's edge, new arc's edge).
-    """
-    used = len(set(emb.pages.values()))
-    if sorted(emb.order) != list(range(g.n)):
-        return ValidationResult(False, used, finding="order is not a permutation of the vertices")
-    got = {_norm_edge(u, v) for u, v in emb.pages}
-    if got != set(g.edges):
-        missing = sorted(set(g.edges) - got)
-        extra = sorted(got - set(g.edges))
-        detail = []
-        if missing:
-            detail.append(f"uncovered edges {missing[:3]}")
-        if extra:
-            detail.append(f"unknown edges {extra[:3]}")
-        return ValidationResult(False, used, finding="; ".join(detail))
-    for e, p in sorted(emb.pages.items()):
-        if not (1 <= p <= emb.page_count):
-            return ValidationResult(
-                False, used, finding=f"edge {e} on page {p}, outside 1..{emb.page_count}"
-            )
 
-    pos = [0] * g.n
-    for i, v in enumerate(emb.order):
-        pos[v] = i
+    Linear apart from sorting the arcs.  The page map's keys are compared
+    with the graph's edge set as they are, and normalized only when that
+    fails; page numbers are range-checked once per distinct page, and sorted
+    only to name the first one out of range.
+    """
+    pages = emb.pages
+    page_set = set(pages.values())
+    used = len(page_set)
+    if len(emb.order) != g.n or set(emb.order) != set(range(g.n)):
+        return ValidationResult(False, used, finding="order is not a permutation of the vertices")
+    if pages.keys() != g._edge_set:
+        bad = next((e for e in pages if not _is_vertex_pair(e)), None)
+        if bad is not None:
+            return ValidationResult(
+                False, used, finding=f"page key {bad!r} is not a pair of vertex ids"
+            )
+        got = {_norm_edge(u, v) for u, v in pages}
+        if got != g._edge_set:
+            missing = sorted(g._edge_set - got)
+            extra = sorted(got - g._edge_set)
+            detail = []
+            if missing:
+                detail.append(f"uncovered edges {missing[:3]}")
+            if extra:
+                detail.append(f"unknown edges {extra[:3]}")
+            return ValidationResult(False, used, finding="; ".join(detail))
+    if not all(_is_page(p, emb.page_count) for p in page_set):
+        e, p = next((e, p) for e, p in sorted(pages.items()) if not _is_page(p, emb.page_count))
+        return ValidationResult(
+            False, used, finding=f"edge {e} on page {p!r}, outside 1..{emb.page_count}"
+        )
+
+    pos = dict(zip(emb.order, range(g.n)))
     arcs = []
-    for e, p in emb.pages.items():
-        a, b = sorted((pos[e[0]], pos[e[1]]))
+    for e, p in pages.items():
+        a, b = pos[e[0]], pos[e[1]]
+        if a > b:
+            a, b = b, a
         arcs.append((p, a, -b, e))
     arcs.sort()
     page, stack = None, []
@@ -160,6 +173,17 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
         if not _push_arc(stack, a, -neg_b, e):
             return ValidationResult(False, used, first_conflict=(stack[-1][1], e))
     return ValidationResult(True, used)
+
+
+def _is_vertex_pair(e: object) -> bool:
+    return isinstance(e, tuple) and len(e) == 2 and all(isinstance(x, int) for x in e)
+
+
+def _is_page(p: object, page_count: int) -> bool:
+    try:
+        return 1 <= p <= page_count
+    except TypeError:
+        return False
 
 
 def density_lower_bound(g: Graph) -> int:

@@ -252,13 +252,26 @@ class KTreeCertificate:
 
     def _parents_for(self, g: Graph) -> list[int] | None:
         """`_parent_bags()` if the certificate replays to g's vertex set and
-        edges exactly, else None.  Compares the edge sets directly, without
-        building a Graph."""
+        edges exactly, else None.  O(nk), with no edge set built.
+
+        Once `_parent_bags` has passed, the certificate's edges are distinct:
+        the base pairs, and for each addition its k edges from a new vertex
+        to older ones.  So they number exactly ktree_edge_count(n, k).  If
+        each of them is an edge of g and g has that many edges, the two
+        edge sets are equal.
+        """
         try:
             parents = self._parent_bags()
         except InvalidCertificate:
             return None
-        if self.vertex_count() != g.n or self._edges() != g._edge_set:
+        n = self.vertex_count()
+        if n != g.n or g.m != ktree_edge_count(n, self.k):
+            return None
+        adj = g._adj
+        base = frozenset(self.base_clique)
+        if not all(base - {u} <= adj[u] for u in base):
+            return None
+        if not all(clique <= adj[v] for v, clique in self.additions):
             return None
         return parents
 

@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .embedding import BookEmbedding, _push_arc
 from .errors import InvalidCertificate, InvalidOrder
-from .graph import Graph, KTreeCertificate, _norm_edge
+from .graph import Graph, KTreeCertificate
 
 
 def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
@@ -117,7 +117,7 @@ def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
         members[b] = [u0, v, *rest]
         colour[v] = all_colours - sum(colour[u] for u in clique)
         for u in clique:
-            pages[_norm_edge(u, v)] = colour[u] + 1
+            pages[(u, v) if u < v else (v, u)] = colour[u] + 1
         stack.extend(children[b][::-1])
 
     order = []

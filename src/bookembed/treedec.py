@@ -9,8 +9,10 @@ bag has exactly w+1 vertices and adjacent bags share exactly w.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
+from typing import Collection
 
 from .graph import Graph, KTreeCertificate
 
@@ -62,90 +64,81 @@ class DecompositionReport:
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionReport:
-    """Check the three axioms plus smoothness; never raises on bad input."""
+    """Check the three axioms plus smoothness; never raises on bad input.
+
+    Each check is a set operation or a count, not a rescan.  An edge is
+    covered iff the sets of bags holding its two ends intersect, which costs
+    the smaller of the two.  Each tree edge's bag intersection is taken once
+    and serves both the subtree check and smoothness.  In a tree, the bags
+    holding v induce a forest whose edges are exactly the tree edges whose
+    intersection holds v; a forest is connected iff it has one edge fewer
+    than nodes, so v's bags form a subtree iff v lies in exactly
+    |bags of v| - 1 intersections.  When the host is not a tree the identity
+    does not apply, and each vertex's bags are searched instead.
+    """
     axiom: list[str] = []
     smoothness: list[str] = []
     bags = td.bags
     nb = len(bags)
-    width = max((len(b) for b in bags), default=0) - 1
+    width = max(map(len, bags), default=0) - 1
 
     # host tree shape
     adj: list[list[int]] = [[] for _ in range(nb)]
+    shared: dict[tuple[int, int], frozenset[int]] = {}
     edges_ok = True
-    for i, j in td.tree_edges:
-        if not (0 <= i < nb and 0 <= j < nb) or i == j:
-            axiom.append(f"tree edge ({i}, {j}) references a missing bag")
-            edges_ok = False
-            continue
-        adj[i].append(j)
-        adj[j].append(i)
+    for e in td.tree_edges:
+        i, j = e
+        if isinstance(i, int) and isinstance(j, int) and 0 <= i < nb and 0 <= j < nb:
+            shared[e] = bags[i] & bags[j]
+            if i != j:
+                adj[i].append(j)
+                adj[j].append(i)
+                continue
+        axiom.append(f"tree edge ({i!r}, {j!r}) references a missing bag")
+        edges_ok = False
+    is_tree = False
     if edges_ok and nb > 0:
         if len(td.tree_edges) != nb - 1:
             axiom.append(f"host tree has {len(td.tree_edges)} edges, needs {nb - 1}")
+        elif _connected(range(nb), adj):
+            is_tree = True
         else:
-            seen = [False] * nb
-            seen[0] = True
-            queue = deque([0])
-            reached = 1
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        reached += 1
-                        queue.append(y)
-            if reached != nb:
-                axiom.append("host tree is disconnected")
+            axiom.append("host tree is disconnected")
 
+    # vertex and edge coverage: an edge is covered iff its ends share a bag
+    where: dict[int, set[int]] = {v: set() for v in range(g.n)}
     for idx, b in enumerate(bags):
         for v in b:
-            if not (0 <= v < g.n):
-                axiom.append(f"bag {idx} contains unknown vertex {v}")
-
-    # vertex and edge coverage
-    where: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for idx, b in enumerate(bags):
-        for v in b:
-            if 0 <= v < g.n:
-                where[v].append(idx)
-    for v in range(g.n):
-        if not where[v]:
-            axiom.append(f"vertex {v} is in no bag")
-    for u, v in g.edges:
-        small, big = (u, v) if len(where[u]) <= len(where[v]) else (v, u)
-        if not any(big in bags[idx] for idx in where[small]):
-            axiom.append(f"edge ({u}, {v}) is in no bag")
+            own = where.get(v)
+            if own is None:
+                axiom.append(f"bag {idx} contains unknown vertex {v!r}")
+            else:
+                own.add(idx)
+    axiom.extend(f"vertex {v} is in no bag" for v, own in where.items() if not own)
+    axiom.extend(
+        f"edge ({u}, {v}) is in no bag" for u, v in g.edges if where[u].isdisjoint(where[v])
+    )
 
     # connected subtree per vertex
-    for v in range(g.n):
-        own = where[v]
-        if len(own) <= 1:
-            continue
-        members = set(own)
-        seen_v = {own[0]}
-        queue = deque([own[0]])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in members and y not in seen_v:
-                    seen_v.add(y)
-                    queue.append(y)
-        if len(seen_v) != len(members):
-            axiom.append(f"bags containing vertex {v} are disconnected in the host tree")
+    if is_tree:
+        hits = Counter(chain.from_iterable(shared.values()))
+        split = [v for v, own in where.items() if own and hits[v] != len(own) - 1]
+    else:
+        split = [v for v, own in where.items() if not _connected(own, adj)]
+    axiom.extend(f"bags containing vertex {v} are disconnected in the host tree" for v in split)
 
     # smoothness: uniform bag size width+1, adjacent bags share exactly width
     for idx, b in enumerate(bags):
         if len(b) != width + 1:
             smoothness.append(f"bag {idx} has size {len(b)}, expected {width + 1}")
-    for i, j in sorted(td.tree_edges):
-        if 0 <= i < nb and 0 <= j < nb:
-            share = len(bags[i] & bags[j])
-            if share != width:
-                smoothness.append(f"bags {i} and {j} share {share} vertices, expected {width}")
+    off = sorted((e, len(s)) for e, s in shared.items() if len(s) != width)
+    smoothness.extend(
+        f"bags {i} and {j} share {share} vertices, expected {width}" for (i, j), share in off
+    )
 
     valid = not axiom
     smooth = valid and not smoothness
-    max_degree = max((len(a) for a in adj), default=0)
+    max_degree = max(map(len, adj), default=0)
     return DecompositionReport(
         valid=valid,
         width=width,
@@ -153,6 +146,21 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
         max_degree=max_degree,
         violations=tuple(axiom + smoothness),
     )
+
+
+def _connected(nodes: Collection[int], adj: list[list[int]]) -> bool:
+    """Whether the host-tree nodes `nodes` induce a connected subgraph."""
+    if len(nodes) <= 1:
+        return True
+    start = next(iter(nodes))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for y in adj[queue.popleft()]:
+            if y in nodes and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == len(nodes)
 
 
 def decomposition_from_certificate(cert: KTreeCertificate) -> TreeDecomposition:

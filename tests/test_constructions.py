@@ -1,5 +1,8 @@
 """Graph families: split graphs, path powers, gadgets, and the Q family."""
 
+import hashlib
+import json
+
 import pytest
 
 from bookembed import (
@@ -192,3 +195,18 @@ def test_random_ktree_deterministic():
         random_ktree(2, 2)
     with pytest.raises(InvalidSize):
         random_ktree(5, 0)
+
+
+@pytest.mark.parametrize("n, k, seed, digest", [
+    (1000, 3, 1, "9fa4a596b3196de8b2785523a5bd41e762ab09e688340ace99a504a0a444ee0c"),
+    (2000, 5, 7, "76275a5e1e526be4445f91446fdbc70567cb72d462d075b8fd5960ef07a5bbe0"),
+    (300, 12, 9, "04a3cd34df88d2cbb23616c11cc611edd14b0aaeccaf1bc6ddaa0083933bb0f0"),
+    (13, 1, 2, "668af3159b33c3929d879c2e02a79975ebf8605745274c27935c4659e1056496"),
+])
+def test_random_ktree_output_is_pinned(n, k, seed, digest):
+    # the benchmark's input manifests hash this output, so any change to the
+    # generator, even one that keeps the distribution, shows up here
+    g, cert = random_ktree(n, k, seed=seed)
+    additions = [(v, sorted(clique)) for v, clique in cert.additions]
+    blob = json.dumps([g.edges, cert.base_clique, additions]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -13,14 +13,15 @@ from bookembed import (
     crosses,
     crossing_clique_lower_bound,
     density_lower_bound,
+    embed_ktree,
     first_fit_pages,
     validate_embedding,
 )
 from bookembed.bruteforce import _arc_crossing, book_thickness_brute, enumerate_graphs
-from bookembed.constructions import build_q, complete_split
+from bookembed.constructions import build_q, complete_split, random_ktree
 from bookembed.embedding import crossing_masks
 from bookembed.solver import min_pages_for_order
-from util import cycle, random_graph, random_tree
+from util import cycle, random_graph, random_tree, reference_validate_embedding
 
 
 # ---- crossing predicate ----
@@ -244,3 +245,72 @@ def test_rotation_and_reflection_keep_crossings_and_verdicts(case, shift, flip):
     after = validate_embedding(g, _emb(g, turned, pages, page_count=3))
     assert (after.ok, after.pages_used) == (before.ok, before.pages_used)
     assert (after.first_conflict is None) == (before.first_conflict is None)
+
+
+@st.composite
+def _corrupted_embeddings(draw):
+    """A k-tree's spine embedding or a random graph's first-fit embedding
+    under a random order, with 0-3 of: a key reversed to (v, u), a reversed
+    duplicate key, a page set to 0 or to page_count + 1, a missing edge, an
+    extra pair (possibly out of range), an edge moved onto the page of one it
+    crosses, a repeated vertex in the order."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        g, cert = random_ktree(draw(st.integers(k + 1, 30)), k, seed=draw(st.integers(0, 2**32)))
+        emb = embed_ktree(g, cert)
+    else:
+        n = draw(st.integers(2, 12))
+        g = random_graph(n, random.Random(draw(st.integers(0, 2**32))), draw(st.floats(0.1, 0.9)))
+        emb = first_fit_pages(g, draw(st.permutations(range(n))))
+    order, pages, count = list(emb.order), dict(emb.pages), max(emb.page_count, 1)
+    kinds = st.sampled_from((0, 1, 2, 3, 4, 5, 6, 6, 6, 7))
+    for kind in draw(st.lists(kinds, max_size=3)):
+        keys = sorted(pages)
+        if kind == 0 and keys:
+            u, v = draw(st.sampled_from(keys))
+            pages[v, u] = pages.pop((u, v))
+        elif kind == 1 and keys:
+            u, v = draw(st.sampled_from(keys))
+            pages[v, u] = draw(st.integers(1, count))
+        elif kind in (2, 3) and keys:
+            pages[draw(st.sampled_from(keys))] = 0 if kind == 2 else count + 1
+        elif kind == 4 and keys:
+            del pages[draw(st.sampled_from(keys))]
+        elif kind == 5:
+            u = draw(st.integers(0, g.n - 1))
+            v = draw(st.integers(0, g.n + 2))
+            if u != v and not g.has_edge(u, v):
+                pages[u, v] = draw(st.integers(1, count))
+        elif kind == 6 and keys:
+            # onto the page of an edge it crosses, when there is one
+            e = draw(st.sampled_from(keys))
+            arcs = [f for f in keys if max(f) < g.n]
+            placed = max(e) < g.n and sorted(order) == list(range(g.n))
+            mask = crossing_masks([e, *arcs], order)[0] if placed else 0
+            if mask:
+                f = draw(st.sampled_from([f for i, f in enumerate(arcs, 1) if mask >> i & 1]))
+                pages[e] = pages[f]
+        elif kind == 7:
+            order[draw(st.integers(0, g.n - 1))] = draw(st.integers(0, g.n - 1))
+    return g, BookEmbedding(tuple(order), pages, count)
+
+
+@_PROFILE
+@given(_corrupted_embeddings())
+def test_validation_matches_the_literal_checks(case):
+    g, emb = case
+    assert validate_embedding(g, emb) == reference_validate_embedding(g, emb)
+
+
+@pytest.mark.parametrize("order, pages, finding", [
+    ((0, 1, 2, "x"), {}, "order is not a permutation of the vertices"),
+    ((0, 1, 2, 3), {(0, "a"): 1}, "page key (0, 'a') is not a pair of vertex ids"),
+    ((0, 1, 2, 3), {"1": 1}, "page key '1' is not a pair of vertex ids"),
+    ((0, 1, 2, 3), {(0, 1): "1"}, "edge (0, 1) on page '1', outside 1..2"),
+])
+def test_non_integer_ids_are_findings(order, pages, finding):
+    g = complete_graph(4)
+    full = {e: 1 + (e == (1, 3)) for e in g.edges}
+    full.update(pages)
+    res = validate_embedding(g, BookEmbedding(order, full, 2))
+    assert not res.ok and res.finding == finding

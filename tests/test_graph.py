@@ -205,6 +205,14 @@ def test_is_valid_for_checks_exact_edges():
     assert cert.is_valid_for(g)
     assert not cert.is_valid_for(g.without_edge(*g.edges[0]))
     assert not cert.is_valid_for(complete_graph(9))
+    # one edge moved to a non-edge keeps the edge count, so only the
+    # containment of the base pairs or of an addition's edges can tell
+    spare = next((u, v) for u in range(9) for v in range(u + 1, 9) if not g.has_edge(u, v))
+    base_pair = tuple(sorted(cert.base_clique[:2]))
+    v, clique = cert.additions[-1]
+    for gone in (base_pair, tuple(sorted((min(clique), v)))):
+        moved = Graph(9, [e for e in g.edges if e != gone] + [spare])
+        assert moved.m == g.m and not cert.is_valid_for(moved)
 
 
 def _replays_to(cert, g):

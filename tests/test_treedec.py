@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookembed import (
     Graph,
@@ -16,7 +17,7 @@ from bookembed import (
     validate_decomposition,
 )
 from bookembed.constructions import complete_split, random_ktree
-from util import ktree_cases, reference_decomposition
+from util import ktree_cases, reference_decomposition, reference_validate_decomposition
 
 
 def _td(bags, tree_edges):
@@ -159,6 +160,77 @@ def test_certificate_decomposition_rejects_cliques_of_the_wrong_size():
         with pytest.raises(InvalidCertificate):
             decomposition_from_certificate(
                 KTreeCertificate(2, (0, 1, 2), ((3, frozenset(clique)),)))
+
+
+@st.composite
+def _corrupted_decompositions(draw):
+    """A random k-tree and its certificate's decomposition with 0-3 of:
+    a dropped bag member, a dropped or added tree edge (an added one closes
+    a cycle or loops on one bag), a tree edge moved across the cut it
+    leaves, an out-of-range member, a tree edge to a missing bag, an extra
+    singleton bag."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k + 1, 30))
+    g, cert = random_ktree(n, k, seed=draw(st.integers(0, 2**32)))
+    td = decomposition_from_certificate(cert)
+    bags, tree_edges = list(td.bags), set(td.tree_edges)
+    for kind in draw(st.lists(st.integers(0, 6), max_size=3)):
+        nb = len(bags)
+        if kind == 0:
+            idx = draw(st.integers(0, nb - 1))
+            if bags[idx]:
+                bags[idx] -= {draw(st.sampled_from(sorted(bags[idx])))}
+        elif kind == 1 and tree_edges:
+            tree_edges.discard(draw(st.sampled_from(sorted(tree_edges))))
+        elif kind == 2:
+            tree_edges.add((draw(st.integers(0, nb - 1)), draw(st.integers(0, nb - 1))))
+        elif kind == 3:
+            idx = draw(st.integers(0, nb - 1))
+            bags[idx] |= {draw(st.sampled_from([-1, n, n + 3]))}
+        elif kind == 4:
+            tree_edges.add((draw(st.integers(0, nb - 1)), nb + draw(st.integers(0, 2))))
+        elif kind == 5:
+            bags.append(frozenset({draw(st.integers(0, n - 1))}))
+        elif kind == 6 and tree_edges:
+            # move one tree edge across the cut it leaves: a tree again, but
+            # one whose bags may no longer hold each vertex in a subtree
+            a, b = draw(st.sampled_from(sorted(tree_edges)))
+            tree_edges.discard((a, b))
+            side = _reachable(a, tree_edges)
+            rest = [x for x in range(nb) if x not in side]
+            if b not in side and rest:
+                tree_edges.add((draw(st.sampled_from(sorted(side))), draw(st.sampled_from(rest))))
+    return g, TreeDecomposition(tuple(bags), frozenset(tree_edges))
+
+
+def _reachable(start, edges):
+    out = {start}
+    grew = True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if (i in out) != (j in out):
+                out |= {i, j}
+                grew = True
+    return out
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_corrupted_decompositions())
+def test_validation_matches_the_per_edge_scan(case):
+    g, td = case
+    assert validate_decomposition(g, td) == reference_validate_decomposition(g, td)
+
+
+@pytest.mark.parametrize("bags, tree_edges, violation", [
+    ([{0, 1, 2, "a"}], [], "bag 0 contains unknown vertex 'a'"),
+    ([{0, 1, 2}, {0, 1, 2}], [(0, "x")], "tree edge (0, 'x') references a missing bag"),
+])
+def test_non_integer_ids_are_violations(bags, tree_edges, violation):
+    td = TreeDecomposition(tuple(map(frozenset, bags)), frozenset(tree_edges))
+    rep = validate_decomposition(complete_graph(3), td)
+    assert not rep.valid
+    assert violation in rep.violations
 
 
 # ---- serialization ----

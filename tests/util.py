@@ -1,10 +1,18 @@
 """Small helpers shared across test modules."""
 
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
-from bookembed import Graph, KTreeCertificate, is_k_tree, random_ktree
+from bookembed import (
+    DecompositionReport,
+    Graph,
+    KTreeCertificate,
+    ValidationResult,
+    is_k_tree,
+    random_ktree,
+)
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
@@ -81,3 +89,137 @@ def ktree_cases(draw):
     else:
         cert = is_k_tree(g, k)
     return g, cert, k
+
+
+def reference_validate_decomposition(g, td):
+    """`validate_decomposition` the slow, literal way: each edge scans the
+    bags of its endpoint with fewer bags, and each vertex's bags are searched
+    for connectivity one BFS at a time.  Raises on non-integer ids."""
+    axiom = []
+    smoothness = []
+    bags = td.bags
+    nb = len(bags)
+    width = max((len(b) for b in bags), default=0) - 1
+
+    adj = [[] for _ in range(nb)]
+    edges_ok = True
+    for i, j in td.tree_edges:
+        if not (0 <= i < nb and 0 <= j < nb) or i == j:
+            axiom.append(f"tree edge ({i}, {j}) references a missing bag")
+            edges_ok = False
+            continue
+        adj[i].append(j)
+        adj[j].append(i)
+    if edges_ok and nb > 0:
+        if len(td.tree_edges) != nb - 1:
+            axiom.append(f"host tree has {len(td.tree_edges)} edges, needs {nb - 1}")
+        else:
+            seen = [False] * nb
+            seen[0] = True
+            queue = deque([0])
+            reached = 1
+            while queue:
+                x = queue.popleft()
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        reached += 1
+                        queue.append(y)
+            if reached != nb:
+                axiom.append("host tree is disconnected")
+
+    for idx, b in enumerate(bags):
+        for v in b:
+            if not (0 <= v < g.n):
+                axiom.append(f"bag {idx} contains unknown vertex {v}")
+
+    where = {v: [] for v in range(g.n)}
+    for idx, b in enumerate(bags):
+        for v in b:
+            if 0 <= v < g.n:
+                where[v].append(idx)
+    for v in range(g.n):
+        if not where[v]:
+            axiom.append(f"vertex {v} is in no bag")
+    for u, v in g.edges:
+        small, big = (u, v) if len(where[u]) <= len(where[v]) else (v, u)
+        if not any(big in bags[idx] for idx in where[small]):
+            axiom.append(f"edge ({u}, {v}) is in no bag")
+
+    for v in range(g.n):
+        own = where[v]
+        if len(own) <= 1:
+            continue
+        members = set(own)
+        seen_v = {own[0]}
+        queue = deque([own[0]])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y in members and y not in seen_v:
+                    seen_v.add(y)
+                    queue.append(y)
+        if len(seen_v) != len(members):
+            axiom.append(f"bags containing vertex {v} are disconnected in the host tree")
+
+    for idx, b in enumerate(bags):
+        if len(b) != width + 1:
+            smoothness.append(f"bag {idx} has size {len(b)}, expected {width + 1}")
+    for i, j in sorted(td.tree_edges):
+        if 0 <= i < nb and 0 <= j < nb:
+            share = len(bags[i] & bags[j])
+            if share != width:
+                smoothness.append(f"bags {i} and {j} share {share} vertices, expected {width}")
+
+    valid = not axiom
+    return DecompositionReport(
+        valid=valid,
+        width=width,
+        smooth=valid and not smoothness,
+        max_degree=max((len(a) for a in adj), default=0),
+        violations=tuple(axiom + smoothness),
+    )
+
+
+def reference_validate_embedding(g, emb):
+    """`validate_embedding` the slow, literal way: edge sets rebuilt and
+    compared after normalizing every page key, every page number checked in
+    sorted order, and one stack sweep per page.  Raises on non-integer ids."""
+    used = len(set(emb.pages.values()))
+    if sorted(emb.order) != list(range(g.n)):
+        return ValidationResult(False, used, finding="order is not a permutation of the vertices")
+    got = {(u, v) if u < v else (v, u) for u, v in emb.pages}
+    if got != set(g.edges):
+        missing = sorted(set(g.edges) - got)
+        extra = sorted(got - set(g.edges))
+        detail = []
+        if missing:
+            detail.append(f"uncovered edges {missing[:3]}")
+        if extra:
+            detail.append(f"unknown edges {extra[:3]}")
+        return ValidationResult(False, used, finding="; ".join(detail))
+    for e, p in sorted(emb.pages.items()):
+        if not (1 <= p <= emb.page_count):
+            return ValidationResult(
+                False, used, finding=f"edge {e} on page {p}, outside 1..{emb.page_count}"
+            )
+
+    pos = [0] * g.n
+    for i, v in enumerate(emb.order):
+        pos[v] = i
+    arcs = []
+    for e, p in emb.pages.items():
+        a, b = sorted((pos[e[0]], pos[e[1]]))
+        arcs.append((p, a, -b, e))
+    arcs.sort()
+    page, stack = None, []
+    for p, a, neg_b, e in arcs:
+        if p != page:
+            page, stack = p, []
+        b = -neg_b
+        while stack and stack[-1][0] <= a:
+            stack.pop()
+        if stack and stack[-1][0] < b:
+            return ValidationResult(False, used, first_conflict=(stack[-1][1], e))
+        stack.append((b, e))
+    return ValidationResult(True, used)
