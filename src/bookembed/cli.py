@@ -16,14 +16,14 @@ from . import constructions
 from .bruteforce import oracle_suite
 from .embedding import BookEmbedding, validate_embedding
 from .errors import BookEmbedError, InvalidInput
-from .graph import Graph, complete_graph, is_k_tree
+from .graph import Graph, _json_text, complete_graph, is_k_tree
 from .heuristics import embed_ktree, first_fit_pages
 from .solver import SolverOptions, book_thickness_exact
 from .treedec import TreeDecomposition, decomposition_from_certificate, validate_decomposition
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json_text(obj))
 
 
 def _say(msg: str) -> None:

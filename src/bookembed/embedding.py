@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, _norm_edge
+from .graph import Graph, _json_text, _norm_edge
 
 
 @dataclass(frozen=True, eq=True)
@@ -41,7 +41,7 @@ class BookEmbedding:
         return cls(order=tuple(data["order"]), pages=pages, page_count=page_count)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.to_json_dict()) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "BookEmbedding":
@@ -132,9 +132,9 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
     only to name the first one out of range.
     """
     pages = emb.pages
-    page_set = set(pages.values())
+    page_set = _distinct(pages.values())
     used = len(page_set)
-    if len(emb.order) != g.n or set(emb.order) != set(range(g.n)):
+    if len(emb.order) != g.n or _distinct(emb.order) != set(range(g.n)):
         return ValidationResult(False, used, finding="order is not a permutation of the vertices")
     if pages.keys() != g._edge_set:
         bad = next((e for e in pages if not _is_vertex_pair(e)), None)
@@ -173,6 +173,19 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
         if not _push_arc(stack, a, -neg_b, e):
             return ValidationResult(False, used, first_conflict=(stack[-1][1], e))
     return ValidationResult(True, used)
+
+
+def _distinct(values) -> set | list:
+    """The distinct values, as a set, or as a list when one is unhashable
+    (never equal to a set, so an order holding one is no permutation)."""
+    try:
+        return set(values)
+    except TypeError:
+        out: list = []
+        for x in values:
+            if x not in out:
+                out.append(x)
+        return out
 
 
 def _is_vertex_pair(e: object) -> bool:

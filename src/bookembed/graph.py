@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -19,6 +20,13 @@ from .errors import InvalidCertificate, InvalidSize, NotAClique
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _json_text(obj: object) -> str:
+    """The package's one JSON format: sorted keys and no indentation, which
+    lets `json.dumps` use CPython's C encoder (it falls back to the pure-
+    Python one whenever `indent` is set)."""
+    return json.dumps(obj, sort_keys=True)
 
 
 class Graph:
@@ -34,26 +42,26 @@ class Graph:
     ) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[tuple[int, int]] = set()
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            seen.add(_norm_edge(u, v))
+            adj[u].add(v)
+            adj[v].add(u)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        # sorted by (u, v) with u < v, read off the sorted neighbour sets
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            [(u, v) for u, nb in enumerate(adj) for v in sorted(nb) if v > u]
+        )
         self._edge_set = frozenset(self.edges)
         lab = dict(labels) if labels else {}
         for v in lab:
             if not (0 <= v < n):
                 raise ValueError(f"label on unknown vertex {v}")
         self.labels: dict[int, str] = lab
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self._adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
 
     # ---- basic queries ----
 
@@ -147,7 +155,7 @@ class Graph:
         return cls(int(data["n"]), [tuple(e) for e in data["edges"]], labels)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.to_json_dict()) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Graph":
@@ -193,6 +201,11 @@ class KTreeCertificate:
     `base_clique` lists the k+1 starting vertices; each entry of `additions`
     is (vertex, attachment clique) in construction order.  Replaying the
     certificate rebuilds the graph edge for edge.
+
+    Certificates are immutable values, so the checked walk behind `replay`,
+    `is_valid_for`, `decomposition_from_certificate` and `embed_ktree` runs
+    once per certificate and its result is kept; a certificate that fails
+    the walk raises again on every call.
     """
 
     k: int
@@ -202,8 +215,14 @@ class KTreeCertificate:
     def vertex_count(self) -> int:
         return len(self.base_clique) + len(self.additions)
 
-    def _parent_bags(self) -> list[int]:
-        """Parent bag of each addition, after every check `replay` documents.
+    def _parent_bags(self) -> tuple[int, ...]:
+        """Parent bag of each addition, after every check `replay` documents;
+        the same tuple on every call (see `_walk`)."""
+        return self._walk
+
+    @cached_property
+    def _walk(self) -> tuple[int, ...]:
+        """The walk behind `_parent_bags`, cached on its first success.
 
         Bag 0 is the base clique and bag i is addition i's attachment clique
         plus its vertex.  Let w be the newest member of an attachment set C,
@@ -242,7 +261,7 @@ class KTreeCertificate:
             parents.append(parent)
         if bag_of.keys() != set(range(len(bag_of))):
             raise InvalidCertificate("certificate vertex ids are not dense 0..n-1")
-        return parents
+        return tuple(parents)
 
     def _edges(self) -> set[tuple[int, int]]:
         """The normalized edge set the certificate replays to, unchecked."""
@@ -250,7 +269,7 @@ class KTreeCertificate:
         edges.update(_norm_edge(v, u) for v, clique in self.additions for u in clique)
         return edges
 
-    def _parents_for(self, g: Graph) -> list[int] | None:
+    def _parents_for(self, g: Graph) -> tuple[int, ...] | None:
         """`_parent_bags()` if the certificate replays to g's vertex set and
         edges exactly, else None.  O(nk), with no edge set built.
 

@@ -6,7 +6,9 @@ components and bridges), so each block is solved on its own, a bridge
 needs one page and no search, and the witnesses are spliced at the cut
 vertices.  And p pages hold at most n + p(n-3) edges, so a block's search
 starts from that edge bound (`density_lower_bound`), which already equals
-the answer on complete graphs.
+the answer on complete graphs.  When that bound is 1, an O(m log m)
+outerplanarity test (`_outerplanar_cycle`) decides whether one page
+suffices, so no block is ever searched for a one-page order.
 
 Each remaining block's circular orders are searched depth-first, filling
 positions 1..n-1 left to right with a maximum-degree vertex pinned at
@@ -37,6 +39,7 @@ from typing import Sequence
 from .embedding import (
     BookEmbedding,
     _greedy_clique_mask,
+    _push_arc,
     crossing_masks,
     density_lower_bound,
 )
@@ -451,11 +454,79 @@ def _blocks(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
     return blocks
 
 
+def _outerplanar_cycle(block: Graph) -> list[int] | None:
+    """A circular order that puts every edge of a biconnected block with
+    n >= 3 on one page, or None when the block is not outerplanar.  O(m log m).
+
+    Mitchell's reduction (IPL 9, 1979): while more than 3 vertices remain,
+    remove a vertex v of degree 2, with neighbours a and b, and add ab if it
+    is missing; 3 vertices must be left, forming a triangle.  The removed
+    vertices then go back in reverse, each between its a and b, which must
+    be consecutive on the cycle built so far.
+
+    A biconnected outerplanar block has a unique Hamiltonian cycle, its
+    outer face, and has a vertex of degree 2.  Both edges of a degree-2
+    vertex v lie on that cycle, so G - v + ab is again biconnected and
+    outerplanar, with ab on its shortened cycle.  So on an outerplanar block
+    the reduction never gets stuck, the triangle is left, and by uniqueness
+    each reinsertion finds a and b adjacent on the cycle.  On any other
+    block it may still produce a cycle, so the result is always checked: a
+    single stack sweep puts every edge on one page under the order, or
+    rejects it.
+    """
+    n = block.n
+    adj = [set(block.neighbors(v)) for v in range(n)]
+    gone = [False] * n
+    low = [v for v in range(n) if len(adj[v]) == 2]
+    removed: list[tuple[int, int, int]] = []
+    while len(removed) < n - 3:
+        while low and (gone[low[-1]] or len(adj[low[-1]]) != 2):
+            low.pop()  # degrees never grow, so a stale entry stays stale
+        if not low:
+            return None
+        v = low.pop()
+        a, b = adj[v]
+        gone[v] = True
+        removed.append((v, a, b))
+        for x, y in ((a, b), (b, a)):
+            adj[x].discard(v)
+            adj[x].add(y)
+            if len(adj[x]) == 2:
+                low.append(x)
+    x, y, z = (v for v in range(n) if not gone[v])
+    if not (y in adj[x] and z in adj[x] and z in adj[y]):
+        return None
+    nxt = {x: y, y: z, z: x}
+    for v, a, b in reversed(removed):
+        if nxt[b] == a:
+            a, b = b, a
+        if nxt[a] != b:
+            return None
+        nxt[a], nxt[v] = v, b
+    order = [x]
+    while len(order) < n:
+        order.append(nxt[order[-1]])
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    arcs = sorted((min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in block.edges)
+    stack: list[tuple[int, tuple[int, int]]] = []
+    if all(_push_arc(stack, a, -neg_b, e) for a, neg_b, e in arcs):
+        return order
+    return None
+
+
 def _solve_block(g: Graph, edges: list[tuple[int, int]], opts: SolverOptions,
                  deadline: float | None, nodes: int):
     """Order search on one block with at least three vertices.  Returns
     (upper, lower, circular order, page map, nodes spent so far), with the
-    order and pages in g's vertex ids."""
+    order and pages in g's vertex ids.
+
+    One page holds exactly the outerplanar graphs (Bernhart and Kainen), so
+    when the edge bound allows one page, `_outerplanar_cycle` settles it
+    without search: an outerplanar block is EXACT 1 with the cycle as its
+    witness, and any other block needs at least 2 pages.
+    """
     verts = sorted({v for e in edges for v in e})
     if len(verts) == g.n:  # the only block, so it is all of g
         sub = g
@@ -463,6 +534,11 @@ def _solve_block(g: Graph, edges: list[tuple[int, int]], opts: SolverOptions,
         local = {v: i for i, v in enumerate(verts)}
         sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
     lb = density_lower_bound(sub)
+    if lb <= 1:
+        cycle = _outerplanar_cycle(sub)
+        if cycle is not None:
+            return 1, 1, [verts[v] for v in cycle], {_norm_edge(*e): 1 for e in edges}, nodes
+        lb = 2
     incumbent = first_fit_pages(sub, range(sub.n))
     search = _Search(incumbent.page_count, incumbent, lb, deadline, opts.node_limit, nodes)
     max_pages = opts.max_pages
@@ -554,7 +630,7 @@ def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverR
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """True iff the graph fits on one page (edgeless graphs count).  Only
-    blocks with a cycle are searched, so trees and long pendant paths cost
-    nothing."""
-    return book_thickness_exact(g).book_thickness <= 1
+    """True iff the graph fits on one page (edgeless graphs count).  With
+    the cap at one page no block is searched: each is a bridge, is settled
+    by `_outerplanar_cycle`, or needs two pages, so this costs O(m log m)."""
+    return book_thickness_exact(g, SolverOptions(max_pages=1)).book_thickness <= 1

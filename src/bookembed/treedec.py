@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Collection
 
-from .graph import Graph, KTreeCertificate
+from .graph import Graph, KTreeCertificate, _json_text
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class TreeDecomposition:
         return cls(bags=bags, tree_edges=tree_edges)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.to_json_dict()) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TreeDecomposition":
@@ -87,6 +87,10 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     shared: dict[tuple[int, int], frozenset[int]] = {}
     edges_ok = True
     for e in td.tree_edges:
+        if not (isinstance(e, tuple) and len(e) == 2):
+            axiom.append(f"tree edge {e!r} is not a pair of bag indices")
+            edges_ok = False
+            continue
         i, j = e
         if isinstance(i, int) and isinstance(j, int) and 0 <= i < nb and 0 <= j < nb:
             shared[e] = bags[i] & bags[j]

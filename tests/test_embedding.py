@@ -314,3 +314,16 @@ def test_non_integer_ids_are_findings(order, pages, finding):
     full.update(pages)
     res = validate_embedding(g, BookEmbedding(order, full, 2))
     assert not res.ok and res.finding == finding
+
+
+@pytest.mark.parametrize("order, pages, finding", [
+    ((0, [1], 2), {}, "order is not a permutation of the vertices"),
+    ((0, 1, 2), {(0, 1): [1]}, "edge (0, 1) on page [1], outside 1..1"),
+])
+def test_unhashable_entries_are_findings(order, pages, finding):
+    g = complete_graph(3)
+    full = {e: 1 for e in g.edges}
+    full.update(pages)
+    res = validate_embedding(g, BookEmbedding(order, full, 1))
+    assert not res.ok and res.finding == finding
+    assert res.pages_used == 1 + bool(pages)

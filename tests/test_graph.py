@@ -24,7 +24,13 @@ from bookembed import (
 )
 from bookembed.bruteforce import enumerate_graphs, is_k_tree_brute, random_connected_graph
 from bookembed.constructions import path_power, random_ktree
-from util import ktree_cases, random_graph, reference_decomposition, relabelled_certificate
+from util import (
+    ktree_cases,
+    random_graph,
+    reference_decomposition,
+    reference_graph,
+    relabelled_certificate,
+)
 
 
 # ---- basic graph behaviour ----
@@ -58,6 +64,51 @@ def test_graph_equality_includes_labels():
     assert a == b
     assert a != c
     assert hash(a) == hash(c)  # labels stay out of the hash
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, edges, labels): an edge list with repeats in both orientations,
+    at most one self-loop or out-of-range edge, and labels, at most one of
+    them on a missing vertex.  Edges come as a list, a tuple or a generator."""
+    n = draw(st.integers(-1, 12))
+    edges = []
+    if n >= 2:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges = draw(st.lists(pair, max_size=40))
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=5))] if edges else []
+        edges = draw(st.permutations(edges))
+    bad = draw(st.sampled_from([None, None, None, "loop", "range"]))
+    if bad is not None:
+        w = draw(st.integers(0, max(n - 1, 0)))
+        e = (w, w) if bad == "loop" else draw(st.sampled_from([(w, n), (-1, w), (n + 3, w)]))
+        edges.insert(draw(st.integers(0, len(edges))), e)
+    labels = {}
+    if n >= 1:
+        labels = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(["K", "S", "pad"]),
+                                      max_size=3))
+    if draw(st.sampled_from([False, False, False, True])):
+        labels[draw(st.sampled_from([-1, n, n + 5]))] = "stray"
+    form = draw(st.sampled_from([list, tuple, iter]))
+    return n, form, edges, labels or draw(st.sampled_from([None, {}]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_edge_lists())
+def test_graph_parts_match_the_sorted_edge_set_construction(case):
+    # the constructor fills adjacency first and reads the sorted edges off
+    # it; parts and errors match building from a sorted set of edge tuples
+    n, form, edges, labels = case
+    try:
+        want = reference_graph(n, edges, labels)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            Graph(n, form(edges), labels)
+        assert str(got.value) == str(exc)
+        return
+    g = Graph(n, form(edges), labels)
+    assert (g.edges, g._edge_set, g._adj, g.labels) == want
+    assert [type(x) for x in (g.edges, g._edge_set, g._adj)] == [tuple, frozenset, tuple]
 
 
 def test_complete_graph():
@@ -134,6 +185,26 @@ def test_certificate_replay_smallest():
     cert = KTreeCertificate(2, (0, 1, 2), ())
     assert cert.replay() == complete_graph(3)
     assert cert.vertex_count() == 3
+
+
+def test_certificate_walk_is_kept_and_failures_are_not():
+    g, cert = random_ktree(40, 3, seed=11)
+    parents = cert._parent_bags()
+    assert type(parents) is tuple and len(parents) == 40 - 4
+    assert cert._parent_bags() is parents
+    assert cert.is_valid_for(g) and cert.replay() == g
+    td = decomposition_from_certificate(cert)
+    assert td.tree_edges == frozenset((p, i) for i, p in enumerate(parents, 1))
+    assert cert._parent_bags() is parents
+    twin = KTreeCertificate(cert.k, cert.base_clique, cert.additions)
+    assert twin == cert and hash(twin) == hash(cert) and repr(twin) == repr(cert)
+    bad = KTreeCertificate(3, cert.base_clique, cert.additions[1:])
+    for _ in range(3):
+        with pytest.raises(InvalidCertificate):
+            bad._parent_bags()
+        with pytest.raises(InvalidCertificate):
+            bad.replay()
+        assert not bad.is_valid_for(g)
 
 
 def test_certificate_rejects_malformed_steps():

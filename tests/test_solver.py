@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -308,13 +309,13 @@ def test_block_split_matches_blocks_solved_apart(g):
 # ---- the pending-edge bound ----
 
 
-def _shuffled_outerplanar():
-    # a 12-cycle plus the nested chords (0, 6) and (1, 5), labels shuffled:
-    # one page, which only orders along its Hamiltonian cycle reach
-    perm = list(range(12))
-    random.Random(1).shuffle(perm)
-    edges = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (1, 5)]
-    return Graph(12, [(perm[u], perm[v]) for u, v in edges])
+def _shuffled_outerplanar(n=12, seed=1):
+    # an n-cycle plus the nested chords (0, n/2) and (1, n/2 - 1), labels
+    # shuffled: one page, which only orders along its Hamiltonian cycle reach
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (1, n // 2 - 1)]
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def test_shuffled_outerplanar_graph_within_a_node_budget():
@@ -325,6 +326,73 @@ def test_shuffled_outerplanar_graph_within_a_node_budget():
     assert rep.book_thickness == rep.lower_bound == 1
     assert validate_embedding(g, rep.witness).ok
     assert is_outerplanar(g)
+
+
+@pytest.mark.parametrize("n", [16, 18, 20])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_shuffled_outerplanar_graph_needs_no_search(n, seed):
+    # blind order search ran out of 300k nodes on each of these
+    g = _shuffled_outerplanar(n, seed)
+    rep = _bt(g, node_limit=300_000)
+    assert rep.status is SolverStatus.EXACT
+    assert rep.book_thickness == rep.lower_bound == 1
+    assert rep.nodes_explored == 0
+    assert validate_embedding(g, rep.witness).ok
+    assert is_outerplanar(g)
+
+
+@st.composite
+def _outerplanar_and_crossed(draw):
+    """(G, H): G a triangulated n-gon, n <= 60, with some chords dropped and
+    its labels shuffled; H is G plus one chord crossing a chord of G, or
+    None when G has no chord.  G is outerplanar.  H is not: it is
+    biconnected, its n-cycle is Hamiltonian, and a biconnected outerplanar
+    graph has only one Hamiltonian cycle, along which all its edges nest."""
+    n = draw(st.one_of(st.integers(3, 7), st.integers(8, 60)))
+    chords, todo = [], [(0, n - 1)]
+    while todo:  # split the polygon lo..hi at an apex over the side (lo, hi)
+        lo, hi = todo.pop()
+        if hi - lo < 2:
+            continue
+        mid = draw(st.integers(lo + 1, hi - 1))
+        chords += [(x, y) for x, y in ((lo, mid), (mid, hi)) if y - x > 1]
+        todo += [(lo, mid), (mid, hi)]
+    kept = [c for c in chords if draw(st.booleans())]
+    edges = [(i, (i + 1) % n) for i in range(n)] + kept
+    crossed = None
+    if kept:
+        a, b = draw(st.sampled_from(kept))
+        inside = draw(st.integers(a + 1, b - 1))
+        outside = draw(st.sampled_from([v for v in range(n) if not a <= v <= b]))
+        crossed = edges + [(inside, outside)]
+    perm = draw(st.permutations(range(n)))
+    relabel = lambda es: Graph(n, [(perm[u], perm[v]) for u, v in es])
+    return relabel(edges), crossed and relabel(crossed)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_outerplanar_and_crossed())
+def test_outerplanar_blocks_are_decided_without_search(case):
+    g, h = case
+    rep = _bt(g)
+    assert rep.status is SolverStatus.EXACT
+    assert rep.book_thickness == rep.lower_bound == 1
+    assert rep.nodes_explored == 0
+    res = validate_embedding(g, rep.witness)
+    assert res.ok and res.pages_used == 1
+    assert is_outerplanar(g)
+    if g.n <= 7:
+        assert book_thickness_brute(g) == 1
+    if h is None:
+        return
+    assert not is_outerplanar(h)
+    capped = _bt(h, max_pages=1)
+    assert capped.status is SolverStatus.LOWER_BOUND_ONLY
+    assert capped.lower_bound == 2 and capped.nodes_explored == 0
+    if h.n <= 7:
+        full = _bt(h)
+        assert full.status is SolverStatus.EXACT
+        assert full.book_thickness == book_thickness_brute(h) == 2
 
 
 def _literal_prefix_graph(g, order, d):

@@ -233,6 +233,17 @@ def test_non_integer_ids_are_violations(bags, tree_edges, violation):
     assert violation in rep.violations
 
 
+@pytest.mark.parametrize("bad, violation", [
+    ((0, 1, 1), "tree edge (0, 1, 1) is not a pair of bag indices"),
+    (5, "tree edge 5 is not a pair of bag indices"),
+])
+def test_tree_edges_that_are_not_pairs_are_violations(bad, violation):
+    td = TreeDecomposition((frozenset({0, 1, 2}), frozenset({0, 1, 2})), frozenset({(0, 1), bad}))
+    rep = validate_decomposition(complete_graph(3), td)
+    assert not rep.valid
+    assert violation in rep.violations
+
+
 # ---- serialization ----
 
 

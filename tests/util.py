@@ -32,6 +32,32 @@ def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def reference_graph(n, edges=(), labels=None):
+    """`Graph.__init__` built the slow, literal way: a set of normalized
+    edge tuples, sorted, then adjacency rebuilt from the sorted edges.
+    Returns (edges, edge set, adjacency, labels); raises what it raises."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+        seen.add((u, v) if u < v else (v, u))
+    sorted_edges = tuple(sorted(seen))
+    edge_set = frozenset(sorted_edges)
+    lab = dict(labels) if labels else {}
+    for v in lab:
+        if not (0 <= v < n):
+            raise ValueError(f"label on unknown vertex {v}")
+    adj = [set() for _ in range(n)]
+    for u, v in sorted_edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return sorted_edges, edge_set, tuple(frozenset(s) for s in adj), lab
+
+
 def reference_decomposition(cert):
     """Bags and tree edges of a certificate's decomposition, found the slow,
     literal way: each addition's bag hangs from the first bag, scanning all
