@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .errors import InvalidSize, SizeTooSmall
 from .graph import Graph, KTreeCertificate
-from .treedec import TreeDecomposition
+from .treedec import TreeDecomposition, decomposition_from_certificate
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,28 @@ def path_power(n: int, k: int) -> Graph:
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, min(n, u + k + 1))))
 
 
+def _lower_layers(k: int, m: int) -> tuple[list[tuple[int, frozenset[int], int]], dict[int, str]]:
+    """The two layers `dujwoo_gadget` and `build_q` share, as k-tree steps.
+
+    Base clique K + s_0 on 0..k (bag 0), the other S-vertices k+1..k+m-1,
+    each attached to K, then the T-vertices k+m..k+2m-1, w_j attached to
+    (K + v_j) - u_1.  Each step is (vertex, attachment clique, parent bag),
+    where the step's own bag is its index + 1: the S-bags form a path and
+    each w-bag hangs under its s-bag.  Returns the steps and the labels.
+    """
+    hub = frozenset(range(k))
+    labels = dict.fromkeys(range(k), "K")
+    labels.update(dict.fromkeys(range(k, k + m), "S"))
+    labels.update(dict.fromkeys(range(k + m, k + 2 * m), "T"))
+    steps = [(k + j, hub, j - 1) for j in range(1, m)]
+    steps += [(k + m + j, hub - {0} | {k + j}, j) for j in range(m)]
+    return steps, labels
+
+
+def _certificate(k: int, steps: list[tuple[int, frozenset[int], int]]) -> KTreeCertificate:
+    return KTreeCertificate(k, tuple(range(k + 1)), tuple((v, clique) for v, clique, _ in steps))
+
+
 def dujwoo_gadget(k: int, m: int) -> Graph:
     """Complete split graph with one extra simplicial vertex per independent
     vertex, attached to (K + v) - u_1.  The two bottom layers of `build_q`.
@@ -79,17 +101,8 @@ def dujwoo_gadget(k: int, m: int) -> Graph:
     """
     if k < 2 or m < 1:
         raise InvalidSize("gadget needs k >= 2 and m >= 1")
-    edges = list(combinations(range(k), 2))
-    labels = {v: "K" for v in range(k)}
-    for j in range(m):
-        v = k + j
-        w = k + m + j
-        labels[v] = "S"
-        labels[w] = "T"
-        edges.extend((u, v) for u in range(k))
-        edges.extend((u, w) for u in range(1, k))
-        edges.append((v, w))
-    return Graph(k + 2 * m, edges, labels)
+    steps, labels = _lower_layers(k, m)
+    return Graph(k + 2 * m, _certificate(k, steps)._edges(), labels)
 
 
 def build_q(k: int, n: int | None = None) -> QArtifacts:
@@ -98,6 +111,16 @@ def build_q(k: int, n: int | None = None) -> QArtifacts:
     Returns the graph together with a k-tree certificate, a smooth width-k
     decomposition whose host tree has maximum degree exactly 4, and a role map
     (keys "K", "S", "T", "pad", and "T2(w)"/"T3(w)"/"T4(w)" per T-vertex w).
+
+    Each layer's loop records each vertex once, as a certificate step with
+    its host-tree parent bag (see `_lower_layers`).  The graph is the
+    certificate's edges, and the bags are `decomposition_from_certificate`'s.
+    The host tree hangs each bag under its recorded parent: the S-bags form
+    a path, each w-bag hangs under its s-bag, the three 3-bag chains of a
+    column hang under its w-bag, and the pad bags continue the S-path.  So
+    an S-bag has at most 3 tree neighbours (two on the path, one w-bag), a
+    w-bag has exactly 4 (its s-bag and three chain heads), and a chain or
+    pad bag at most 2; the maximum degree is 4.
 
     Raises InvalidSize for k < 4 and SizeTooSmall when n is below the
     unpadded size k + 11*(2k^2 + 1).
@@ -110,107 +133,40 @@ def build_q(k: int, n: int | None = None) -> QArtifacts:
         n = base_n
     if n < base_n:
         raise SizeTooSmall(f"needs at least {base_n} vertices for k={k}, got {n}")
-    pad_count = n - base_n
 
-    hub = list(range(k))  # u_i is vertex i - 1
-    hub_no_u1 = hub[1:]
-    svert = [k + j for j in range(s)]
-    tvert = [k + s + j for j in range(s)]
-    t_base = k + 2 * s
-    pad = [k + 11 * s + q for q in range(pad_count)]
-
-    labels = {u: "K" for u in hub}
-    labels.update({v: "S" for v in svert})
-    labels.update({w: "T" for w in tvert})
-    labels.update({x: "pad" for x in pad})
-
-    edges: list[tuple[int, int]] = list(combinations(hub, 2))
-    additions: list[tuple[int, frozenset[int]]] = []
+    steps, labels = _lower_layers(k, s)
     roles: dict[str, frozenset[int]] = {
-        "K": frozenset(hub),
-        "S": frozenset(svert),
-        "T": frozenset(tvert),
-        "pad": frozenset(pad),
+        "K": frozenset(range(k)),
+        "S": frozenset(range(k, k + s)),
+        "T": frozenset(range(k + s, k + 2 * s)),
+        "pad": frozenset(range(base_n, n)),
     }
-
-    hub_set = frozenset(hub)
-    for j, v in enumerate(svert):
-        edges.extend((u, v) for u in hub)
-        if j > 0:
-            additions.append((v, hub_set))
-
-    for j, w in enumerate(tvert):
-        v = svert[j]
-        clique = frozenset(hub_no_u1) | {v}
-        edges.extend((u, w) for u in sorted(clique))
-        additions.append((w, clique))
-
-    for j, w in enumerate(tvert):
-        v = svert[j]
+    # vertex k + i sits in bag i, so the next step's vertex and bag are
+    # k + len(steps) + 1 and len(steps) + 1
+    for j in range(s):
+        v, w = k + j, k + s + j
         for i in (2, 3, 4):
-            attach = (frozenset(hub_no_u1) - {i - 1}) | {v, w}
-            group = []
-            for t in range(3):
-                x = t_base + 9 * j + 3 * (i - 2) + t
+            attach = frozenset(range(1, k)) - {i - 1} | {v, w}
+            parent = s + j  # w's bag
+            for _ in range(3):
+                x = k + len(steps) + 1
+                steps.append((x, attach, parent))
                 labels[x] = f"T{i}"
-                group.append(x)
-                edges.extend((y, x) for y in sorted(attach))
-                additions.append((x, attach))
-            roles[f"T{i}({w})"] = frozenset(group)
+                parent = len(steps)
+            roles[f"T{i}({w})"] = frozenset(range(x - 2, x + 1))
+    parent = s - 1  # the far end of the S-path
+    for x in range(base_n, n):
+        steps.append((x, roles["K"], parent))
+        labels[x] = "pad"
+        parent = len(steps)
 
-    for x in pad:
-        edges.extend((u, x) for u in hub)
-        additions.append((x, hub_set))
-
-    graph = Graph(n, edges, labels)
-    certificate = KTreeCertificate(
-        k=k,
-        base_clique=tuple(hub) + (svert[0],),
-        additions=tuple(additions),
+    certificate = _certificate(k, steps)
+    decomposition = TreeDecomposition(
+        bags=decomposition_from_certificate(certificate).bags,
+        tree_edges=frozenset((p, i) for i, (_, _, p) in enumerate(steps, 1)),
     )
-    decomposition = _q_decomposition(k, s, pad_count)
-    return QArtifacts(graph=graph, certificate=certificate,
-                      decomposition=decomposition, roles=roles)
-
-
-def _q_decomposition(k: int, s: int, pad_count: int) -> TreeDecomposition:
-    # bag indices: S-bags 0..s-1 in a path; w-bag of column j at s+j; the
-    # three 3-bag chains of column j at 2s + 9j; pad bags after 11s, chained
-    # off the far end of the S-path
-    hub = frozenset(range(k))
-    hub_no_u1 = hub - {0}
-    bags: list[frozenset[int]] = []
-    tree_edges: set[tuple[int, int]] = set()
-
-    for j in range(s):
-        bags.append(hub | {k + j})
-        if j > 0:
-            tree_edges.add((j - 1, j))
-    for j in range(s):
-        v, w = k + j, k + s + j
-        bags.append(hub_no_u1 | {v, w})
-        tree_edges.add((j, s + j))
-    t_base_vertex = k + 2 * s
-    for j in range(s):
-        v, w = k + j, k + s + j
-        for i in (2, 3, 4):
-            chain_start = 2 * s + 9 * j + 3 * (i - 2)
-            core = (hub_no_u1 - {i - 1}) | {v, w}
-            for t in range(3):
-                x = t_base_vertex + 9 * j + 3 * (i - 2) + t
-                bags.append(core | {x})
-                idx = chain_start + t
-                prev = s + j if t == 0 else idx - 1
-                tree_edges.add((min(prev, idx), max(prev, idx)))
-    for q in range(pad_count):
-        x = k + 11 * s + q
-        bags.append(hub | {x})
-        idx = 11 * s + q
-        prev = s - 1 if q == 0 else idx - 1
-        tree_edges.add((min(prev, idx), max(prev, idx)))
-
-    return TreeDecomposition(bags=tuple(bags), tree_edges=frozenset(tree_edges),
-                             declared_width=k)
+    return QArtifacts(graph=Graph(n, certificate._edges(), labels),
+                      certificate=certificate, decomposition=decomposition, roles=roles)
 
 
 def random_ktree(n: int, k: int, seed: int = 0) -> tuple[Graph, KTreeCertificate]:
@@ -222,7 +178,6 @@ def random_ktree(n: int, k: int, seed: int = 0) -> tuple[Graph, KTreeCertificate
         raise InvalidSize(f"a {k}-tree needs at least {k + 1} vertices")
     rng = random.Random(seed)
     base = tuple(range(k + 1))
-    edges: list[tuple[int, int]] = list(combinations(base, 2))
     # k-cliques as sorted tuples: v is the largest id so far, so dropping
     # one member and appending v keeps a clique sorted
     pool: list[tuple[int, ...]] = list(combinations(base, k))
@@ -230,7 +185,6 @@ def random_ktree(n: int, k: int, seed: int = 0) -> tuple[Graph, KTreeCertificate
     for v in range(k + 1, n):
         clique = pool[rng.randrange(len(pool))]
         additions.append((v, frozenset(clique)))
-        edges.extend((u, v) for u in clique)
         pool.extend(clique[:i] + clique[i + 1:] + (v,) for i in range(k))
     cert = KTreeCertificate(k=k, base_clique=base, additions=tuple(additions))
-    return Graph(n, edges), cert
+    return Graph(n, cert._edges()), cert

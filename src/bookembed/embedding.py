@@ -120,21 +120,32 @@ def crossing_masks(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> li
 def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
     """Check an embedding against its graph; never raises.
 
-    Structural problems (order not a permutation of the vertex set, page map
-    not covering exactly the edge set, page numbers outside 1..page_count)
-    come back as ok=False with a `finding`.  Otherwise each page's arcs are
-    swept left to right with a stack of open arcs, and the first crossing
-    pair met, if any, is reported as (open arc's edge, new arc's edge).
+    Structural problems (a page map that is no mapping, order not a
+    permutation of the vertex set, page map not covering exactly the edge
+    set, page numbers outside 1..page_count) come back as ok=False with a
+    `finding`.  Otherwise each page's arcs are swept left to right with a
+    stack of open arcs, and the first crossing pair met, if any, is
+    reported as (open arc's edge, new arc's edge).
 
     Linear apart from sorting the arcs.  The page map's keys are compared
     with the graph's edge set as they are, and normalized only when that
     fails; page numbers are range-checked once per distinct page, and sorted
     only to name the first one out of range.
     """
-    pages = emb.pages
+    try:
+        pages = dict(emb.pages)
+    except (TypeError, ValueError):
+        kind = type(emb.pages).__name__
+        return ValidationResult(
+            False, 0, finding=f"page map is not a mapping from edges to pages (got {kind})"
+        )
     page_set = _distinct(pages.values())
     used = len(page_set)
-    if len(emb.order) != g.n or _distinct(emb.order) != set(range(g.n)):
+    try:
+        order = tuple(emb.order)
+    except TypeError:
+        order = None
+    if order is None or len(order) != g.n or _distinct(order) != set(range(g.n)):
         return ValidationResult(False, used, finding="order is not a permutation of the vertices")
     if pages.keys() != g._edge_set:
         bad = next((e for e in pages if not _is_vertex_pair(e)), None)
@@ -158,7 +169,7 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
             False, used, finding=f"edge {e} on page {p!r}, outside 1..{emb.page_count}"
         )
 
-    pos = dict(zip(emb.order, range(g.n)))
+    pos = dict(zip(order, range(g.n)))
     arcs = []
     for e, p in pages.items():
         a, b = pos[e[0]], pos[e[1]]

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidCertificate, InvalidSize, NotAClique
 
@@ -215,14 +215,10 @@ class KTreeCertificate:
     def vertex_count(self) -> int:
         return len(self.base_clique) + len(self.additions)
 
+    @cached_property
     def _parent_bags(self) -> tuple[int, ...]:
         """Parent bag of each addition, after every check `replay` documents;
-        the same tuple on every call (see `_walk`)."""
-        return self._walk
-
-    @cached_property
-    def _walk(self) -> tuple[int, ...]:
-        """The walk behind `_parent_bags`, cached on its first success.
+        computed on first access and then kept (the same tuple every time).
 
         Bag 0 is the base clique and bag i is addition i's attachment clique
         plus its vertex.  Let w be the newest member of an attachment set C,
@@ -263,36 +259,14 @@ class KTreeCertificate:
             raise InvalidCertificate("certificate vertex ids are not dense 0..n-1")
         return tuple(parents)
 
-    def _edges(self) -> set[tuple[int, int]]:
-        """The normalized edge set the certificate replays to, unchecked."""
-        edges = {_norm_edge(a, b) for a, b in combinations(self.base_clique, 2)}
-        edges.update(_norm_edge(v, u) for v, clique in self.additions for u in clique)
-        return edges
-
-    def _parents_for(self, g: Graph) -> tuple[int, ...] | None:
-        """`_parent_bags()` if the certificate replays to g's vertex set and
-        edges exactly, else None.  O(nk), with no edge set built.
-
-        Once `_parent_bags` has passed, the certificate's edges are distinct:
-        the base pairs, and for each addition its k edges from a new vertex
-        to older ones.  So they number exactly ktree_edge_count(n, k).  If
-        each of them is an edge of g and g has that many edges, the two
-        edge sets are equal.
-        """
-        try:
-            parents = self._parent_bags()
-        except InvalidCertificate:
-            return None
-        n = self.vertex_count()
-        if n != g.n or g.m != ktree_edge_count(n, self.k):
-            return None
-        adj = g._adj
-        base = frozenset(self.base_clique)
-        if not all(base - {u} <= adj[u] for u in base):
-            return None
-        if not all(clique <= adj[v] for v, clique in self.additions):
-            return None
-        return parents
+    def _edges(self) -> Iterator[tuple[int, int]]:
+        """The edges the certificate replays to, unchecked and unnormalized:
+        the base pairs, then (u, v) for each addition v and each u in its
+        clique."""
+        yield from combinations(self.base_clique, 2)
+        for v, clique in self.additions:
+            for u in clique:
+                yield u, v
 
     def replay(self) -> Graph:
         """Rebuild the graph this certificate describes.
@@ -301,12 +275,31 @@ class KTreeCertificate:
         unknown attachment vertex, attachment set not a clique so far, or a
         non-dense vertex id space).
         """
-        self._parent_bags()
+        self._parent_bags  # the checked walk; raises on a malformed step
         return Graph(self.vertex_count(), self._edges())
 
     def is_valid_for(self, g: Graph) -> bool:
-        """True iff replaying reproduces g's vertex set and edges exactly."""
-        return self._parents_for(g) is not None
+        """True iff replaying reproduces g's vertex set and edges exactly.
+        O(nk), with no edge set built.
+
+        Once `_parent_bags` has passed, the certificate's edges are distinct:
+        the base pairs, and for each addition its k edges from a new vertex
+        to older ones.  So they number exactly ktree_edge_count(n, k).  If
+        each of them is an edge of g and g has that many edges, the two
+        edge sets are equal.
+        """
+        try:
+            self._parent_bags
+        except InvalidCertificate:
+            return False
+        n = self.vertex_count()
+        if n != g.n or g.m != ktree_edge_count(n, self.k):
+            return False
+        adj = g._adj
+        base = frozenset(self.base_clique)
+        return all(base - {u} <= adj[u] for u in base) and all(
+            clique <= adj[v] for v, clique in self.additions
+        )
 
 
 def ktree_edge_count(n: int, k: int) -> int:

@@ -88,9 +88,9 @@ def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
     neighbour (always for n = k+1), so `page_count` counts the pages in use.
     Raises InvalidCertificate when the certificate does not replay to g.
     """
-    parents = cert._parents_for(g)
-    if parents is None:
+    if not cert.is_valid_for(g):
         raise InvalidCertificate("certificate does not replay to this graph")
+    parents = cert._parent_bags
     k = cert.k
     base = sorted(cert.base_clique)
     children: list[list[int]] = [[] for _ in range(len(parents) + 1)]

@@ -7,8 +7,9 @@ needs one page and no search, and the witnesses are spliced at the cut
 vertices.  And p pages hold at most n + p(n-3) edges, so a block's search
 starts from that edge bound (`density_lower_bound`), which already equals
 the answer on complete graphs.  When that bound is 1, an O(m log m)
-outerplanarity test (`_outerplanar_cycle`) decides whether one page
-suffices, so no block is ever searched for a one-page order.
+outerplanarity test (`_outerplanar_cycle`, checked by first-fit) decides
+whether one page suffices, so no block is ever searched for a one-page
+order.
 
 Each remaining block's circular orders are searched depth-first, filling
 positions 1..n-1 left to right with a maximum-degree vertex pinned at
@@ -39,7 +40,6 @@ from typing import Sequence
 from .embedding import (
     BookEmbedding,
     _greedy_clique_mask,
-    _push_arc,
     crossing_masks,
     density_lower_bound,
 )
@@ -456,7 +456,8 @@ def _blocks(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
 
 def _outerplanar_cycle(block: Graph) -> list[int] | None:
     """A circular order that puts every edge of a biconnected block with
-    n >= 3 on one page, or None when the block is not outerplanar.  O(m log m).
+    n >= 3 on one page if the block is outerplanar, or None when the
+    reduction shows it is not.  O(m), unchecked.
 
     Mitchell's reduction (IPL 9, 1979): while more than 3 vertices remain,
     remove a vertex v of degree 2, with neighbours a and b, and add ab if it
@@ -470,9 +471,7 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
     outerplanar, with ab on its shortened cycle.  So on an outerplanar block
     the reduction never gets stuck, the triangle is left, and by uniqueness
     each reinsertion finds a and b adjacent on the cycle.  On any other
-    block it may still produce a cycle, so the result is always checked: a
-    single stack sweep puts every edge on one page under the order, or
-    rejects it.
+    block it may still produce a cycle, so the caller checks the result.
     """
     n = block.n
     adj = [set(block.neighbors(v)) for v in range(n)]
@@ -506,14 +505,7 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
     order = [x]
     while len(order) < n:
         order.append(nxt[order[-1]])
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    arcs = sorted((min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in block.edges)
-    stack: list[tuple[int, tuple[int, int]]] = []
-    if all(_push_arc(stack, a, -neg_b, e) for a, neg_b, e in arcs):
-        return order
-    return None
+    return order
 
 
 def _solve_block(g: Graph, edges: list[tuple[int, int]], opts: SolverOptions,
@@ -525,7 +517,10 @@ def _solve_block(g: Graph, edges: list[tuple[int, int]], opts: SolverOptions,
     One page holds exactly the outerplanar graphs (Bernhart and Kainen), so
     when the edge bound allows one page, `_outerplanar_cycle` settles it
     without search: an outerplanar block is EXACT 1 with the cycle as its
-    witness, and any other block needs at least 2 pages.
+    witness, and any other block needs at least 2 pages.  The cycle is
+    always checked: first-fit under it must use one page, and its first
+    page is the same stack sweep of the same arcs in (a, -b) order that
+    decides whether one page holds them all.
     """
     verts = sorted({v for e in edges for v in e})
     if len(verts) == g.n:  # the only block, so it is all of g
@@ -536,7 +531,7 @@ def _solve_block(g: Graph, edges: list[tuple[int, int]], opts: SolverOptions,
     lb = density_lower_bound(sub)
     if lb <= 1:
         cycle = _outerplanar_cycle(sub)
-        if cycle is not None:
+        if cycle is not None and first_fit_pages(sub, cycle).page_count == 1:
             return 1, 1, [verts[v] for v in cycle], {_norm_edge(*e): 1 for e in edges}, nodes
         lb = 2
     incumbent = first_fit_pages(sub, range(sub.n))

@@ -21,7 +21,6 @@ from .graph import Graph, KTreeCertificate, _json_text
 class TreeDecomposition:
     bags: tuple[frozenset[int], ...]
     tree_edges: frozenset[tuple[int, int]]  # pairs of bag indices, i < j
-    declared_width: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -65,6 +64,8 @@ class DecompositionReport:
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionReport:
     """Check the three axioms plus smoothness; never raises on bad input.
+    Bags or tree edges that are no collection at all, or a bag that is not a
+    set of ids, come back as the one violation.
 
     Each check is a set operation or a count, not a rescan.  An edge is
     covered iff the sets of bags holding its two ends intersect, which costs
@@ -76,9 +77,14 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     |bags of v| - 1 intersections.  When the host is not a tree the identity
     does not apply, and each vertex's bags are searched instead.
     """
+    parts = _containers(td)
+    if isinstance(parts, str):
+        return DecompositionReport(
+            valid=False, width=-1, smooth=False, max_degree=0, violations=(parts,)
+        )
+    bags, sets, tree_edges = parts
     axiom: list[str] = []
     smoothness: list[str] = []
-    bags = td.bags
     nb = len(bags)
     width = max(map(len, bags), default=0) - 1
 
@@ -86,14 +92,14 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     adj: list[list[int]] = [[] for _ in range(nb)]
     shared: dict[tuple[int, int], frozenset[int]] = {}
     edges_ok = True
-    for e in td.tree_edges:
+    for e in tree_edges:
         if not (isinstance(e, tuple) and len(e) == 2):
             axiom.append(f"tree edge {e!r} is not a pair of bag indices")
             edges_ok = False
             continue
         i, j = e
         if isinstance(i, int) and isinstance(j, int) and 0 <= i < nb and 0 <= j < nb:
-            shared[e] = bags[i] & bags[j]
+            shared[e] = sets[i] & sets[j]
             if i != j:
                 adj[i].append(j)
                 adj[j].append(i)
@@ -102,8 +108,8 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
         edges_ok = False
     is_tree = False
     if edges_ok and nb > 0:
-        if len(td.tree_edges) != nb - 1:
-            axiom.append(f"host tree has {len(td.tree_edges)} edges, needs {nb - 1}")
+        if len(tree_edges) != nb - 1:
+            axiom.append(f"host tree has {len(tree_edges)} edges, needs {nb - 1}")
         elif _connected(range(nb), adj):
             is_tree = True
         else:
@@ -152,6 +158,29 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     )
 
 
+def _containers(td: TreeDecomposition) -> tuple[tuple, list[frozenset], tuple] | str:
+    """td's bags and tree edges as tuples, plus each bag as a frozenset, or a
+    one-line violation naming the first that is not a finite collection (of
+    hashable ids, for a bag).  The tuples keep each container's own order,
+    length and repeats, so reports on well-formed input do not change."""
+    try:
+        bags = tuple(td.bags)
+    except TypeError:
+        return f"bags are not a sequence (got {type(td.bags).__name__})"
+    try:
+        tree_edges = tuple(td.tree_edges)
+    except TypeError:
+        return f"tree edges are not a collection (got {type(td.tree_edges).__name__})"
+    sets = []
+    for idx, b in enumerate(bags):
+        try:
+            len(b)
+            sets.append(frozenset(b))
+        except TypeError:
+            return f"bag {idx} is not a set of vertex ids: {b!r}"
+    return bags, sets, tree_edges
+
+
 def _connected(nodes: Collection[int], adj: list[list[int]]) -> bool:
     """Whether the host-tree nodes `nodes` induce a connected subgraph."""
     if len(nodes) <= 1:
@@ -175,11 +204,10 @@ def decomposition_from_certificate(cert: KTreeCertificate) -> TreeDecomposition:
     InvalidCertificate whenever `cert.replay()` would (see
     `KTreeCertificate._parent_bags`).
     """
-    parents = cert._parent_bags()
+    parents = cert._parent_bags
     bags = [frozenset(cert.base_clique)]
     bags.extend(frozenset(clique).union((v,)) for v, clique in cert.additions)
     return TreeDecomposition(
         bags=tuple(bags),
         tree_edges=frozenset((p, i) for i, p in enumerate(parents, 1)),
-        declared_width=cert.k,
     )

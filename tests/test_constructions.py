@@ -210,3 +210,44 @@ def test_random_ktree_output_is_pinned(n, k, seed, digest):
     additions = [(v, sorted(clique)) for v, clique in cert.additions]
     blob = json.dumps([g.edges, cert.base_clique, additions]).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def _q_digest(art):
+    g, cert, td = art.graph, art.certificate, art.decomposition
+    blob = json.dumps([
+        g.n, g.edges, sorted(g.labels.items()),
+        cert.k, cert.base_clique, [(v, sorted(clique)) for v, clique in cert.additions],
+        [sorted(b) for b in td.bags], sorted(td.tree_edges),
+        sorted((key, sorted(group)) for key, group in art.roles.items()),
+    ]).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("k, pad, digest", [
+    (4, 0, "a56dfa317ae8f280e53e8adc8386392f6fffa09fd85e8566bbab33f82e904c73"),
+    (4, 7, "d2ccf34eddd811d4d65a369373036cfc6321f3cf2d02cf0b7ab6f5a73ec3842d"),
+    (5, 0, "df27d3037ee4fcc075339e41d882f88ffe68bda7605606427c3eefc91e1663e9"),
+    (5, 7, "c85c8ec417c7c74edb3613d3750a5d0c389291c8d63c0fb3389ff031cc425d5e"),
+    (6, 0, "b556568555c30d11d117aefc5ae5ceaacbc9b0877b299aee6dda197ad3214afd"),
+    (6, 7, "e65e49de3e2f1671388a610b345a1a31499f64935c2b002c8ae6ea1c5f3dc23c"),
+])
+def test_build_q_output_is_pinned(k, pad, digest):
+    # graph, labels, certificate, decomposition and roles, byte for byte;
+    # pad=0 calls build_q(k) without n
+    base = k + 11 * (2 * k * k + 1)
+    art = build_q(k, n=base + pad) if pad else build_q(k)
+    assert art.graph.n == base + pad
+    assert _q_digest(art) == digest
+
+
+@pytest.mark.parametrize("k, m, digest", [
+    (2, 1, "3ff8399f268e768bd90f283a2be0f71973874b88a6548d1d40a6baa16c951cc9"),
+    (2, 5, "aaceb91fcb1a858c4658b435a4bd6cc6168af58cf4925ade8b327459b59bfff1"),
+    (3, 3, "304c833afa585801b2908505021bd869aef99209effee6edb7b344a54bd78db3"),
+    (4, 6, "b70c087e1c3148ad57b396c99e306cf305b8113fe45462ddc9b0a4181f8e9cbc"),
+    (6, 2, "1aceb77044771215cb1029057925dce548938bd6b8d23549610bee71b147f16a"),
+])
+def test_dujwoo_gadget_output_is_pinned(k, m, digest):
+    g = dujwoo_gadget(k, m)
+    blob = json.dumps([g.n, g.edges, sorted(g.labels.items())]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -327,3 +327,12 @@ def test_unhashable_entries_are_findings(order, pages, finding):
     res = validate_embedding(g, BookEmbedding(order, full, 1))
     assert not res.ok and res.finding == finding
     assert res.pages_used == 1 + bool(pages)
+
+
+@pytest.mark.parametrize("order, pages, finding, used", [
+    (None, {(0, 1): 1, (0, 2): 1, (1, 2): 1}, "order is not a permutation of the vertices", 1),
+    ((0, 1, 2), None, "page map is not a mapping from edges to pages (got NoneType)", 0),
+])
+def test_containers_of_the_wrong_kind_are_findings(order, pages, finding, used):
+    res = validate_embedding(complete_graph(3), BookEmbedding(order, pages, 1))
+    assert not res.ok and res.finding == finding and res.pages_used == used

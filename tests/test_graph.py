@@ -189,19 +189,19 @@ def test_certificate_replay_smallest():
 
 def test_certificate_walk_is_kept_and_failures_are_not():
     g, cert = random_ktree(40, 3, seed=11)
-    parents = cert._parent_bags()
+    parents = cert._parent_bags
     assert type(parents) is tuple and len(parents) == 40 - 4
-    assert cert._parent_bags() is parents
+    assert cert._parent_bags is parents
     assert cert.is_valid_for(g) and cert.replay() == g
     td = decomposition_from_certificate(cert)
     assert td.tree_edges == frozenset((p, i) for i, p in enumerate(parents, 1))
-    assert cert._parent_bags() is parents
+    assert cert._parent_bags is parents
     twin = KTreeCertificate(cert.k, cert.base_clique, cert.additions)
     assert twin == cert and hash(twin) == hash(cert) and repr(twin) == repr(cert)
     bad = KTreeCertificate(3, cert.base_clique, cert.additions[1:])
     for _ in range(3):
         with pytest.raises(InvalidCertificate):
-            bad._parent_bags()
+            bad._parent_bags
         with pytest.raises(InvalidCertificate):
             bad.replay()
         assert not bad.is_valid_for(g)

@@ -114,7 +114,6 @@ def test_certificate_decomposition_on_random_ktrees():
         g, cert = random_ktree(n, k, seed=rng.randrange(10**6))
         td = decomposition_from_certificate(cert)
         assert len(td.bags) == n - k
-        assert td.declared_width == k
         rep = validate_decomposition(g, td)
         assert rep.valid and rep.smooth
         assert rep.width == k
@@ -242,6 +241,35 @@ def test_tree_edges_that_are_not_pairs_are_violations(bad, violation):
     rep = validate_decomposition(complete_graph(3), td)
     assert not rep.valid
     assert violation in rep.violations
+
+
+@pytest.mark.parametrize("bags, tree_edges, violation", [
+    ((5,), frozenset(), "bag 0 is not a set of vertex ids: 5"),
+    (({0, 1, 2}, [0, [1]]), frozenset({(0, 1)}), "bag 1 is not a set of vertex ids: [0, [1]]"),
+    (({0, 1, 2},), None, "tree edges are not a collection (got NoneType)"),
+    (None, frozenset(), "bags are not a sequence (got NoneType)"),
+])
+def test_containers_of_the_wrong_kind_are_one_violation(bags, tree_edges, violation):
+    rep = validate_decomposition(complete_graph(3), TreeDecomposition(bags, tree_edges))
+    assert not rep.valid and not rep.smooth
+    assert rep.violations == (violation,)
+
+
+def test_a_bag_without_a_length_is_a_violation():
+    # an iterator is a collection frozenset accepts, but its size is unknown
+    td = TreeDecomposition((iter([0, 1, 2]),), frozenset())
+    rep = validate_decomposition(complete_graph(3), td)
+    assert not rep.valid and len(rep.violations) == 1
+    assert rep.violations[0].startswith("bag 0 is not a set of vertex ids: <list_iterator")
+
+
+def test_list_bags_are_checked_as_sets():
+    # a bag given as a list is read as its set of members, also where two
+    # bags meet on a tree edge
+    td = TreeDecomposition(([0, 1, 2], [2, 1, 3]), ((0, 1),))
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    rep = validate_decomposition(g, td)
+    assert rep.valid and rep.smooth and rep.width == 2 and rep.max_degree == 1
 
 
 # ---- serialization ----
