@@ -2,14 +2,13 @@
 
 Two facts of Bernhart and Kainen (JCTB 1979) come before any search.  The
 book thickness of a graph is the maximum over its blocks (biconnected
-components and bridges), so each block is solved on its own, a bridge
-needs one page and no search, and the witnesses are spliced at the cut
-vertices.  And p pages hold at most n + p(n-3) edges, so a block's search
-starts from that edge bound (`density_lower_bound`), which already equals
-the answer on complete graphs.  When that bound is 1, an O(m log m)
-outerplanarity test (`_outerplanar_cycle`, checked by first-fit) decides
-whether one page suffices, so no block is ever searched for a one-page
-order.
+components and bridges), so each block is solved on its own and the
+witnesses are spliced at the cut vertices.  And p pages hold at most
+n + p(n-3) edges, so a block's search starts from that edge bound
+(`density_lower_bound`), which already equals the answer on complete
+graphs.  When that bound is 1, an O(m log m) outerplanarity test
+(`_outerplanar_cycle`, checked by first-fit) decides whether one page
+suffices, so no block is ever searched for a one-page order.
 
 Each remaining block's circular orders are searched depth-first, filling
 positions 1..n-1 left to right with a maximum-degree vertex pinned at
@@ -90,8 +89,6 @@ def _try_color(masks: list[int], p: int, seed: Sequence[int]) -> list[int] | Non
     m = len(masks)
     if m == 0:
         return []
-    if p <= 0 or len(seed) > p:
-        return None
     color = [-1] * m
     forb = [0] * m
     deg = [mk.bit_count() for mk in masks]
@@ -174,24 +171,40 @@ def min_pages_for_order(g: Graph, order: Sequence[int]) -> int:
 
 
 class _Search:
-    """Best-so-far state and budget of one search."""
+    """The state of one solve.  The budget, the page cap and the node count
+    are shared by all blocks; `reset` starts each block from its incumbent
+    and its sound lower bound."""
 
-    __slots__ = ("best", "witness", "lb", "stop", "budget_hit", "nodes", "deadline", "node_limit")
+    __slots__ = ("best", "witness", "lb", "stop", "budget_hit", "nodes", "deadline",
+                 "node_limit", "max_pages")
 
-    def __init__(self, best: int, witness: BookEmbedding, lb: int,
-                 deadline: float | None, node_limit: int | None, nodes: int) -> None:
+    def __init__(self, opts: SolverOptions, start: float) -> None:
+        self.deadline = None if opts.time_budget is None else start + opts.time_budget
+        self.node_limit = opts.node_limit
+        self.max_pages = opts.max_pages
+        self.nodes = 0
+        self.budget_hit = False
+
+    def reset(self, best: int, witness: BookEmbedding, lb: int) -> None:
         self.best = best
         self.witness = witness
         self.lb = lb
         self.stop = best <= lb
-        self.budget_hit = False
-        self.nodes = nodes  # spent by earlier blocks under the same budget
-        self.deadline = deadline
-        self.node_limit = node_limit
 
-    def cap(self, max_pages: int | None) -> int:
+    def cap(self) -> int:
         # prune prefixes that already need at least this many pages
-        return self.best if max_pages is None else min(self.best, max_pages + 1)
+        return self.best if self.max_pages is None else min(self.best, self.max_pages + 1)
+
+    def lower(self) -> int:
+        """The block's sound lower bound once its search is over: the root
+        bound if the budget ran out with the gap still open, more than
+        max_pages if no order fits within max_pages, else the best found,
+        which the search proved optimal."""
+        if self.budget_hit and self.best > self.lb:
+            return self.lb
+        if self.max_pages is not None and self.best > self.max_pages:
+            return max(self.max_pages + 1, self.lb)
+        return self.best
 
     def offer(self, pages: int, witness: BookEmbedding) -> None:
         if pages < self.best:
@@ -365,7 +378,7 @@ class _Prefix:
                    for c in hubs)
 
 
-def _search_orders(g: Graph, search: _Search, max_pages: int | None) -> None:
+def _search_orders(g: Graph, search: _Search) -> None:
     # runs only for n > 2; the budget is checked after every placement
     n = g.n
     prefix = _Prefix(g)
@@ -378,7 +391,7 @@ def _search_orders(g: Graph, search: _Search, max_pages: int | None) -> None:
     x, y = [v for v in range(n) if v != root][:2]
 
     def leaf() -> None:
-        found = _fewest_colours(masks, search.cap(max_pages))
+        found = _fewest_colours(masks, search.cap())
         if found is not None:
             p, colors = found
             pages = {e: colors[i] + 1 for i, e in enumerate(edges)}
@@ -393,7 +406,7 @@ def _search_orders(g: Graph, search: _Search, max_pages: int | None) -> None:
             undo = place(v, d)
             search.nodes += 1
             search.check_budget()
-            if not needs(search.cap(max_pages)):
+            if not needs(search.cap()):
                 if d == n - 1:
                     leaf()
                 else:
@@ -455,9 +468,9 @@ def _blocks(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
 
 
 def _outerplanar_cycle(block: Graph) -> list[int] | None:
-    """A circular order that puts every edge of a biconnected block with
-    n >= 3 on one page if the block is outerplanar, or None when the
-    reduction shows it is not.  O(m), unchecked.
+    """A circular order that puts every edge of a block on one page if the
+    block is outerplanar, or None when the reduction shows it is not.  O(m),
+    unchecked.  A bridge (n < 3) gets the identity order.
 
     Mitchell's reduction (IPL 9, 1979): while more than 3 vertices remain,
     remove a vertex v of degree 2, with neighbours a and b, and add ab if it
@@ -474,6 +487,8 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
     block it may still produce a cycle, so the caller checks the result.
     """
     n = block.n
+    if n < 3:
+        return list(range(n))
     adj = [set(block.neighbors(v)) for v in range(n)]
     gone = [False] * n
     low = [v for v in range(n) if len(adj[v]) == 2]
@@ -508,11 +523,10 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
     return order
 
 
-def _solve_block(g: Graph, edges: list[tuple[int, int]], opts: SolverOptions,
-                 deadline: float | None, nodes: int):
-    """Order search on one block with at least three vertices.  Returns
-    (upper, lower, circular order, page map, nodes spent so far), with the
-    order and pages in g's vertex ids.
+def _solve_block(edges: list[tuple[int, int]], search: _Search):
+    """Order search on the block with these edges, under the solve's shared
+    `search`.  Returns (upper, lower, circular order, page map), with the
+    order and pages in the edges' vertex ids.
 
     One page holds exactly the outerplanar graphs (Bernhart and Kainen), so
     when the edge bound allows one page, `_outerplanar_cycle` settles it
@@ -523,35 +537,23 @@ def _solve_block(g: Graph, edges: list[tuple[int, int]], opts: SolverOptions,
     decides whether one page holds them all.
     """
     verts = sorted({v for e in edges for v in e})
-    if len(verts) == g.n:  # the only block, so it is all of g
-        sub = g
-    else:
-        local = {v: i for i, v in enumerate(verts)}
-        sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
+    local = {v: i for i, v in enumerate(verts)}
+    sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
     lb = density_lower_bound(sub)
     if lb <= 1:
         cycle = _outerplanar_cycle(sub)
         if cycle is not None and first_fit_pages(sub, cycle).page_count == 1:
-            return 1, 1, [verts[v] for v in cycle], {_norm_edge(*e): 1 for e in edges}, nodes
+            return 1, 1, [verts[v] for v in cycle], {_norm_edge(*e): 1 for e in edges}
         lb = 2
     incumbent = first_fit_pages(sub, range(sub.n))
-    search = _Search(incumbent.page_count, incumbent, lb, deadline, opts.node_limit, nodes)
-    max_pages = opts.max_pages
-    if not search.stop and (max_pages is None or lb <= max_pages):
+    search.reset(incumbent.page_count, incumbent, lb)
+    if lb < search.cap():
         search.check_budget()  # an earlier block may have spent it
-        _search_orders(sub, search, max_pages)
-
-    best = search.best
-    if search.budget_hit and best > lb:
-        lower = lb
-    elif max_pages is not None and best > max_pages:
-        lower = max(max_pages + 1, lb)
-    else:
-        lower = best
+        _search_orders(sub, search)
     w = search.witness
     # verts is sorted, so local edges (u < v) map to normalized edges
     pages = {(verts[u], verts[v]): p for (u, v), p in w.pages.items()}
-    return best, lower, [verts[v] for v in w.order], pages, search.nodes
+    return search.best, search.lower(), [verts[v] for v in w.order], pages
 
 
 def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverReport:
@@ -574,25 +576,15 @@ def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverR
     """
     opts = opts or SolverOptions()
     start = time.monotonic()
+    search = _Search(opts, start)
     n = g.n
-    if g.m == 0:
-        emb = BookEmbedding(tuple(range(n)), {}, 0)
-        return SolverReport(SolverStatus.EXACT, 0, 0, emb, 0, time.monotonic() - start)
-
-    deadline = start + opts.time_budget if opts.time_budget is not None else None
-    upper = lower = nodes = 0
+    upper = lower = 0
     pages: dict[tuple[int, int], int] = {}
     nxt = [-1] * n  # the spliced order as a linked list of runs
     placed = [False] * n
     heads: list[int] = []
     for root, edges in reversed(_blocks(g)):
-        if len(edges) == 1:  # a bridge: one page, no search
-            (u, v), = edges
-            b_upper = b_lower = 1
-            b_order, b_pages = [u, v], {_norm_edge(u, v): 1}
-        else:
-            b_upper, b_lower, b_order, b_pages, nodes = _solve_block(
-                g, edges, opts, deadline, nodes)
+        b_upper, b_lower, b_order, b_pages = _solve_block(edges, search)
         upper, lower = max(upper, b_upper), max(lower, b_lower)
         pages.update(b_pages)
 
@@ -621,11 +613,11 @@ def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverR
     else:
         status = SolverStatus.TIMEOUT
     witness = BookEmbedding(tuple(order), pages, upper)
-    return SolverReport(status, upper, lower, witness, nodes, time.monotonic() - start)
+    return SolverReport(status, upper, lower, witness, search.nodes, time.monotonic() - start)
 
 
 def is_outerplanar(g: Graph) -> bool:
     """True iff the graph fits on one page (edgeless graphs count).  With
-    the cap at one page no block is searched: each is a bridge, is settled
-    by `_outerplanar_cycle`, or needs two pages, so this costs O(m log m)."""
+    the cap at one page no block is searched: each is settled by
+    `_outerplanar_cycle` or needs two pages, so this costs O(m log m)."""
     return book_thickness_exact(g, SolverOptions(max_pages=1)).book_thickness <= 1

@@ -86,7 +86,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     axiom: list[str] = []
     smoothness: list[str] = []
     nb = len(bags)
-    width = max(map(len, bags), default=0) - 1
+    width = max(map(len, sets), default=0) - 1
 
     # host tree shape
     adj: list[list[int]] = [[] for _ in range(nb)]
@@ -138,7 +138,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     axiom.extend(f"bags containing vertex {v} are disconnected in the host tree" for v in split)
 
     # smoothness: uniform bag size width+1, adjacent bags share exactly width
-    for idx, b in enumerate(bags):
+    for idx, b in enumerate(sets):
         if len(b) != width + 1:
             smoothness.append(f"bag {idx} has size {len(b)}, expected {width + 1}")
     off = sorted((e, len(s)) for e, s in shared.items() if len(s) != width)
@@ -162,7 +162,7 @@ def _containers(td: TreeDecomposition) -> tuple[tuple, list[frozenset], tuple] |
     """td's bags and tree edges as tuples, plus each bag as a frozenset, or a
     one-line violation naming the first that is not a finite collection (of
     hashable ids, for a bag).  The tuples keep each container's own order,
-    length and repeats, so reports on well-formed input do not change."""
+    so findings come in the order given; sizes are read off the sets."""
     try:
         bags = tuple(td.bags)
     except TypeError:

@@ -11,6 +11,7 @@ from bookembed import (
     TreeDecomposition,
     complete_bipartite,
     complete_graph,
+    is_k_tree,
     validate_decomposition,
     validate_embedding,
 )
@@ -47,14 +48,16 @@ def test_gen_text_format_round_trips(capsys):
 
 
 def test_gen_with_treedec(capsys):
-    code, out, _ = _run(capsys, "gen", "--family", "random-ktree", "--n", "12", "--k", "2",
-                        "--seed", "5", "--with-treedec")
-    assert code == 0
-    payload = json.loads(out)
-    g = Graph.from_json_dict(payload["graph"])
-    td = TreeDecomposition.from_json_dict(payload["decomposition"])
-    rep = validate_decomposition(g, td)
-    assert rep.valid and rep.smooth and rep.width == 2
+    # random-ktree has a certificate of its own; path-power is recognized
+    for argv, k in ((("random-ktree", "--n", "12", "--k", "2", "--seed", "5"), 2),
+                    (("path-power", "--n", "9", "--k", "3"), 3)):
+        code, out, _ = _run(capsys, "gen", "--family", *argv, "--with-treedec")
+        assert code == 0
+        payload = json.loads(out)
+        g = Graph.from_json_dict(payload["graph"])
+        td = TreeDecomposition.from_json_dict(payload["decomposition"])
+        rep = validate_decomposition(g, td)
+        assert rep.valid and rep.smooth and rep.width == k
 
 
 def test_gen_usage_errors(capsys):
@@ -65,6 +68,21 @@ def test_gen_usage_errors(capsys):
     code, _, err = _run(capsys, "gen", "--family", "complete", "--n", "4",
                         "--with-treedec", "--format", "text")
     assert code == 2
+    code, out, err = _run(capsys, "gen", "--family", "split", "--k", "3", "--m", "0",
+                          "--with-treedec")  # K3 is no 3-tree
+    assert code == 2 and out == "" and "not available" in err
+    code, out, err = _run(capsys, "gen", "--family", "random-ktree", "--n", "9", "--k", "2",
+                          "--with-treedec", "--format", "text")
+    assert code == 2 and out == "" and "requires JSON output" in err
+
+
+def test_gen_complete_bipartite_and_dujwoo(capsys):
+    code, out, _ = _run(capsys, "gen", "--family", "complete-bipartite", "--k", "2", "--m", "3")
+    assert code == 0 and Graph.from_json(out).n == 5
+    code, out, _ = _run(capsys, "gen", "--family", "dujwoo", "--k", "3", "--m", "2")
+    assert code == 0
+    g = Graph.from_json(out)
+    assert (g.n, g.m) == (7, 15) and is_k_tree(g, 3) is not None
 
 
 def test_unknown_family_and_command_exit_2(capsys):
@@ -234,12 +252,13 @@ def test_embed_first_fit_rejects_a_bad_order(capsys, tmp_path):
     gpath = tmp_path / "k5.json"
     gpath.write_text(complete_graph(5).to_json())
     opath = tmp_path / "bad.json"
-    opath.write_text(json.dumps([0, 1, 2, 2, 3]))
-    code, out, err = _run(capsys, "embed", "--graph", str(gpath), "--method", "first-fit",
-                          "--order", str(opath))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    for bad, message in (([0, 1, 2, 2, 3], "error:"),
+                         ({"order": [0, 1, 2, 3, 4]}, "expected a JSON list")):
+        opath.write_text(json.dumps(bad))
+        code, out, err = _run(capsys, "embed", "--graph", str(gpath), "--method",
+                              "first-fit", "--order", str(opath))
+        _assert_one_line_error(code, out, err)
+        assert message in err
 
 
 # ---- treedec validate ----

@@ -161,13 +161,16 @@ def test_crossing_clique_fixed_cases():
 
 
 def test_fan_edges_cross_pairwise():
-    g = complete_split(4, 9)
-    order = [0] + list(range(4, 13)) + [3, 2, 1]
+    # m = 17 gives 74 edges, past the exact clique search's 64, so the
+    # greedy clique answers; it still finds the fan
     fan = [(0, 7), (1, 6), (2, 5), (3, 4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert crosses(order, fan[i], fan[j])
-    assert crossing_clique_lower_bound(g, order) == 4
+    for m in (9, 17):
+        g = complete_split(4, m)
+        order = [0] + list(range(4, 4 + m)) + [3, 2, 1]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert crosses(order, fan[i], fan[j])
+        assert crossing_clique_lower_bound(g, order) == 4 == min_pages_for_order(g, order)
 
 
 def test_crossing_clique_never_exceeds_best_assignment():

@@ -1,5 +1,7 @@
 """Exact solver: known values, brute-force equivalence, budgets, determinism."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -508,3 +510,41 @@ def test_matches_brute_force_on_relabelled_graphs(g):
     assert rep.book_thickness == book_thickness_brute(g)
     res = validate_embedding(g, rep.witness)
     assert res.ok and res.pages_used == rep.book_thickness
+
+
+# ---- pinned reports ----
+
+
+def _pinned_graphs():
+    # edgeless, a forest with isolated vertices, the pendant graph, seeded
+    # G(n, p) with n <= 9 (one of them disconnected), and three dense pieces
+    # glued at cut vertices, so that a budget spent on one block carries over
+    forest = Graph(9, [(0, 1), (1, 2), (1, 3), (5, 6), (6, 7)])
+    graphs = [Graph(1), Graph(5), forest, _pendant_graph()]
+    rng = random.Random(2024)
+    for n in (5, 6, 7, 7, 8, 8, 8, 9, 9, 9):
+        p = rng.choice((0.3, 0.5, 0.6, 0.75))
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p]))
+    n, edges = 1, []
+    for piece in (graphs[6], graphs[9], graphs[12]):  # 6, 358 and 32 nodes apart
+        edges += [(u + n - 1, v + n - 1) for u, v in piece.edges]
+        n += piece.n - 1
+    return graphs + [Graph(n, edges)]
+
+
+@pytest.mark.parametrize("kw, digest", [
+    ({}, "ce5584ea3e05770d79551fa2d1c5d0d3135462c0e509e9850c4eaf4963a066a8"),
+    ({"max_pages": 1}, "2832d70fe29ffb5d902ee7b8f3b307789e64dd28960309feb69c41526db2a8c4"),
+    ({"max_pages": 2}, "6187289b271bb89918d4bb5f27c81ca54eaee36d5cc27db1d66c56d8f9eb37c9"),
+    ({"node_limit": 7}, "d6d1939b6803ba9cd473b190c5f7240d63dceed616a98d015567ef2f099e64e6"),
+])
+def test_reports_are_pinned(kw, digest):
+    # status, bounds, node count and witness of every report, byte for byte
+    reports = []
+    for g in _pinned_graphs():
+        rep = _bt(g, **kw).to_json_dict()
+        del rep["elapsed"]
+        reports.append(rep)
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

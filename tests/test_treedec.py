@@ -265,11 +265,16 @@ def test_a_bag_without_a_length_is_a_violation():
 
 def test_list_bags_are_checked_as_sets():
     # a bag given as a list is read as its set of members, also where two
-    # bags meet on a tree edge
+    # bags meet on a tree edge, and a member named twice counts once, for
+    # the width and for smoothness
     td = TreeDecomposition(([0, 1, 2], [2, 1, 3]), ((0, 1),))
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     rep = validate_decomposition(g, td)
     assert rep.valid and rep.smooth and rep.width == 2 and rep.max_degree == 1
+    for n, bags, tree_edges in ((2, ([0, 0, 1],), ()), (3, ([0, 0, 1], [1, 2]), ((0, 1),))):
+        g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        rep = validate_decomposition(g, TreeDecomposition(bags, tree_edges))
+        assert rep.valid and rep.smooth and rep.width == 1 and rep.violations == ()
 
 
 # ---- serialization ----
