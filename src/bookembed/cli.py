@@ -134,12 +134,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bt(args: argparse.Namespace) -> int:
+    with _reading("bt"):
+        opts = SolverOptions(
+            max_pages=args.max_pages,
+            time_budget=args.time_budget,
+            node_limit=args.node_limit,
+        )
     g = _load_graph(args.graph)
-    opts = SolverOptions(
-        max_pages=args.max_pages,
-        time_budget=args.time_budget,
-        node_limit=args.node_limit,
-    )
     report = book_thickness_exact(g, opts)
     _emit(report.to_json_dict())
     if args.witness and report.witness is not None:

@@ -27,6 +27,17 @@ exactly the completed arcs that strictly contain its placed endpoint,
 whatever order the rest takes (see `_Prefix.needs`).  At a leaf the order's
 exact page count is the chromatic number of its crossing graph, computed by
 backtracking coloring seeded with a maximal pairwise-crossing set.
+
+Whether two pages can still suffice is kept up to date, in a parity
+union-find with an undo log, and the two-page graph has more edges: two
+placed vertices u1 before u2 that share two unplaced neighbours x and y
+have crossing edges in every completion, (u1, first of x, y) across
+(u2, second).  On two pages, any completed arc over a placed vertex puts
+all its pending edges on the page the arc does not use, so when both have
+such an arc their pending edges take different pages.  A placed vertex
+keeps its links after its last neighbour is placed.  That is sound, as its
+last edge was one of its pending edges and has their page, and it adds
+nothing, as that edge crosses exactly the arcs the vertex was linked to.
 """
 
 from __future__ import annotations
@@ -57,6 +68,13 @@ class SolverOptions:
     max_pages: int | None = None  # stop distinguishing values above this
     time_budget: float | None = None  # seconds of wall clock
     node_limit: int | None = None  # search nodes (placements)
+
+    def __post_init__(self) -> None:
+        # zero is legal (a zero budget stops at once); negative or NaN is not
+        for name in ("max_pages", "time_budget", "node_limit"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be at least 0, got {value}")
 
 
 @dataclass
@@ -228,25 +246,40 @@ class _Prefix:
     `arcs`, `masks` and `edges` hold the completed edges (both endpoints
     placed): arc t's (left, right) positions, its crossings as a bitmask
     over arcs, and its edge.  Bit t of `cover[a]` says arc t strictly
-    contains position a, bit a of `pend` says the vertex at position a
-    still has an unplaced neighbour, and `unplaced[v]` counts v's unplaced
-    neighbours.  `place` and `unplace` keep all of them, so no node
-    rebuilds them.
+    contains position a, and bit a of `covered` says some arc does.  Bit v
+    of `free` says vertex v is unplaced, `nbr[v]` is v's neighbour mask, and
+    bit a of `pend` says the vertex at position a still has an unplaced
+    neighbour.
+
+    The two-page verdict is a parity union-find over one node per position
+    (its hub) and one per arc (node n + t), with union by rank, no path
+    compression and an undo log: `up`, `par` (parity to the parent),
+    `rank`, `log`, and `odd` once a link closes an odd cycle.  `place` and
+    `unplace` keep all of it, so no node rebuilds any of it.
     """
 
-    __slots__ = ("neigh", "order", "pos", "edges", "arcs", "masks", "cover", "unplaced", "pend")
+    __slots__ = ("neigh", "nbr", "order", "pos", "edges", "arcs", "masks", "cover",
+                 "covered", "free", "pend", "up", "par", "rank", "log", "odd")
 
     def __init__(self, g: Graph) -> None:
         n = g.n
         self.neigh = [sorted(g.neighbors(v)) for v in range(n)]
+        self.nbr = [sum(1 << u for u in nb) for nb in self.neigh]
         self.order = [-1] * n
         self.pos = [-1] * n
         self.edges: list[tuple[int, int]] = []
         self.arcs: list[tuple[int, int]] = []
         self.masks: list[int] = []
         self.cover = [0] * n
-        self.unplaced = [len(nb) for nb in self.neigh]
+        self.covered = 0
+        self.free = (1 << n) - 1
         self.pend = 0
+        nodes = n + len(g.edges)
+        self.up = list(range(nodes))
+        self.par = [0] * nodes
+        self.rank = [0] * nodes
+        self.log: list[int] = []  # 2 * attached root + whether its new root's rank grew
+        self.odd = False
 
     def place(self, v: int, d: int) -> tuple:
         """Put v at position d, the first free one; returns what `unplace`
@@ -255,15 +288,16 @@ class _Prefix:
         Each new arc (a, d) ends at the rightmost position, so it crosses an
         earlier arc (x, y) iff x < a < y: its crossings are cover[a], taken
         before this placement's arcs, which share the endpoint d."""
-        pos, cover, unplaced = self.pos, self.cover, self.unplaced
+        pos, cover, nbr = self.pos, self.cover, self.nbr
         arcs, masks, edges = self.arcs, self.masks, self.edges
-        undo = (len(arcs), masks[:], cover[:], unplaced[:], self.pend)
+        first = len(arcs)
+        undo = (first, masks[:], cover[:], self.covered, self.pend, len(self.log), self.odd)
         self.order[d] = v
         pos[v] = d
-        earlier = (1 << len(arcs)) - 1
-        pend = self.pend
+        free = self.free = self.free & ~(1 << v)
+        earlier = (1 << first) - 1
+        pend, covered = self.pend, self.covered
         for u in self.neigh[v]:
-            unplaced[u] -= 1
             a = pos[u]
             if a >= 0:
                 bit = 1 << len(arcs)
@@ -277,18 +311,91 @@ class _Prefix:
                 edges.append((u, v) if u < v else (v, u))
                 for i in range(a + 1, d):
                     cover[i] |= bit
-                if not unplaced[u]:
+                covered |= (1 << d) - (2 << a)
+                if not nbr[u] & free:
                     pend &= ~(1 << a)
-        if unplaced[v]:
+        if nbr[v] & free:
             pend |= 1 << d
         self.pend = pend
+        fresh = covered & ~self.covered & pend
+        self.covered = covered
+        if not self.odd:
+            self._link(first, fresh)
         return undo
 
     def unplace(self, v: int, undo: tuple) -> None:
         """Undo `place(v, d)`, which returned `undo`."""
-        t, self.masks[:], self.cover[:], self.unplaced[:], self.pend = undo
+        t, self.masks[:], self.cover[:], self.covered, self.pend, size, self.odd = undo
         del self.arcs[t:], self.edges[t:]
+        up, par, rank, log = self.up, self.par, self.rank, self.log
+        while len(log) > size:
+            e = log.pop()
+            r = e >> 1
+            if e & 1:
+                rank[up[r]] -= 1
+            up[r] = r
+            par[r] = 0
         self.pos[v] = -1
+        self.free |= 1 << v
+
+    def _differ(self, x: int, others: int) -> bool:
+        """Link node x to each node in the bitmask `others` as crossing it:
+        on the other side.  Returns False, with `odd` set, at the first link
+        that closes an odd cycle."""
+        up, par, rank, log = self.up, self.par, self.rank, self.log
+        p = 0  # x's parity to its root, which x then names
+        while up[x] != x:
+            p ^= par[x]
+            x = up[x]
+        while others:
+            y = (others & -others).bit_length() - 1
+            others &= others - 1
+            w = p ^ 1  # the parity y's root must take under x's
+            while up[y] != y:
+                w ^= par[y]
+                y = up[y]
+            if y == x:
+                if w:
+                    self.odd = True
+                    return False
+            elif rank[x] < rank[y]:
+                up[x], par[x] = y, w
+                log.append(2 * x)
+                x, p = y, p ^ w
+            else:
+                up[y], par[y] = x, w
+                grew = rank[x] == rank[y]
+                rank[x] += grew
+                log.append(2 * y + grew)
+        return True
+
+    def _link(self, first: int, fresh: int) -> None:
+        """Add the links of the arcs from `first` on and the forced pairs of
+        the pending hubs in `fresh`, whose cover just became nonempty, up to
+        the first odd cycle.  Arc t, at (a, d), is node n + t: it crosses its
+        earlier crossings and the hubs still pending strictly inside it."""
+        n, pend, masks = len(self.order), self.pend, self.masks
+        for t in range(first, len(self.arcs)):
+            a, d = self.arcs[t]
+            if not self._differ(n + t, masks[t] << n | pend & ((1 << d) - (2 << a))):
+                return
+        order, nbr, free = self.order, self.nbr, self.free
+        partners = pend & self.covered
+        while fresh:
+            i = (fresh & -fresh).bit_length() - 1
+            fresh &= fresh - 1
+            partners &= ~(1 << i)  # each pair once
+            shared = nbr[order[i]] & free
+            forced = 0
+            c = partners
+            while c:
+                j = (c & -c).bit_length() - 1
+                c &= c - 1
+                both = shared & nbr[order[j]]
+                if both & (both - 1):
+                    forced |= 1 << j
+            if not self._differ(i, forced):
+                return
 
     def hubs(self) -> list[int]:
         """The nonzero `cover` masks of positions whose vertex has an
@@ -302,48 +409,6 @@ class _Prefix:
                 out.append(c)
         return out
 
-    def bipartite(self) -> bool:
-        """Whether the partial crossing graph is 2-colourable.  Hubs with no
-        arc are isolated, so a search from every arc meets the rest: the
-        hubs next to arc (a, b) are the pending positions strictly inside
-        it, and each puts all the arcs it crosses on one side, the side of
-        the arc it was reached from."""
-        masks, arcs, cover = self.masks, self.arcs, self.cover
-        side = [-1] * len(masks)
-        fresh = self.pend  # hubs not reached yet
-        for s in range(len(masks)):
-            if side[s] >= 0:
-                continue
-            side[s] = 0
-            stack = [s]
-            while stack:
-                t = stack.pop()
-                here = side[t]
-                mk = masks[t]
-                while mk:
-                    u = (mk & -mk).bit_length() - 1
-                    mk &= mk - 1
-                    if side[u] < 0:
-                        side[u] = here ^ 1
-                        stack.append(u)
-                    elif side[u] == here:
-                        return False
-                a, b = arcs[t]
-                hubs = fresh & ((1 << b) - (2 << a))
-                fresh &= ~hubs
-                while hubs:
-                    c = cover[(hubs & -hubs).bit_length() - 1]
-                    hubs &= hubs - 1
-                    while c:
-                        u = (c & -c).bit_length() - 1
-                        c &= c - 1
-                        if side[u] < 0:
-                            side[u] = here
-                            stack.append(u)
-                        elif side[u] != here:
-                            return False
-        return True
-
     def needs(self, pages: int) -> bool:
         """True when every completion of this prefix needs at least `pages`
         pages: the partial crossing graph is not empty (2 pages), not
@@ -354,28 +419,49 @@ class _Prefix:
         neighbour.  Any edge (u, w) with w unplaced ends to the right of
         every completed arc (x, y), so it crosses (x, y) iff x < a < y, in
         every completion; the hub stands for all such edges of u, which
-        share an endpoint and cross nothing else known yet.  Two hubs get no
-        edge, although their edges may cross once placed.  So every
-        completion's crossing graph contains this graph as a subgraph, and
-        needs at least as many pages.  Hubs are pairwise non-adjacent, so a
-        clique holds at most one, and a clique through a hub is the hub
-        plus a clique among the arcs it crosses.
+        share an endpoint.  So every completion's crossing graph contains
+        this graph as a subgraph, and needs at least as many pages.  For
+        t >= 3 hubs are pairwise non-adjacent, so a clique holds at most
+        one, and a clique through a hub is the hub plus a clique among the
+        arcs it crosses.
+
+        For 3 pages the graph also gains forced hub pairs.  Let u1 and u2,
+        at positions a1 < a2, both have an unplaced neighbour and a
+        nonempty cover, and share two unplaced neighbours x and y.
+        Whichever of x and y comes first, (u1, first) crosses (u2, second),
+        since a1 < a2 < first < second.  On two pages an arc in a hub's
+        cover crosses all of the hub's pending edges, which puts them all
+        on the other page: each hub has one page, and the pair's hubs have
+        different pages, so the hubs are linked.  With at most one shared
+        neighbour no crossing is forced: placing u2's other neighbours
+        first, then the shared one, then u1's, crosses none of u2's
+        pending edges with u1's.  Common unplaced neighbours only shrink,
+        so a pair qualifies exactly when the later of its covers becomes
+        nonempty, and is checked then.
+
+        A hub keeps its links once its last neighbour w is placed.  That
+        stays sound: (u, w) was one of its pending edges, so on two pages
+        the hub's page is the page of arc (u, w).  And it adds nothing: the
+        hub's arc links are exactly the crossings of (u, w).  A forced pair
+        likewise stops qualifying only once the first shared neighbour x is
+        placed, and then arc (u1, x) crosses u2's pending edges and shares
+        its crossings, the arcs over u1, with u1's hub.  So the union-find
+        verdict is that of the graph on the current prefix.
         """
         t = pages - 1
-        masks = self.masks
         if t <= 0:
-            return bool(masks) or bool(self.pend)
-        hubs = self.hubs()
-        if not hubs and not any(masks):
+            return bool(self.masks) or bool(self.pend)
+        if not self.log:  # no link, so no edge at all
             return False
         if t == 1:
             return True
         if t == 2:
-            return not self.bipartite()
+            return self.odd
+        masks = self.masks
         if _greedy_clique_mask(masks, (1 << len(masks)) - 1).bit_count() > t:
             return True
         return any(c.bit_count() >= t and _greedy_clique_mask(masks, c).bit_count() >= t
-                   for c in hubs)
+                   for c in self.hubs())
 
 
 def _search_orders(g: Graph, search: _Search) -> None:

@@ -129,6 +129,17 @@ def test_bt_respects_budgets(capsys, tmp_path):
     assert report["lower_bound"] == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-pages", "-1"), ("--node-limit", "-5"), ("--time-budget", "-1"),
+])
+def test_bt_negative_budgets_and_caps_are_usage_errors(capsys, tmp_path, flag, value):
+    gpath = tmp_path / "k33.json"
+    gpath.write_text(complete_bipartite(3, 3).to_json())
+    code, out, err = _run(capsys, "bt", "--graph", str(gpath), flag, value)
+    _assert_one_line_error(code, out, err)
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_check_flags_bad_embedding(capsys, tmp_path):
     g = complete_graph(4)
     gpath = tmp_path / "k4.json"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -113,7 +114,7 @@ def test_matches_brute_force_on_random_six_vertex_graphs():
 
 
 def _needs_search():
-    # bt 3 but root bound 2, so the answer takes ~1.9k search nodes; complete
+    # bt 3 but root bound 2, so the answer takes ~1.2k search nodes; complete
     # graphs close at the root and cannot exercise the budgets
     return random_connected_graph(9, random.Random(9), 0.5)
 
@@ -156,6 +157,24 @@ def test_root_bound_closes_complete_graphs():
         assert rep.book_thickness == rep.lower_bound == 4
         assert rep.nodes_explored <= 10
         assert validate_embedding(complete_graph(n), rep.witness).ok
+
+
+@pytest.mark.parametrize("kw", [{"max_pages": -1}, {"node_limit": -5}, {"time_budget": -1.0},
+                                {"time_budget": float("nan")}])
+def test_negative_budgets_and_caps_are_rejected(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        SolverOptions(**kw)
+
+
+def test_zero_budgets_and_caps_are_legal():
+    rep = _bt(_needs_search(), time_budget=0.0)
+    assert rep.status is SolverStatus.TIMEOUT and rep.nodes_explored == 0
+    rep = _bt(_needs_search(), node_limit=0)
+    assert rep.status is SolverStatus.TIMEOUT and rep.nodes_explored == 0
+    rep = _bt(Graph(3), max_pages=0)
+    assert rep.status is SolverStatus.EXACT and rep.book_thickness == 0
+    rep = _bt(complete_graph(3), max_pages=0)
+    assert rep.status is SolverStatus.LOWER_BOUND_ONLY and rep.lower_bound == 1
 
 
 def test_budget_irrelevant_when_bound_met_early():
@@ -402,7 +421,8 @@ def _literal_prefix_graph(g, order, d):
     the completed edges, crossing as the brute-force test says, and one hub
     per placed vertex with an unplaced neighbour, joined to the completed
     edges whose endpoints lie on both sides of it.  Returns (completed
-    edges, hub -> crossed edges, crossing pairs)."""
+    edges, hub -> crossed edges, crossing pairs, forced hub pairs: hubs
+    that both cross some edge and share two unplaced neighbours)."""
     placed = order[:d + 1]
     pos = {v: i for i, v in enumerate(placed)}
     done = {e for e in g.edges if e[0] in pos and e[1] in pos}
@@ -413,7 +433,11 @@ def _literal_prefix_graph(g, order, d):
                                 if min(pos[e[0]], pos[e[1]]) < pos[v] < max(pos[e[0]], pos[e[1]]))
     pairs = {frozenset((e, f)) for e in done for f in done
              if _arc_crossing(tuple(placed), e, f)}
-    return done, hubs, pairs
+    unplaced = set(range(g.n)) - set(placed)
+    forced = {frozenset((u1, u2)) for u1 in hubs for u2 in hubs
+              if u1 != u2 and hubs[u1] and hubs[u2]
+              and len(set(g.neighbors(u1)) & set(g.neighbors(u2)) & unplaced) >= 2}
+    return done, hubs, pairs, forced
 
 
 def _two_colourable(links):
@@ -447,9 +471,27 @@ def _some_edges(draw, n, most):
 
 
 @st.composite
-def _graphs_and_orders(draw):
-    n = draw(st.integers(2, 8))
+def _graphs_and_orders(draw, most=8):
+    n = draw(st.integers(2, most))
     return Graph(n, _some_edges(draw, n, 28)), draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_graphs_and_orders(7))
+def test_two_shared_unplaced_neighbours_force_a_crossing(case):
+    """Let u1 come before u2 in a prefix.  If they share two unplaced
+    neighbours, a pending edge of u1 crosses a pending edge of u2 in every
+    completion; with one shared neighbour or none, some completion has no
+    such crossing.  Every completion is tried."""
+    g, order = case
+    for d in range(1, g.n - 1):
+        placed, rest = order[:d + 1], order[d + 1:]
+        for u1, u2 in combinations(placed, 2):
+            n1, n2 = ([w for w in g.neighbors(u) if w in rest] for u in (u1, u2))
+            crossing = [any(_arc_crossing(tuple(placed) + tail, _norm_edge(u1, x), _norm_edge(u2, y))
+                            for x in n1 for y in n2)
+                        for tail in permutations(rest)]
+            assert all(crossing) == (len(set(n1) & set(n2)) >= 2)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -459,9 +501,10 @@ def test_prefix_bound_never_exceeds_the_full_order(case):
     completed edges its hub does, so the full order's page assignment, each
     hub taking one of its pending edges' pages, is a proper coloring of the
     partial crossing graph: that graph needs no more pages than the order.
-    The solver's incremental prefix holds exactly that graph, tells edges
-    and odd cycles in it as a literal search does, never claims more pages
-    than the order needs, and unwinds to empty."""
+    On two pages it also colours the forced hub pairs properly.  The
+    solver's incremental prefix holds exactly that graph, tells edges and
+    odd cycles in it as a literal search does, never claims more pages than
+    the order needs, and unwinds to empty."""
     g, order = case
     edges = list(g.edges)
     crossed = {e: {f for f in edges if _arc_crossing(tuple(order), e, f)} for e in edges}
@@ -472,26 +515,35 @@ def test_prefix_bound_never_exceeds_the_full_order(case):
     placed = []
     for d, v in enumerate(order):
         placed.append((v, prefix.place(v, d)))
-        done, hubs, pairs = _literal_prefix_graph(g, order, d)
+        done, hubs, pairs, forced = _literal_prefix_graph(g, order, d)
+        pending = {u: [_norm_edge(u, w) for w in g.neighbors(u) if w not in order[:d + 1]]
+                   for u in hubs}
         for u, hub_crossed in hubs.items():
-            pending = [_norm_edge(u, w) for w in g.neighbors(u) if w not in order[:d + 1]]
-            assert all(crossed[e] & done == hub_crossed for e in pending)
-            assert all(page[pending[0]] != page[e] for e in hub_crossed)
+            assert all(crossed[e] & done == hub_crossed for e in pending[u])
+            assert all(page[pending[u][0]] != page[e] for e in hub_crossed)
+            if pages == 2 and hub_crossed:
+                assert len({page[e] for e in pending[u]}) == 1
         assert all(page[e] != page[f] for e, f in map(tuple, pairs))
+        if pages == 2:
+            assert all(page[pending[u1][0]] != page[pending[u2][0]] for u1, u2 in map(tuple, forced))
         assert set(prefix.edges) == done
         assert {prefix.order[a]: frozenset(prefix.edges[t] for t in _bits(prefix.cover[a]))
                 for a in _bits(prefix.pend)} == hubs
         assert {frozenset((prefix.edges[i], prefix.edges[j]))
                 for i, mk in enumerate(prefix.masks) for j in _bits(mk)} == pairs
         links = [tuple(p) for p in pairs] + [(("hub", u), e) for u, es in hubs.items() for e in es]
+        links += [(("hub", u1), ("hub", u2)) for u1, u2 in map(tuple, forced)]
         assert prefix.needs(2) == bool(links)
-        assert prefix.bipartite() == _two_colourable(links)
+        assert prefix.needs(3) == (not _two_colourable(links))
         assert not prefix.needs(pages + 1)
     for v, added in reversed(placed):
         prefix.unplace(v, added)
-    assert (prefix.edges, prefix.masks, prefix.pend) == ([], [], 0)
+    assert (prefix.edges, prefix.masks, prefix.pend, prefix.covered) == ([], [], 0, 0)
     assert prefix.cover == [0] * g.n and prefix.pos == [-1] * g.n
-    assert prefix.unplaced == [g.degree(v) for v in range(g.n)]
+    assert prefix.free == (1 << g.n) - 1
+    nodes = g.n + g.m
+    assert (prefix.up, prefix.par, prefix.rank) == (list(range(nodes)), [0] * nodes, [0] * nodes)
+    assert prefix.log == [] and not prefix.odd
 
 
 @st.composite
@@ -533,18 +585,34 @@ def _pinned_graphs():
     return graphs + [Graph(n, edges)]
 
 
-@pytest.mark.parametrize("kw, digest", [
-    ({}, "ce5584ea3e05770d79551fa2d1c5d0d3135462c0e509e9850c4eaf4963a066a8"),
-    ({"max_pages": 1}, "2832d70fe29ffb5d902ee7b8f3b307789e64dd28960309feb69c41526db2a8c4"),
-    ({"max_pages": 2}, "6187289b271bb89918d4bb5f27c81ca54eaee36d5cc27db1d66c56d8f9eb37c9"),
-    ({"node_limit": 7}, "d6d1939b6803ba9cd473b190c5f7240d63dceed616a98d015567ef2f099e64e6"),
-])
-def test_reports_are_pinned(kw, digest):
-    # status, bounds, node count and witness of every report, byte for byte
+def _pinned_digest(kw, fields=None):
+    # sha256 of every report without `elapsed`, or of just `fields` of each
     reports = []
     for g in _pinned_graphs():
         rep = _bt(g, **kw).to_json_dict()
         del rep["elapsed"]
-        reports.append(rep)
-    blob = json.dumps(reports, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == digest
+        reports.append(rep if fields is None else [rep[f] for f in fields])
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kw, digest", [
+    ({}, "57b9895b8268008651ca81e1d446b4a23810d4f8d7579a6503cbef8c1dbd35d1"),
+    ({"max_pages": 1}, "2832d70fe29ffb5d902ee7b8f3b307789e64dd28960309feb69c41526db2a8c4"),
+    ({"max_pages": 2}, "e61f38af9cb97e862e74bc71232dcf5c1312e6d57bafa684b90021b083ef475b"),
+    ({"node_limit": 7}, "d6d1939b6803ba9cd473b190c5f7240d63dceed616a98d015567ef2f099e64e6"),
+])
+def test_reports_are_pinned(kw, digest):
+    # status, bounds, node count and witness of every report, byte for byte
+    assert _pinned_digest(kw) == digest
+
+
+@pytest.mark.parametrize("kw, digest", [
+    ({}, "1d884622c7c4ab90a0c84c97403314354f0a6acbdef9c4813d7823d036e5b870"),
+    ({"max_pages": 1}, "913969f8191d7d12728cd5e0c91aba1ef134e54af7fedbeccc4e230eee6e7406"),
+    ({"max_pages": 2}, "3c7f07db912f7294b735fef8dfe5bc352c2974b5b745da6166d82d091859d323"),
+    ({"node_limit": 7}, "b66459dc2e901fc578505b94842cba5115363990e264441b8bf4cc62ffccb2fa"),
+])
+def test_report_values_are_pinned(kw, digest):
+    # the values alone: a change to the search may move node counts and
+    # witnesses, but never a status or a bound
+    assert _pinned_digest(kw, ("status", "book_thickness", "lower_bound")) == digest
