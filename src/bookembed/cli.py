@@ -12,8 +12,9 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import constructions
 from .bruteforce import oracle_suite
+from .constructions import (build_q, complete_bipartite, complete_split, dujwoo_gadget,
+                            path_power, random_ktree)
 from .embedding import BookEmbedding, validate_embedding
 from .errors import BookEmbedError, InvalidInput
 from .graph import Graph, _json_text, complete_graph, is_k_tree
@@ -77,36 +78,38 @@ def _load_embedding(path: str) -> BookEmbedding:
 # ---- gen ----
 
 
+def _gen_q(args: argparse.Namespace) -> tuple[Graph, TreeDecomposition]:
+    art = build_q(args.k, args.n)
+    return art.graph, art.decomposition
+
+
+def _gen_random_ktree(args: argparse.Namespace) -> tuple[Graph, TreeDecomposition]:
+    g, cert = random_ktree(args.n, args.k, args.seed)
+    return g, decomposition_from_certificate(cert)
+
+
+# family -> (required parameters, builder returning the graph and its
+# decomposition or None); the keys are `gen --family`'s choices, in order
+_FAMILIES = {
+    "complete": (("n",), lambda a: (complete_graph(a.n), None)),
+    "split": (("k", "m"), lambda a: (complete_split(a.k, a.m), None)),
+    "q": (("k",), _gen_q),
+    "path-power": (("n", "k"), lambda a: (path_power(a.n, a.k), None)),
+    "dujwoo": (("k", "m"), lambda a: (dujwoo_gadget(a.k, a.m), None)),
+    "complete-bipartite": (("k", "m"), lambda a: (complete_bipartite(a.k, a.m), None)),
+    "random-ktree": (("n", "k"), _gen_random_ktree),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     fam = args.family
-    need = {
-        "complete": ("n",), "complete-bipartite": ("k", "m"), "split": ("k", "m"),
-        "q": ("k",), "path-power": ("n", "k"), "dujwoo": ("k", "m"),
-        "random-ktree": ("n", "k"),
-    }[fam]
+    need, build = _FAMILIES[fam]
     for p in need:
         if getattr(args, p) is None:
             _say(f"gen --family {fam} requires --{p}")
             return 2
-
-    decomposition: TreeDecomposition | None = None
     with _reading(f"--family {fam}"):
-        if fam == "complete":
-            g = complete_graph(args.n)
-        elif fam == "complete-bipartite":
-            g = constructions.complete_bipartite(args.k, args.m)
-        elif fam == "split":
-            g = constructions.complete_split(args.k, args.m)
-        elif fam == "q":
-            art = constructions.build_q(args.k, args.n)
-            g, decomposition = art.graph, art.decomposition
-        elif fam == "path-power":
-            g = constructions.path_power(args.n, args.k)
-        elif fam == "dujwoo":
-            g = constructions.dujwoo_gadget(args.k, args.m)
-        else:
-            g, cert = constructions.random_ktree(args.n, args.k, args.seed)
-            decomposition = decomposition_from_certificate(cert)
+        g, decomposition = build(args)
 
     want_td = args.with_treedec
     if want_td and decomposition is None:
@@ -220,6 +223,8 @@ def _cmd_treedec_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if not 0 <= args.max_n <= 7:  # enumerate_graphs(8) would sweep 2^28 edge sets
+        raise InvalidInput(f"oracle: --max-n must be between 0 and 7, got {args.max_n}")
     summary = oracle_suite(max_n=args.max_n, samples=args.samples, seed=args.seed)
     _emit(summary)
     _say(
@@ -241,10 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph family member")
-    p.add_argument("--family", required=True, choices=[
-        "complete", "split", "q", "path-power", "dujwoo", "complete-bipartite",
-        "random-ktree",
-    ])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
@@ -294,10 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BookEmbedError as exc:
-        _say(f"error: {exc}")
-        return 2
-    except OSError as exc:
+    except (BookEmbedError, OSError) as exc:
         _say(f"error: {exc}")
         return 2
 

@@ -47,11 +47,11 @@ def complete_split(k: int, m: int) -> Graph:
     """
     if k < 1 or m < 0:
         raise InvalidSize("complete split graph needs k >= 1 and m >= 0")
-    edges = list(combinations(range(k), 2))
-    edges.extend((u, s) for u in range(k) for s in range(k, k + m))
-    labels = {v: "K" for v in range(k)}
-    labels.update({v: "S" for v in range(k, k + m)})
-    return Graph(k + m, edges, labels)
+    if m == 0:  # K_k, which has no (k+1)-vertex base clique
+        return Graph(k, combinations(range(k), 2), dict.fromkeys(range(k), "K"))
+    steps, labels = _lower_layers(k, m)
+    edges = _certificate(k, steps[:m - 1])._edges()  # the S-layer's steps
+    return Graph(k + m, edges, {v: labels[v] for v in range(k + m)})
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

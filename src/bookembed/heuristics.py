@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .embedding import BookEmbedding, _push_arc
-from .errors import InvalidCertificate, InvalidOrder
+from .embedding import BookEmbedding, _arcs, _check_order, _push_arc
+from .errors import InvalidCertificate
 from .graph import Graph, KTreeCertificate
 
 
@@ -21,18 +21,8 @@ def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
     open arcs per page decide each fit.  Always valid.  Raises InvalidOrder
     when `order` is not a permutation of the vertices.
     """
-    if sorted(order) != list(range(g.n)):
-        raise InvalidOrder(f"order is not a permutation of the {g.n} vertices")
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    items = []
-    for u, v in g.edges:
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        items.append((a, -b, (u, v)))
-    items.sort()
+    _check_order(g, order)
+    items = sorted((a, -b, e) for (a, b), e in zip(_arcs(g.edges, order), g.edges))
 
     stacks: list[list[tuple[int, tuple[int, int]]]] = []
     assignment: dict[tuple[int, int], int] = {}

@@ -47,12 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .embedding import (
-    BookEmbedding,
-    _greedy_clique_mask,
-    crossing_masks,
-    density_lower_bound,
-)
+from .embedding import BookEmbedding, _check_order, crossing_masks, density_lower_bound
 from .graph import Graph, _norm_edge
 from .heuristics import first_fit_pages
 
@@ -164,6 +159,25 @@ def _try_color(masks: list[int], p: int, seed: Sequence[int]) -> list[int] | Non
     return None
 
 
+def _greedy_clique_mask(masks: list[int], universe: int) -> int:
+    # grow from the highest-degree vertex, always adding the candidate with
+    # most neighbors inside the shrinking candidate set; ties to lowest id
+    clique = 0
+    cand = universe
+    while cand:
+        best_v, best_deg = -1, -1
+        c = cand
+        while c:
+            v = (c & -c).bit_length() - 1
+            c &= c - 1
+            d = (masks[v] & cand).bit_count()
+            if d > best_deg:
+                best_v, best_deg = v, d
+        clique |= 1 << best_v
+        cand &= masks[best_v]
+    return clique
+
+
 def _fewest_colours(masks: list[int], cap: int | None = None) -> tuple[int, list[int]] | None:
     """Fewest colours p < cap (no cap when None) that properly colour the
     conflict graph, with such a colouring; None if it needs cap or more.
@@ -181,7 +195,9 @@ def _fewest_colours(masks: list[int], cap: int | None = None) -> tuple[int, list
 
 def min_pages_for_order(g: Graph, order: Sequence[int]) -> int:
     """Fewest pages any assignment needs under this fixed circular order:
-    the chromatic number of the order's crossing graph.  Exact."""
+    the chromatic number of the order's crossing graph.  Exact.  Raises
+    InvalidOrder when `order` is not a permutation of the vertices."""
+    _check_order(g, order)
     return _fewest_colours(crossing_masks(g.edges, order))[0]
 
 
@@ -397,18 +413,6 @@ class _Prefix:
             if not self._differ(i, forced):
                 return
 
-    def hubs(self) -> list[int]:
-        """The nonzero `cover` masks of positions whose vertex has an
-        unplaced neighbour."""
-        out = []
-        p = self.pend
-        while p:
-            c = self.cover[(p & -p).bit_length() - 1]
-            p &= p - 1
-            if c:
-                out.append(c)
-        return out
-
     def needs(self, pages: int) -> bool:
         """True when every completion of this prefix needs at least `pages`
         pages: the partial crossing graph is not empty (2 pages), not
@@ -457,11 +461,12 @@ class _Prefix:
             return True
         if t == 2:
             return self.odd
-        masks = self.masks
+        masks, pend = self.masks, self.pend
         if _greedy_clique_mask(masks, (1 << len(masks)) - 1).bit_count() > t:
             return True
-        return any(c.bit_count() >= t and _greedy_clique_mask(masks, c).bit_count() >= t
-                   for c in self.hubs())
+        return any(pend >> a & 1 and c.bit_count() >= t
+                   and _greedy_clique_mask(masks, c).bit_count() >= t
+                   for a, c in enumerate(self.cover))
 
 
 def _search_orders(g: Graph, search: _Search) -> None:

@@ -85,6 +85,19 @@ def test_gen_complete_bipartite_and_dujwoo(capsys):
     assert (g.n, g.m) == (7, 15) and is_k_tree(g, 3) is not None
 
 
+def test_gen_families_keep_their_order_and_required_parameters(capsys):
+    first_needed = {"complete": "n", "split": "k", "q": "k", "path-power": "n",
+                    "dujwoo": "k", "complete-bipartite": "k", "random-ktree": "n"}
+    with pytest.raises(SystemExit):
+        main(["gen", "--family", "nope"])
+    err = capsys.readouterr().err
+    listed = err[err.index("choose from"):]
+    assert sorted(first_needed, key=listed.index) == list(first_needed)
+    for fam, p in first_needed.items():
+        code, out, err = _run(capsys, "gen", "--family", fam)
+        assert (code, out, err) == (2, "", f"gen --family {fam} requires --{p}\n")
+
+
 def test_unknown_family_and_command_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--family", "nope"])
@@ -324,3 +337,11 @@ def test_oracle_subcommand(capsys):
     assert summary["ok"] is True
     assert summary["bt_checked"] > 0
     assert "all agree" in err
+
+
+@pytest.mark.parametrize("max_n", ["8", "-3"])
+def test_oracle_rejects_max_n_outside_0_to_7(capsys, max_n):
+    # enumerating every graph on 8 vertices does not finish
+    code, out, err = _run(capsys, "oracle", "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert err == f"error: oracle: --max-n must be between 0 and 7, got {max_n}\n"

@@ -251,3 +251,18 @@ def test_dujwoo_gadget_output_is_pinned(k, m, digest):
     g = dujwoo_gadget(k, m)
     blob = json.dumps([g.n, g.edges, sorted(g.labels.items())]).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k, digest", [
+    (1, "3010730142ddde524267428ed1ac9e353143a9eb3988066ef334e653c3e960db"),
+    (2, "a1e5cf33cb5fec4550ed3454f8a7e5f299eb22e64baececcc6c25769d46b5ccb"),
+    (3, "78e80abf0749d76257b3dd44cb6a77913f10dfc9f3a9279864496641694037dc"),
+    (4, "2b1b8117fddb954e318c5f98272d0464151e1c525ed9ca9fab4ad70ac38bb19d"),
+    (5, "3e26009d946baef097e32abf0901bba5e0e6d8efa46f402cca0b5e73af4a8c7a"),
+    (6, "2a5518757e5b4a79c8a45d625c80f0cd507a6d4c417275a5c961552590095ba1"),
+])
+def test_complete_split_output_is_pinned(k, digest):
+    # m = 0..6 in one digest; m = 0 is K_k, which has no k-tree base clique
+    graphs = [complete_split(k, m) for m in range(7)]
+    blob = json.dumps([[g.n, g.edges, sorted(g.labels.items())] for g in graphs]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

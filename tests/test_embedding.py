@@ -1,6 +1,7 @@
 """Crossing tests, embedding validation, and page lower bounds."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bookembed import (
     BookEmbedding,
     Graph,
+    InvalidOrder,
     complete_graph,
     crosses,
     crossing_clique_lower_bound,
@@ -17,9 +19,14 @@ from bookembed import (
     first_fit_pages,
     validate_embedding,
 )
-from bookembed.bruteforce import _arc_crossing, book_thickness_brute, enumerate_graphs
+from bookembed.bruteforce import (
+    _arc_crossing,
+    book_thickness_brute,
+    enumerate_graphs,
+    random_connected_graph,
+)
 from bookembed.constructions import build_q, complete_split, random_ktree
-from bookembed.embedding import crossing_masks
+from bookembed.embedding import _arcs, _largest_crossing_set, crossing_masks
 from bookembed.solver import min_pages_for_order
 from util import cycle, random_graph, random_tree, reference_validate_embedding
 
@@ -161,8 +168,7 @@ def test_crossing_clique_fixed_cases():
 
 
 def test_fan_edges_cross_pairwise():
-    # m = 17 gives 74 edges, past the exact clique search's 64, so the
-    # greedy clique answers; it still finds the fan
+    # m = 17 gives 74 edges; the bound is exact at every edge count
     fan = [(0, 7), (1, 6), (2, 5), (3, 4)]
     for m in (9, 17):
         g = complete_split(4, m)
@@ -171,6 +177,52 @@ def test_fan_edges_cross_pairwise():
             for j in range(i + 1, 4):
                 assert crosses(order, fan[i], fan[j])
         assert crossing_clique_lower_bound(g, order) == 4 == min_pages_for_order(g, order)
+
+
+def test_crossing_clique_is_exact_past_64_edges():
+    # 65 edges, where a greedy clique over the crossing graph finds only 5;
+    # pairwise-crossing edges share no endpoint, so 6 = 13 // 2 is the most
+    rng = random.Random(8)
+    g = random_connected_graph(13, rng, 0.85)
+    order = list(range(13))
+    rng.shuffle(order)
+    assert g.m == 65
+    assert crossing_clique_lower_bound(g, order) == 6
+    fan = [(order[a], order[b]) for a, b in _largest_crossing_set(_arcs(g.edges, order))]
+    assert len(fan) == 6 and all(g.has_edge(*e) for e in fan)
+    assert all(_arc_crossing(tuple(order), e, f) for e, f in combinations(fan, 2))
+
+
+@pytest.mark.parametrize("order", [[3, 3, 3, 3], [5, 6, 7, 8], [0, 1]])
+def test_per_order_bounds_reject_orders_that_are_not_permutations(order):
+    # every order of K4 needs 2 pages, so a bound of 1 (or an IndexError)
+    # would mean the order was read as something it is not
+    for per_order in (crossing_clique_lower_bound, min_pages_for_order, first_fit_pages):
+        with pytest.raises(InvalidOrder):
+            per_order(complete_graph(4), order)
+
+
+@st.composite
+def _ordered_graphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
+    return Graph(n, edges), tuple(draw(st.permutations(range(n))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_ordered_graphs())
+def test_largest_crossing_set_matches_subset_enumeration(case):
+    g, order = case
+    arcs = _largest_crossing_set(_arcs(g.edges, order))
+    fan = [(order[a], order[b]) for a, b in arcs]
+    assert all(g.has_edge(*e) for e in fan) and len(set(arcs)) == len(arcs)
+    assert all(_arc_crossing(order, e, f) for e, f in combinations(fan, 2))
+    # the largest edge subset whose pairs all cross, by literal enumeration
+    cross = {p for p in combinations(g.edges, 2) if _arc_crossing(order, *p)}
+    largest = max(r for r in range(g.m + 1) for subset in combinations(g.edges, r)
+                  if all(p in cross for p in combinations(subset, 2)))
+    assert len(arcs) == largest == crossing_clique_lower_bound(g, order)
 
 
 def test_crossing_clique_never_exceeds_best_assignment():
