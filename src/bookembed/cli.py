@@ -225,6 +225,8 @@ def _cmd_treedec_validate(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if not 0 <= args.max_n <= 7:  # enumerate_graphs(8) would sweep 2^28 edge sets
         raise InvalidInput(f"oracle: --max-n must be between 0 and 7, got {args.max_n}")
+    if args.samples < 0:
+        raise InvalidInput(f"oracle: --samples must be at least 0, got {args.samples}")
     summary = oracle_suite(max_n=args.max_n, samples=args.samples, seed=args.seed)
     _emit(summary)
     _say(

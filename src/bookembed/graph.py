@@ -312,54 +312,44 @@ def ktree_edge_count(n: int, k: int) -> int:
 
 
 def is_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
-    """Recognize k-trees by greedy simplicial elimination; None if g is not one.
+    """Recognize k-trees by greedy elimination; None if g is not one.
 
-    Repeatedly removes the lowest-id vertex whose degree is exactly k and whose
-    neighborhood is a clique; succeeds iff k+1 vertices remain.  Those always
-    form a complete graph: g has kn - k(k+1)/2 edges and each of the n-k-1
-    removals deletes exactly k of them, which leaves k(k+1)/2 edges on k+1
-    vertices.  Success is self-certifying: the reversed removal sequence is
-    returned as a replayable certificate.
+    Removes the lowest-id vertex of degree exactly k, n-k-1 times, and
+    returns the reversed removals on the k+1 vertices left as a certificate
+    if its checked walk (`_parent_bags`, then kept for `is_valid_for`,
+    `decomposition_from_certificate` and `embed_ktree`) passes.  In a k-tree
+    every degree-k vertex is simplicial and removing it leaves a k-tree, so
+    every k-tree gets through.  The removals take k edges each, which leaves
+    k(k+1)/2 edges on the k+1 vertices left, so a certificate that passes
+    the walk replays to g, and a graph that is not a k-tree fails the walk.
     """
     if k < 1:
         raise ValueError("k must be positive")
     n = g.n
-    if n < k + 1:
+    if n < k + 1 or g.m != ktree_edge_count(n, k):
         return None
-    if g.m != ktree_edge_count(n, k):
-        return None
-    if n == k + 1:
-        return KTreeCertificate(k, tuple(range(n)), ())
-
     adj: list[set[int]] = [set(g.neighbors(v)) for v in range(n)]
-    removed = [False] * n
     heap = [v for v in range(n) if len(adj[v]) == k]
     heapq.heapify(heap)
     removals: list[tuple[int, frozenset[int]]] = []
-    alive = n
-    while alive > k + 1:
-        pick = -1
-        while heap:
-            v = heapq.heappop(heap)
-            if removed[v] or len(adj[v]) != k:
-                continue
-            nb = sorted(adj[v])
-            # degree never increases, so a degree-k vertex with a non-clique
-            # neighborhood can be dropped for good
-            if all(b in adj[a] for a, b in combinations(nb, 2)):
-                pick = v
-                break
-        if pick < 0:
+    while len(removals) < n - k - 1:
+        # a removed vertex has an empty adjacency, so it never has degree k
+        while heap and len(adj[heap[0]]) != k:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        nbrs = frozenset(adj[pick])
-        removals.append((pick, nbrs))
-        removed[pick] = True
-        adj[pick] = set()
-        alive -= 1
+        v = heapq.heappop(heap)
+        nbrs = frozenset(adj[v])
+        removals.append((v, nbrs))
+        adj[v] = set()
         for u in nbrs:
-            adj[u].discard(pick)
-            if not removed[u] and len(adj[u]) == k:
+            adj[u].discard(v)
+            if len(adj[u]) == k:
                 heapq.heappush(heap, u)
-
-    rest = sorted(v for v in range(n) if not removed[v])
-    return KTreeCertificate(k=k, base_clique=tuple(rest), additions=tuple(reversed(removals)))
+    rest = tuple(v for v in range(n) if adj[v])  # short only if g is no k-tree
+    cert = KTreeCertificate(k=k, base_clique=rest, additions=tuple(reversed(removals)))
+    try:
+        cert._parent_bags
+    except InvalidCertificate:
+        return None
+    return cert

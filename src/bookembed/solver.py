@@ -26,7 +26,8 @@ a pending edge will end to the right of every completed arc, so it crosses
 exactly the completed arcs that strictly contain its placed endpoint,
 whatever order the rest takes (see `_Prefix.needs`).  At a leaf the order's
 exact page count is the chromatic number of its crossing graph, computed by
-backtracking coloring seeded with a maximal pairwise-crossing set.
+backtracking coloring seeded with a maximal pairwise-crossing set, which is
+the one test of a clique of completed arcs against the cap.
 
 Whether two pages can still suffice is kept up to date, in a parity
 union-find with an undo log, and the two-page graph has more edges: two
@@ -416,7 +417,8 @@ class _Prefix:
     def needs(self, pages: int) -> bool:
         """True when every completion of this prefix needs at least `pages`
         pages: the partial crossing graph is not empty (2 pages), not
-        bipartite (3), or holds a greedy clique of `pages` nodes.
+        bipartite (3), or holds a greedy clique of `pages` nodes through a
+        hub.  A leaf's `_fewest_colours` tests the greedy clique of arcs.
 
         The graph's nodes are the completed edges, with their crossings,
         and one hub per placed vertex u, at position a, with an unplaced
@@ -462,8 +464,6 @@ class _Prefix:
         if t == 2:
             return self.odd
         masks, pend = self.masks, self.pend
-        if _greedy_clique_mask(masks, (1 << len(masks)) - 1).bit_count() > t:
-            return True
         return any(pend >> a & 1 and c.bit_count() >= t
                    and _greedy_clique_mask(masks, c).bit_count() >= t
                    for a, c in enumerate(self.cover))

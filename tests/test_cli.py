@@ -345,3 +345,11 @@ def test_oracle_rejects_max_n_outside_0_to_7(capsys, max_n):
     code, out, err = _run(capsys, "oracle", "--max-n", max_n)
     assert code == 2 and out == ""
     assert err == f"error: oracle: --max-n must be between 0 and 7, got {max_n}\n"
+
+
+@pytest.mark.parametrize("samples", ["-1", "-50"])
+def test_oracle_rejects_negative_samples(capsys, samples):
+    # a negative count would check no random graph yet report ok
+    code, out, err = _run(capsys, "oracle", "--max-n", "3", "--samples", samples)
+    assert code == 2 and out == ""
+    assert err == f"error: oracle: --samples must be at least 0, got {samples}\n"

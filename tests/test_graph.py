@@ -1,5 +1,7 @@
 """Graph construction, k-tree certificates, recognition, and serialization."""
 
+import hashlib
+import json
 import random
 import re
 from itertools import combinations
@@ -23,7 +25,7 @@ from bookembed import (
     validate_embedding,
 )
 from bookembed.bruteforce import enumerate_graphs, is_k_tree_brute, random_connected_graph
-from bookembed.constructions import path_power, random_ktree
+from bookembed.constructions import build_q, complete_split, dujwoo_gadget, path_power, random_ktree
 from util import (
     ktree_cases,
     random_graph,
@@ -387,6 +389,51 @@ def test_recognizer_on_fixed_examples():
     assert pendant.m == ktree_edge_count(5, 2)
     assert is_k_tree(pendant, 2) is None
     assert is_k_tree_brute(pendant, 2) is False
+    # every vertex keeps degree 2 while it is eliminated, so degree alone
+    # gets through, but the attachment of 4, {2, 3}, is not a clique
+    c4_pair = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+    assert is_k_tree(c4_pair, 2) is None
+    assert is_k_tree_brute(c4_pair, 2) is False
+
+
+def _recognizer_cases(family):
+    """(graph, k) pairs of one family, some of them not k-trees."""
+    if family == "path_power":
+        return [(path_power(n, k), k) for k in range(1, 6) for n in range(k + 1, k + 9)]
+    if family == "complete_split":  # m = 0 is K_k, too small to be a k-tree
+        return [(complete_split(k, m), k) for k in range(1, 6) for m in range(7)]
+    if family == "dujwoo_gadget":
+        return [(dujwoo_gadget(k, m), k) for k in range(2, 6) for m in range(1, 6)]
+    if family == "build_q":
+        return [(build_q(4).graph, 4)]
+    rng = random.Random(5)
+    cases = []
+    for seed in range(40):
+        k = seed % 6 + 1
+        n = rng.randint(k + 1, k + 30)
+        g, _ = random_ktree(n, k, seed=seed)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases.append((Graph(n, [(perm[u], perm[v]) for u, v in g.edges]), k))
+    return cases
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("path_power", "6d18cd7aa1fce3bcd8ffc9a8120b2e5c938ddedab54b828d3f8e85fcc6da152e"),
+    ("complete_split", "a90695d63bb47105d617fd83572771425c0ebe8295e7f2658ee0716a435baac8"),
+    ("dujwoo_gadget", "3fe54270aa8f9c7ac5ff303f3ce8c146608e2494ea97cefaed0a5e28433e6330"),
+    ("build_q", "fb2be45ca8dc3861b6069d24ad9729451008a65babadcba9a2f2d27f8bff25ed"),
+    ("random_ktree", "1a5e8b21573f90e17035ceba1d9206bed84990b21982f46299faa7eb210fd3fc"),
+])
+def test_recognizer_certificates_are_pinned(family, digest):
+    # the exact certificate, base clique and addition order included
+    certs = []
+    for g, k in _recognizer_cases(family):
+        cert = is_k_tree(g, k)
+        certs.append(None if cert is None else [
+            cert.k, cert.base_clique, [[v, sorted(c)] for v, c in cert.additions]])
+    blob = json.dumps(certs).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_recognizer_certificate_replays_to_input():

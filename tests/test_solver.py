@@ -29,7 +29,7 @@ from bookembed.bruteforce import (
 )
 from bookembed.embedding import crossing_masks
 from bookembed.graph import _norm_edge
-from bookembed.solver import _Prefix, _try_color
+from bookembed.solver import _fewest_colours, _Prefix, _try_color
 from util import cycle, path, random_tree
 
 
@@ -544,6 +544,25 @@ def test_prefix_bound_never_exceeds_the_full_order(case):
     nodes = g.n + g.m
     assert (prefix.up, prefix.par, prefix.rank) == (list(range(nodes)), [0] * nodes, [0] * nodes)
     assert prefix.log == [] and not prefix.odd
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_graphs_and_orders())
+def test_leaf_colouring_gives_up_exactly_at_the_cap(case):
+    """`_Prefix.needs` leaves a clique of completed arcs to the leaf, so the
+    capped leaf colouring must give up exactly when the full order needs
+    the cap or more pages, and otherwise return that order's page count
+    with a proper colouring."""
+    g, order = case
+    masks = crossing_masks(g.edges, order)
+    pages = min_pages_for_order(g, order)
+    for cap in range(1, g.m + 2):
+        found = _fewest_colours(masks, cap)
+        assert (found is None) == (pages >= cap)
+        if found is not None:
+            p, colors = found
+            assert p == pages and max(colors, default=-1) < p
+            assert all(colors[i] != colors[j] for i, mk in enumerate(masks) for j in _bits(mk))
 
 
 @st.composite
