@@ -101,7 +101,8 @@ def _push_arc(stack: list[tuple[int, tuple[int, int]]], a: int, b: int,
 
 def _check_order(g: Graph, order: Sequence[int]) -> None:
     """Raise InvalidOrder unless `order` is a permutation of g's vertices."""
-    if sorted(order) != list(range(g.n)):
+    # ints first: sorted() raises on mixed types, and 0.0 == 0 is no index
+    if not all(type(v) is int for v in order) or sorted(order) != list(range(g.n)):
         raise InvalidOrder(f"order is not a permutation of the {g.n} vertices")
 
 

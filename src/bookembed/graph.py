@@ -151,8 +151,11 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
+        n = data["n"]
+        if type(n) is not int:  # int() would take 3.5 or "3" as 3
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         labels = {int(v): role for v, role in data.get("labels", {}).items()}
-        return cls(int(data["n"]), [tuple(e) for e in data["edges"]], labels)
+        return cls(n, [tuple(e) for e in data["edges"]], labels)
 
     def to_json(self) -> str:
         return _json_text(self.to_json_dict()) + "\n"

@@ -29,16 +29,11 @@ exact page count is the chromatic number of its crossing graph, computed by
 backtracking coloring seeded with a maximal pairwise-crossing set, which is
 the one test of a clique of completed arcs against the cap.
 
-Whether two pages can still suffice is kept up to date, in a parity
-union-find with an undo log, and the two-page graph has more edges: two
-placed vertices u1 before u2 that share two unplaced neighbours x and y
-have crossing edges in every completion, (u1, first of x, y) across
-(u2, second).  On two pages, any completed arc over a placed vertex puts
-all its pending edges on the page the arc does not use, so when both have
-such an arc their pending edges take different pages.  A placed vertex
-keeps its links after its last neighbour is placed.  That is sound, as its
-last edge was one of its pending edges and has their page, and it adds
-nothing, as that edge crosses exactly the arcs the vertex was linked to.
+Whether two pages can still suffice is kept up to date in a parity
+union-find, where two placed vertices that share two unplaced neighbours
+are also linked (`_Prefix.needs` argues both).  Both searches, the order
+search and the leaf coloring, backtrack the same way: each step snapshots
+the state it changes, and undoing the step restores the snapshot.
 """
 
 from __future__ import annotations
@@ -99,40 +94,31 @@ class SolverReport:
 def _try_color(masks: list[int], p: int, seed: Sequence[int]) -> list[int] | None:
     """Proper p-coloring of the conflict graph, or None.  Backtracking with
     most-saturated-first selection; `seed` (a clique) gets colors 0,1,2,...
-    fixed up front, and fresh colors are only opened one at a time."""
+    fixed up front, and fresh colors are only opened one at a time.
+
+    `forb[v]` holds the colours v's coloured neighbours use.  The search runs
+    on a stack of frames, one per coloured vertex past the seed: the vertex,
+    the colours it has left to try, the `forb` it was chosen under, and the
+    highest colour used before it.  Trying a colour copies that `forb`, so
+    backtracking restores it by dropping the copy."""
     m = len(masks)
-    if m == 0:
-        return []
     color = [-1] * m
     forb = [0] * m
     deg = [mk.bit_count() for mk in masks]
     full = (1 << p) - 1
 
-    def place(v: int, c: int) -> list[int]:
+    def paint(forb: list[int], v: int, c: int) -> None:
         color[v] = c
-        bit = 1 << c
-        changed = []
         mk = masks[v]
         while mk:
-            u = (mk & -mk).bit_length() - 1
+            forb[(mk & -mk).bit_length() - 1] |= 1 << c
             mk &= mk - 1
-            if color[u] < 0 and not forb[u] & bit:
-                forb[u] |= bit
-                changed.append(u)
-        return changed
 
-    def unplace(v: int, c: int, changed: list[int]) -> None:
-        color[v] = -1
-        bit = ~(1 << c)
-        for u in changed:
-            forb[u] &= bit
-
-    for i, v in enumerate(seed):
-        place(v, i)
-
-    def rec(n_colored: int, max_used: int) -> bool:
-        if n_colored == m:
-            return True
+    for c, v in enumerate(seed):
+        paint(forb, v, c)
+    used = len(seed) - 1
+    stack: list[list] = []
+    while len(seed) + len(stack) < m:
         best_v = -1
         best_key = (-1, -1, 0)
         for v in range(m):
@@ -141,23 +127,20 @@ def _try_color(masks: list[int], p: int, seed: Sequence[int]) -> list[int] | Non
                 if key > best_key:
                     best_key = key
                     best_v = v
-        v = best_v
-        allowed = full & ~forb[v]
-        cap = max_used + 1
-        while allowed:
-            c = (allowed & -allowed).bit_length() - 1
-            if c > cap:
-                break
-            allowed &= allowed - 1
-            changed = place(v, c)
-            if rec(n_colored + 1, max_used if c <= max_used else c):
-                return True
-            unplace(v, c, changed)
-        return False
-
-    if rec(len(seed), len(seed) - 1):
-        return color
-    return None
+        # no colour above used + 1: fresh colours open one at a time
+        stack.append([best_v, full & ~forb[best_v] & ((2 << (used + 1)) - 1), forb, used])
+        while not stack[-1][1]:  # out of colours: back up
+            color[stack.pop()[0]] = -1
+            if not stack:
+                return None
+        frame = stack[-1]
+        v, left, saved, used = frame
+        c = (left & -left).bit_length() - 1
+        frame[1] = left & (left - 1)
+        forb = saved[:]
+        paint(forb, v, c)
+        used = max(used, c)
+    return color
 
 
 def _greedy_clique_mask(masks: list[int], universe: int) -> int:
@@ -260,31 +243,28 @@ class _Prefix:
     """A spine order filled left to right at positions 0..d, and the partial
     crossing graph that every completion of it contains.
 
-    `arcs`, `masks` and `edges` hold the completed edges (both endpoints
-    placed): arc t's (left, right) positions, its crossings as a bitmask
-    over arcs, and its edge.  Bit t of `cover[a]` says arc t strictly
-    contains position a, and bit a of `covered` says some arc does.  Bit v
-    of `free` says vertex v is unplaced, `nbr[v]` is v's neighbour mask, and
-    bit a of `pend` says the vertex at position a still has an unplaced
-    neighbour.
+    `arcs` and `masks` hold the completed edges (both endpoints placed): arc
+    t's (left, right) positions and its crossings as a bitmask over arcs.
+    Bit t of `cover[a]` says arc t strictly contains position a, and bit a
+    of `covered` says some arc does.  Bit v of `free` says vertex v is
+    unplaced, `nbr[v]` is v's neighbour mask, and bit a of `pend` says the
+    vertex at position a still has an unplaced neighbour.
 
     The two-page verdict is a parity union-find over one node per position
-    (its hub) and one per arc (node n + t), with union by rank, no path
-    compression and an undo log: `up`, `par` (parity to the parent),
-    `rank`, `log`, and `odd` once a link closes an odd cycle.  `place` and
-    `unplace` keep all of it, so no node rebuilds any of it.
+    (its hub) and one per arc (node n + t), with union by rank and no path
+    compression: `up`, `par` (parity to the parent), `rank`, and `odd` once
+    a link closes an odd cycle.  `place` snapshots every list it changes
+    and `unplace` restores the snapshot, so no node rebuilds any of it.
     """
 
-    __slots__ = ("neigh", "nbr", "order", "pos", "edges", "arcs", "masks", "cover",
-                 "covered", "free", "pend", "up", "par", "rank", "log", "odd")
+    __slots__ = ("nbr", "order", "pos", "arcs", "masks", "cover", "covered", "free", "pend",
+                 "up", "par", "rank", "odd")
 
     def __init__(self, g: Graph) -> None:
         n = g.n
-        self.neigh = [sorted(g.neighbors(v)) for v in range(n)]
-        self.nbr = [sum(1 << u for u in nb) for nb in self.neigh]
+        self.nbr = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
         self.order = [-1] * n
         self.pos = [-1] * n
-        self.edges: list[tuple[int, int]] = []
         self.arcs: list[tuple[int, int]] = []
         self.masks: list[int] = []
         self.cover = [0] * n
@@ -295,42 +275,43 @@ class _Prefix:
         self.up = list(range(nodes))
         self.par = [0] * nodes
         self.rank = [0] * nodes
-        self.log: list[int] = []  # 2 * attached root + whether its new root's rank grew
         self.odd = False
 
     def place(self, v: int, d: int) -> tuple:
-        """Put v at position d, the first free one; returns what `unplace`
-        needs to undo it.
+        """Put v at position d, the first free one; returns the snapshot
+        `unplace` restores.
 
         Each new arc (a, d) ends at the rightmost position, so it crosses an
         earlier arc (x, y) iff x < a < y: its crossings are cover[a], taken
         before this placement's arcs, which share the endpoint d."""
         pos, cover, nbr = self.pos, self.cover, self.nbr
-        arcs, masks, edges = self.arcs, self.masks, self.edges
+        arcs, masks = self.arcs, self.masks
         first = len(arcs)
-        undo = (first, masks[:], cover[:], self.covered, self.pend, len(self.log), self.odd)
+        undo = (first, masks[:], cover[:], self.covered, self.pend,
+                self.up[:], self.par[:], self.rank[:], self.odd)
         self.order[d] = v
         pos[v] = d
         free = self.free = self.free & ~(1 << v)
         earlier = (1 << first) - 1
         pend, covered = self.pend, self.covered
-        for u in self.neigh[v]:
+        placed = nbr[v] & ~free  # v's placed neighbours, lowest id first
+        while placed:
+            u = (placed & -placed).bit_length() - 1
+            placed &= placed - 1
             a = pos[u]
-            if a >= 0:
-                bit = 1 << len(arcs)
-                mk = cover[a] & earlier
-                c = mk
-                while c:
-                    masks[(c & -c).bit_length() - 1] |= bit
-                    c &= c - 1
-                arcs.append((a, d))
-                masks.append(mk)
-                edges.append((u, v) if u < v else (v, u))
-                for i in range(a + 1, d):
-                    cover[i] |= bit
-                covered |= (1 << d) - (2 << a)
-                if not nbr[u] & free:
-                    pend &= ~(1 << a)
+            bit = 1 << len(arcs)
+            mk = cover[a] & earlier
+            c = mk
+            while c:
+                masks[(c & -c).bit_length() - 1] |= bit
+                c &= c - 1
+            arcs.append((a, d))
+            masks.append(mk)
+            for i in range(a + 1, d):
+                cover[i] |= bit
+            covered |= (1 << d) - (2 << a)
+            if not nbr[u] & free:
+                pend &= ~(1 << a)
         if nbr[v] & free:
             pend |= 1 << d
         self.pend = pend
@@ -342,16 +323,9 @@ class _Prefix:
 
     def unplace(self, v: int, undo: tuple) -> None:
         """Undo `place(v, d)`, which returned `undo`."""
-        t, self.masks[:], self.cover[:], self.covered, self.pend, size, self.odd = undo
-        del self.arcs[t:], self.edges[t:]
-        up, par, rank, log = self.up, self.par, self.rank, self.log
-        while len(log) > size:
-            e = log.pop()
-            r = e >> 1
-            if e & 1:
-                rank[up[r]] -= 1
-            up[r] = r
-            par[r] = 0
+        (t, self.masks[:], self.cover[:], self.covered, self.pend,
+         self.up[:], self.par[:], self.rank[:], self.odd) = undo
+        del self.arcs[t:]
         self.pos[v] = -1
         self.free |= 1 << v
 
@@ -359,7 +333,7 @@ class _Prefix:
         """Link node x to each node in the bitmask `others` as crossing it:
         on the other side.  Returns False, with `odd` set, at the first link
         that closes an odd cycle."""
-        up, par, rank, log = self.up, self.par, self.rank, self.log
+        up, par, rank = self.up, self.par, self.rank
         p = 0  # x's parity to its root, which x then names
         while up[x] != x:
             p ^= par[x]
@@ -377,13 +351,10 @@ class _Prefix:
                     return False
             elif rank[x] < rank[y]:
                 up[x], par[x] = y, w
-                log.append(2 * x)
                 x, p = y, p ^ w
             else:
                 up[y], par[y] = x, w
-                grew = rank[x] == rank[y]
-                rank[x] += grew
-                log.append(2 * y + grew)
+                rank[x] += rank[x] == rank[y]
         return True
 
     def _link(self, first: int, fresh: int) -> None:
@@ -416,9 +387,9 @@ class _Prefix:
 
     def needs(self, pages: int) -> bool:
         """True when every completion of this prefix needs at least `pages`
-        pages: the partial crossing graph is not empty (2 pages), not
-        bipartite (3), or holds a greedy clique of `pages` nodes through a
-        hub.  A leaf's `_fewest_colours` tests the greedy clique of arcs.
+        pages: the partial crossing graph has a node (1 page), an edge (2),
+        an odd cycle (3), or a greedy clique of `pages` nodes through a hub.
+        A leaf's `_fewest_colours` tests the greedy clique of arcs.
 
         The graph's nodes are the completed edges, with their crossings,
         and one hub per placed vertex u, at position a, with an unplaced
@@ -457,10 +428,8 @@ class _Prefix:
         t = pages - 1
         if t <= 0:
             return bool(self.masks) or bool(self.pend)
-        if not self.log:  # no link, so no edge at all
-            return False
         if t == 1:
-            return True
+            return any(self.masks) or bool(self.pend & self.covered)
         if t == 2:
             return self.odd
         masks, pend = self.masks, self.pend
@@ -473,7 +442,7 @@ def _search_orders(g: Graph, search: _Search) -> None:
     # runs only for n > 2; the budget is checked after every placement
     n = g.n
     prefix = _Prefix(g)
-    order, pos, edges, masks = prefix.order, prefix.pos, prefix.edges, prefix.masks
+    order, pos, arcs, masks = prefix.order, prefix.pos, prefix.arcs, prefix.masks
     place, unplace, needs = prefix.place, prefix.unplace, prefix.needs
     root = max(range(n), key=g.degree)
     place(root, 0)
@@ -485,7 +454,8 @@ def _search_orders(g: Graph, search: _Search) -> None:
         found = _fewest_colours(masks, search.cap())
         if found is not None:
             p, colors = found
-            pages = {e: colors[i] + 1 for i, e in enumerate(edges)}
+            pages = {_norm_edge(order[a], order[b]): colors[i] + 1
+                     for i, (a, b) in enumerate(arcs)}
             search.offer(p, BookEmbedding(tuple(order), pages, p))
 
     def dfs(d: int) -> None:

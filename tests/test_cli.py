@@ -192,6 +192,13 @@ def test_out_of_range_edge_is_a_usage_error(capsys, tmp_path, command):
     _assert_one_line_error(*_run(capsys, command, "--graph", str(gpath)))
 
 
+@pytest.mark.parametrize("n", [3.5, "3", 3.0])
+def test_non_integer_vertex_count_is_a_usage_error(capsys, tmp_path, n):
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(json.dumps({"n": n, "edges": [[0, 1]]}))
+    _assert_one_line_error(*_run(capsys, "bt", "--graph", str(gpath)))
+
+
 def test_gen_empty_complete_graph_is_a_usage_error(capsys):
     _assert_one_line_error(*_run(capsys, "gen", "--family", "complete", "--n", "0"))
 

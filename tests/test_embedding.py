@@ -193,10 +193,11 @@ def test_crossing_clique_is_exact_past_64_edges():
     assert all(_arc_crossing(tuple(order), e, f) for e, f in combinations(fan, 2))
 
 
-@pytest.mark.parametrize("order", [[3, 3, 3, 3], [5, 6, 7, 8], [0, 1]])
+@pytest.mark.parametrize("order", [[3, 3, 3, 3], [5, 6, 7, 8], [0, 1], [0, "a", 1, 2],
+                                   [0, 1, 2, None], [0.0, 1, 2, 3], [0, [1], 2, 3]])
 def test_per_order_bounds_reject_orders_that_are_not_permutations(order):
-    # every order of K4 needs 2 pages, so a bound of 1 (or an IndexError)
-    # would mean the order was read as something it is not
+    # every order of K4 needs 2 pages, so a bound of 1 (or an IndexError or
+    # TypeError) would mean the order was read as something it is not
     for per_order in (crossing_clique_lower_bound, min_pages_for_order, first_fit_pages):
         with pytest.raises(InvalidOrder):
             per_order(complete_graph(4), order)

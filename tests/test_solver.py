@@ -16,9 +16,11 @@ from bookembed import (
     book_thickness_exact,
     complete_bipartite,
     complete_graph,
+    embed_ktree,
     is_outerplanar,
     min_pages_for_order,
     path_power,
+    random_ktree,
     validate_embedding,
 )
 from bookembed.bruteforce import (
@@ -92,6 +94,16 @@ def test_min_pages_for_order():
         order = list(range(5))
         rng.shuffle(order)
         assert min_pages_for_order(complete_graph(5), order) == 3
+
+
+def test_min_pages_for_order_past_the_recursion_limit():
+    # the leaf colouring backtracks on a stack, so its depth is not bounded
+    # by the interpreter's recursion limit (1,000 frames by default)
+    assert min_pages_for_order(path_power(1200, 1), range(1200)) == 1
+    g, cert = random_ktree(500, 3, 1)
+    emb = embed_ktree(g, cert)
+    assert g.m == 1494 and emb.page_count == 4
+    assert min_pages_for_order(g, emb.order) == 4
 
 
 # ---- equivalence with the brute-force reference ----
@@ -526,10 +538,11 @@ def test_prefix_bound_never_exceeds_the_full_order(case):
         assert all(page[e] != page[f] for e, f in map(tuple, pairs))
         if pages == 2:
             assert all(page[pending[u1][0]] != page[pending[u2][0]] for u1, u2 in map(tuple, forced))
-        assert set(prefix.edges) == done
-        assert {prefix.order[a]: frozenset(prefix.edges[t] for t in _bits(prefix.cover[a]))
+        completed = [_norm_edge(prefix.order[a], prefix.order[b]) for a, b in prefix.arcs]
+        assert set(completed) == done
+        assert {prefix.order[a]: frozenset(completed[t] for t in _bits(prefix.cover[a]))
                 for a in _bits(prefix.pend)} == hubs
-        assert {frozenset((prefix.edges[i], prefix.edges[j]))
+        assert {frozenset((completed[i], completed[j]))
                 for i, mk in enumerate(prefix.masks) for j in _bits(mk)} == pairs
         links = [tuple(p) for p in pairs] + [(("hub", u), e) for u, es in hubs.items() for e in es]
         links += [(("hub", u1), ("hub", u2)) for u1, u2 in map(tuple, forced)]
@@ -538,12 +551,12 @@ def test_prefix_bound_never_exceeds_the_full_order(case):
         assert not prefix.needs(pages + 1)
     for v, added in reversed(placed):
         prefix.unplace(v, added)
-    assert (prefix.edges, prefix.masks, prefix.pend, prefix.covered) == ([], [], 0, 0)
+    assert (prefix.arcs, prefix.masks, prefix.pend, prefix.covered) == ([], [], 0, 0)
     assert prefix.cover == [0] * g.n and prefix.pos == [-1] * g.n
     assert prefix.free == (1 << g.n) - 1
     nodes = g.n + g.m
     assert (prefix.up, prefix.par, prefix.rank) == (list(range(nodes)), [0] * nodes, [0] * nodes)
-    assert prefix.log == [] and not prefix.odd
+    assert not prefix.odd
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
