@@ -42,37 +42,22 @@ def _reading(what: str):
         raise InvalidInput(f"{what}: {detail}") from exc
 
 
-def _require_ints(values, what: str) -> None:
-    # JSON numbers such as 1.0 would pass the range checks and fail later
-    if not all(type(v) is int for v in values):
-        raise TypeError(f"{what} must be integers")
-
-
-def _load_graph(path: str) -> Graph:
+def _load(what: str, path: str, parse):
+    """`parse` run on the file at `path`; what it rejects exits 2, named `what path`."""
     text = Path(path).read_text()
-    with _reading(f"graph {path}"):
-        g = Graph.from_json(text) if text.lstrip().startswith("{") else Graph.from_text(text)
-        _require_ints([v for e in g.edges for v in e], "edge endpoints")
-    return g
+    with _reading(f"{what} {path}"):
+        return parse(text)
 
 
-def _load_order(path: str) -> list[int]:
-    text = Path(path).read_text()
-    with _reading(f"order {path}"):
-        order = json.loads(text)
-        if not isinstance(order, list):
-            raise TypeError("expected a JSON list of vertex ids")
-        _require_ints(order, "vertex ids")
+def _parse_graph(text: str) -> Graph:
+    return Graph.from_json(text) if text.lstrip().startswith("{") else Graph.from_text(text)
+
+
+def _parse_order(text: str) -> list:
+    order = json.loads(text)
+    if not isinstance(order, list):
+        raise TypeError("expected a JSON list of vertex ids")
     return order
-
-
-def _load_embedding(path: str) -> BookEmbedding:
-    text = Path(path).read_text()
-    with _reading(f"embedding {path}"):
-        emb = BookEmbedding.from_json(text)
-        _require_ints(emb.order, "vertex ids")
-        _require_ints([x for (u, v), p in emb.pages.items() for x in (u, v, p)], "page entries")
-    return emb
 
 
 # ---- gen ----
@@ -143,7 +128,7 @@ def _cmd_bt(args: argparse.Namespace) -> int:
             time_budget=args.time_budget,
             node_limit=args.node_limit,
         )
-    g = _load_graph(args.graph)
+    g = _load("graph", args.graph, _parse_graph)
     report = book_thickness_exact(g, opts)
     _emit(report.to_json_dict())
     if args.witness and report.witness is not None:
@@ -172,7 +157,7 @@ def _infer_certificate(g: Graph, k: int | None):
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load("graph", args.graph, _parse_graph)
     if args.method == "ktree":
         with _reading("--k"):
             cert = _infer_certificate(g, args.k)
@@ -181,7 +166,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
             return 1
         emb = embed_ktree(g, cert)
     else:
-        order = _load_order(args.order) if args.order else list(range(g.n))
+        order = _load("order", args.order, _parse_order) if args.order else list(range(g.n))
         emb = first_fit_pages(g, order)
     _emit(emb.to_json_dict())
     _say(f"embedding uses {emb.pages_used()} pages")
@@ -192,8 +177,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    emb = _load_embedding(args.embedding)
+    g = _load("graph", args.graph, _parse_graph)
+    emb = _load("embedding", args.embedding, BookEmbedding.from_json)
     result = validate_embedding(g, emb)
     _emit(result.to_json_dict())
     _say("embedding is valid" if result.ok else "embedding is INVALID")
@@ -204,12 +189,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_treedec_validate(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    text = Path(args.treedec).read_text()
-    with _reading(f"decomposition {args.treedec}"):
-        td = TreeDecomposition.from_json(text)
-        _require_ints([v for b in td.bags for v in b], "bag members")
-        _require_ints([x for e in td.tree_edges for x in e], "tree edge ends")
+    g = _load("graph", args.graph, _parse_graph)
+    td = _load("decomposition", args.treedec, TreeDecomposition.from_json)
     report = validate_decomposition(g, td)
     _emit(report.to_json_dict())
     _say(

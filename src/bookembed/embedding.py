@@ -10,17 +10,16 @@ its intervals nest like parentheses, which one stack sweep decides
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidOrder
-from .graph import Graph, _json_text, _norm_edge
+from .graph import Graph, _JSONFormat, _norm_edge, _require_ints
 
 
 @dataclass(frozen=True, eq=True)
-class BookEmbedding:
+class BookEmbedding(_JSONFormat):
     """Circular order, edge -> page map (pages numbered 1..page_count)."""
 
     order: tuple[int, ...]
@@ -38,16 +37,14 @@ class BookEmbedding:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BookEmbedding":
-        pages = {_norm_edge(u, v): p for u, v, p in data["pages"]}
+        order, rows = data["order"], data["pages"]
+        _require_ints(order, "vertex ids")
+        _require_ints([x for row in rows for x in row], "page entries")
+        pages = {_norm_edge(u, v): p for u, v, p in rows}
+        if len(pages) < len(rows):
+            raise ValueError("two page rows name the same edge")
         page_count = max(pages.values(), default=0)
-        return cls(order=tuple(data["order"]), pages=pages, page_count=page_count)
-
-    def to_json(self) -> str:
-        return _json_text(self.to_json_dict()) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "BookEmbedding":
-        return cls.from_json_dict(json.loads(text))
+        return cls(order=tuple(order), pages=pages, page_count=page_count)
 
 
 @dataclass(frozen=True)
@@ -99,10 +96,15 @@ def _push_arc(stack: list[tuple[int, tuple[int, int]]], a: int, b: int,
     return True
 
 
+def _is_permutation(order: Sequence, n: int) -> bool:
+    """Whether `order` lists 0..n-1, each once, as ints."""
+    # ints first: sorted() raises on mixed types, and 0.0 == 0 is no index
+    return all(type(v) is int for v in order) and sorted(order) == list(range(n))
+
+
 def _check_order(g: Graph, order: Sequence[int]) -> None:
     """Raise InvalidOrder unless `order` is a permutation of g's vertices."""
-    # ints first: sorted() raises on mixed types, and 0.0 == 0 is no index
-    if not all(type(v) is int for v in order) or sorted(order) != list(range(g.n)):
+    if not _is_permutation(order, g.n):
         raise InvalidOrder(f"order is not a permutation of the {g.n} vertices")
 
 
@@ -143,8 +145,8 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
 
     Linear apart from sorting the arcs.  The page map's keys are compared
     with the graph's edge set as they are, and normalized only when that
-    fails; page numbers are range-checked once per distinct page, and sorted
-    only to name the first one out of range.
+    fails; page numbers are type-checked per edge, range-checked once per
+    distinct page, and sorted only to name the first one out of range.
     """
     try:
         pages = dict(emb.pages)
@@ -159,7 +161,7 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
         order = tuple(emb.order)
     except TypeError:
         order = None
-    if order is None or len(order) != g.n or _distinct(order) != set(range(g.n)):
+    if order is None or not _is_permutation(order, g.n):
         return ValidationResult(False, used, finding="order is not a permutation of the vertices")
     if pages.keys() != g._edge_set:
         bad = next((e for e in pages if not _is_vertex_pair(e)), None)
@@ -177,10 +179,13 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
             if extra:
                 detail.append(f"unknown edges {extra[:3]}")
             return ValidationResult(False, used, finding="; ".join(detail))
-    if not all(_is_page(p, emb.page_count) for p in page_set):
-        e, p = next((e, p) for e, p in sorted(pages.items()) if not _is_page(p, emb.page_count))
+    # the set holds one of 1, 1.0 and True, so each value's type is read
+    page_count = emb.page_count
+    if not (all(type(p) is int for p in pages.values())
+            and all(_is_page(p, page_count) for p in page_set)):
+        e, p = next((e, p) for e, p in sorted(pages.items()) if not _is_page(p, page_count))
         return ValidationResult(
-            False, used, finding=f"edge {e} on page {p!r}, outside 1..{emb.page_count}"
+            False, used, finding=f"edge {e} on page {p!r}, outside 1..{page_count}"
         )
 
     pos = dict(zip(order, range(g.n)))
@@ -201,8 +206,8 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
 
 
 def _distinct(values) -> set | list:
-    """The distinct values, as a set, or as a list when one is unhashable
-    (never equal to a set, so an order holding one is no permutation)."""
+    """The distinct page values, as a set, or as a list when one is
+    unhashable (such a value is no page, and the range check reports it)."""
     try:
         return set(values)
     except TypeError:
@@ -214,14 +219,11 @@ def _distinct(values) -> set | list:
 
 
 def _is_vertex_pair(e: object) -> bool:
-    return isinstance(e, tuple) and len(e) == 2 and all(isinstance(x, int) for x in e)
+    return isinstance(e, tuple) and len(e) == 2 and all(type(x) is int for x in e)
 
 
 def _is_page(p: object, page_count: int) -> bool:
-    try:
-        return 1 <= p <= page_count
-    except TypeError:
-        return False
+    return type(p) is int and 1 <= p <= page_count
 
 
 def density_lower_bound(g: Graph) -> int:

@@ -29,7 +29,27 @@ def _json_text(obj: object) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-class Graph:
+def _require_ints(values: Iterable, what: str) -> None:
+    """The package's one id rule, applied to raw JSON lists before any set or
+    dict can merge 1.0 or true into 1: every id is a JSON integer."""
+    if not all(type(v) is int for v in values):
+        raise TypeError(f"{what} must be integers")
+
+
+class _JSONFormat:
+    """`to_json`/`from_json` over a class's `to_json_dict`/`from_json_dict`."""
+
+    __slots__ = ()
+
+    def to_json(self) -> str:
+        return _json_text(self.to_json_dict()) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(json.loads(text))
+
+
+class Graph(_JSONFormat):
     """Immutable simple graph on vertices 0..n-1 with optional string labels."""
 
     __slots__ = ("n", "edges", "labels", "_adj", "_edge_set")
@@ -154,15 +174,12 @@ class Graph:
         n = data["n"]
         if type(n) is not int:  # int() would take 3.5 or "3" as 3
             raise ValueError(f"vertex count must be an integer, got {n!r}")
-        labels = {int(v): role for v, role in data.get("labels", {}).items()}
-        return cls(n, [tuple(e) for e in data["edges"]], labels)
-
-    def to_json(self) -> str:
-        return _json_text(self.to_json_dict()) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        return cls.from_json_dict(json.loads(text))
+        edges = data["edges"]
+        _require_ints([v for e in edges for v in e], "edge endpoints")
+        labels = data.get("labels", {})
+        if not isinstance(labels, dict):
+            raise TypeError("labels must be a JSON object")
+        return cls(n, [tuple(e) for e in edges], {int(v): role for v, role in labels.items()})
 
 
 # ---- construction primitives ----

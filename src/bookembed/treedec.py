@@ -8,17 +8,16 @@ bag has exactly w+1 vertices and adjacent bags share exactly w.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Collection
 
-from .graph import Graph, KTreeCertificate, _json_text
+from .graph import Graph, KTreeCertificate, _JSONFormat, _require_ints
 
 
 @dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(_JSONFormat):
     bags: tuple[frozenset[int], ...]
     tree_edges: frozenset[tuple[int, int]]  # pairs of bag indices, i < j
 
@@ -30,18 +29,13 @@ class TreeDecomposition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TreeDecomposition":
-        bags = tuple(frozenset(b) for b in data["bags"])
-        tree_edges = frozenset(
-            (min(i, j), max(i, j)) for i, j in data["tree_edges"]
+        bags, tree_edges = data["bags"], data["tree_edges"]
+        _require_ints([v for b in bags for v in b], "bag members")
+        _require_ints([x for e in tree_edges for x in e], "tree edge ends")
+        return cls(
+            bags=tuple(frozenset(b) for b in bags),
+            tree_edges=frozenset((min(i, j), max(i, j)) for i, j in tree_edges),
         )
-        return cls(bags=bags, tree_edges=tree_edges)
-
-    def to_json(self) -> str:
-        return _json_text(self.to_json_dict()) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "TreeDecomposition":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
             edges_ok = False
             continue
         i, j = e
-        if isinstance(i, int) and isinstance(j, int) and 0 <= i < nb and 0 <= j < nb:
+        if type(i) is int and type(j) is int and 0 <= i < nb and 0 <= j < nb:
             shared[e] = sets[i] & sets[j]
             if i != j:
                 adj[i].append(j)
@@ -119,7 +113,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     where: dict[int, set[int]] = {v: set() for v in range(g.n)}
     for idx, b in enumerate(bags):
         for v in b:
-            own = where.get(v)
+            own = where.get(v) if type(v) is int else None
             if own is None:
                 axiom.append(f"bag {idx} contains unknown vertex {v!r}")
             else:

@@ -199,6 +199,14 @@ def test_non_integer_vertex_count_is_a_usage_error(capsys, tmp_path, n):
     _assert_one_line_error(*_run(capsys, "bt", "--graph", str(gpath)))
 
 
+def test_labels_that_are_no_json_object_are_a_usage_error(capsys, tmp_path):
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(json.dumps({"n": 3, "edges": [[0, 1]], "labels": [1]}))
+    code, out, err = _run(capsys, "bt", "--graph", str(gpath))
+    _assert_one_line_error(code, out, err)
+    assert "labels must be a JSON object" in err
+
+
 def test_gen_empty_complete_graph_is_a_usage_error(capsys):
     _assert_one_line_error(*_run(capsys, "gen", "--family", "complete", "--n", "0"))
 
@@ -206,14 +214,28 @@ def test_gen_empty_complete_graph_is_a_usage_error(capsys):
 def test_non_integer_vertex_ids_are_usage_errors(capsys, tmp_path):
     gpath = tmp_path / "p3.json"
     gpath.write_text(Graph(3, [(0, 1), (1, 2)]).to_json())
+    bad = tmp_path / "bad.json"
+    for argv, payload in [
+        ("check --graph {g} --embedding {bad}",
+         {"order": [0, 1, "x"], "pages": [[0, 1, 1], [1, 2, 1]]}),
+        ("embed --graph {g} --method first-fit --order {bad}", [0, 2, 1.0]),
+        # a set or dict built first would merge true and 1.0 with 1
+        ("bt --graph {bad}", {"n": 3, "edges": [[0, 1], [0, True]]}),
+        ("check --graph {g} --embedding {bad}",
+         {"order": [0, 1, 2], "pages": [[0, 1, 1], [1, 2, 1], [1.0, 0, 1]]}),
+    ]:
+        bad.write_text(json.dumps(payload))
+        _assert_one_line_error(*_run(capsys, *(a.format(g=gpath, bad=bad) for a in argv.split())))
+
+
+def test_an_edge_on_two_page_rows_is_a_usage_error(capsys, tmp_path):
+    gpath = tmp_path / "p3.json"
+    gpath.write_text(Graph(3, [(0, 1), (1, 2)]).to_json())
     epath = tmp_path / "emb.json"
-    epath.write_text(json.dumps({"order": [0, 1, "x"], "pages": [[0, 1, 1], [1, 2, 1]]}))
-    _assert_one_line_error(*_run(capsys, "check", "--graph", str(gpath),
-                                 "--embedding", str(epath)))
-    opath = tmp_path / "order.json"
-    opath.write_text(json.dumps([0, 2, 1.0]))
-    _assert_one_line_error(*_run(capsys, "embed", "--graph", str(gpath), "--method",
-                                 "first-fit", "--order", str(opath)))
+    epath.write_text(json.dumps({"order": [0, 1, 2], "pages": [[0, 1, 1], [1, 0, 2], [1, 2, 1]]}))
+    code, out, err = _run(capsys, "check", "--graph", str(gpath), "--embedding", str(epath))
+    _assert_one_line_error(code, out, err)
+    assert "two page rows name the same edge" in err
 
 
 # ---- embed ----
@@ -324,6 +346,8 @@ def test_treedec_validate_via_cli(capsys, tmp_path):
     ([[0, 1, "a"], [0, 1, 3]], [[0, 1]]),
     ([[0, 1, 2.0], [0, 1, 3]], [[0, 1]]),  # would pass every check as vertex 2
     ([[0, 1, 2], [0, 1, 3]], [[0.0, 1]]),
+    ([[0, 1, 2, 2.0], [0, 1, 3]], [[0, 1]]),  # a set would merge 2.0 into 2
+    ([[0, 1, 2], [0, 1, 3]], [[0, 1], [False, True]]),  # and (False, True) into (0, 1)
 ])
 def test_treedec_validate_rejects_non_integer_ids(capsys, tmp_path, bags, tree_edges):
     gpath = tmp_path / "g.json"  # K4 minus (2, 3): bags {0, 1, 2} - {0, 1, 3}

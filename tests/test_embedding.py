@@ -363,6 +363,11 @@ def test_validation_matches_the_literal_checks(case):
     ((0, 1, 2, 3), {(0, "a"): 1}, "page key (0, 'a') is not a pair of vertex ids"),
     ((0, 1, 2, 3), {"1": 1}, "page key '1' is not a pair of vertex ids"),
     ((0, 1, 2, 3), {(0, 1): "1"}, "edge (0, 1) on page '1', outside 1..2"),
+    ((0, 1, 2, 3), {(0, 1): 1.5}, "edge (0, 1) on page 1.5, outside 1..2"),
+    ((0, 1, 2, 3), {(0, 1): True}, "edge (0, 1) on page True, outside 1..2"),
+    # the set of pages keeps the 1 met first and drops True
+    ((0, 1, 2, 3), {(2, 3): True}, "edge (2, 3) on page True, outside 1..2"),
+    ((0.0, 1, 2, 3), {}, "order is not a permutation of the vertices"),
 ])
 def test_non_integer_ids_are_findings(order, pages, finding):
     g = complete_graph(4)

@@ -224,6 +224,8 @@ def test_validation_matches_the_per_edge_scan(case):
 @pytest.mark.parametrize("bags, tree_edges, violation", [
     ([{0, 1, 2, "a"}], [], "bag 0 contains unknown vertex 'a'"),
     ([{0, 1, 2}, {0, 1, 2}], [(0, "x")], "tree edge (0, 'x') references a missing bag"),
+    ([{0, 1.0, 2}], [], "bag 0 contains unknown vertex 1.0"),
+    ([{0, 1, 2}, {0, 1, 2}], [(False, True)], "tree edge (False, True) references a missing bag"),
 ])
 def test_non_integer_ids_are_violations(bags, tree_edges, violation):
     td = TreeDecomposition(tuple(map(frozenset, bags)), frozenset(tree_edges))
