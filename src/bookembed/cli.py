@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from math import isqrt
+from operator import attrgetter
 from pathlib import Path
 
 from .bruteforce import oracle_suite
@@ -63,26 +65,16 @@ def _parse_order(text: str) -> list:
 # ---- gen ----
 
 
-def _gen_q(args: argparse.Namespace) -> tuple[Graph, TreeDecomposition]:
-    art = build_q(args.k, args.n)
-    return art.graph, art.decomposition
-
-
-def _gen_random_ktree(args: argparse.Namespace) -> tuple[Graph, TreeDecomposition]:
-    g, cert = random_ktree(args.n, args.k, args.seed)
-    return g, decomposition_from_certificate(cert)
-
-
-# family -> (required parameters, builder returning the graph and its
-# decomposition or None); the keys are `gen --family`'s choices, in order
+# family -> (required parameters, builder returning the graph and its k-tree
+# certificate or None); the keys are `gen --family`'s choices, in order
 _FAMILIES = {
     "complete": (("n",), lambda a: (complete_graph(a.n), None)),
     "split": (("k", "m"), lambda a: (complete_split(a.k, a.m), None)),
-    "q": (("k",), _gen_q),
+    "q": (("k",), lambda a: attrgetter("graph", "certificate")(build_q(a.k, a.n))),
     "path-power": (("n", "k"), lambda a: (path_power(a.n, a.k), None)),
     "dujwoo": (("k", "m"), lambda a: (dujwoo_gadget(a.k, a.m), None)),
     "complete-bipartite": (("k", "m"), lambda a: (complete_bipartite(a.k, a.m), None)),
-    "random-ktree": (("n", "k"), _gen_random_ktree),
+    "random-ktree": (("n", "k"), lambda a: random_ktree(a.n, a.k, a.seed)),
 }
 
 
@@ -94,16 +86,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             _say(f"gen --family {fam} requires --{p}")
             return 2
     with _reading(f"--family {fam}"):
-        g, decomposition = build(args)
+        g, cert = build(args)
 
     want_td = args.with_treedec
-    if want_td and decomposition is None:
+    if want_td and cert is None:
         with _reading("--k"):
             cert = is_k_tree(g, args.k) if args.k else None
         if cert is None:
             _say(f"--with-treedec is not available for family {fam}")
             return 2
-        decomposition = decomposition_from_certificate(cert)
 
     if args.format == "text":
         if want_td:
@@ -111,7 +102,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             return 2
         sys.stdout.write(g.to_text())
     elif want_td:
-        _emit({"graph": g.to_json_dict(), "decomposition": decomposition.to_json_dict()})
+        td = decomposition_from_certificate(cert)
+        _emit({"graph": g.to_json_dict(), "decomposition": td.to_json_dict()})
     else:
         _emit(g.to_json_dict())
     _say(f"generated {fam}: {g.n} vertices, {g.m} edges")
@@ -146,14 +138,12 @@ def _cmd_bt(args: argparse.Namespace) -> int:
 
 
 def _infer_certificate(g: Graph, k: int | None):
-    if k is not None:
-        return is_k_tree(g, k)
-    # is_k_tree rejects a width whose edge count does not match in O(1)
-    for kk in range(1, g.n):
-        cert = is_k_tree(g, kk)
-        if cert is not None:
-            return cert
-    return None
+    if k is None:
+        # m = kn - k(k+1)/2 rises strictly for k in 1..n-1, so at most one k
+        # fits: the smaller root of k^2 - (2n-1)k + 2m, an integer if any fits
+        b = 2 * g.n - 1
+        k = max(1, (b - isqrt(b * b - 8 * g.m)) // 2)
+    return is_k_tree(g, k)
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:

@@ -89,7 +89,8 @@ def _lower_layers(k: int, m: int) -> tuple[list[tuple[int, frozenset[int], int]]
 
 
 def _certificate(k: int, steps: list[tuple[int, frozenset[int], int]]) -> KTreeCertificate:
-    return KTreeCertificate(k, tuple(range(k + 1)), tuple((v, clique) for v, clique, _ in steps))
+    return KTreeCertificate(k, tuple(range(k + 1)), tuple((v, clique) for v, clique, _ in steps),
+                            tuple(parent for _, _, parent in steps))
 
 
 def dujwoo_gadget(k: int, m: int) -> Graph:
@@ -108,13 +109,14 @@ def dujwoo_gadget(k: int, m: int) -> Graph:
 def build_q(k: int, n: int | None = None) -> QArtifacts:
     """Build the Q family member for this k (optionally padded up to n vertices).
 
-    Returns the graph together with a k-tree certificate, a smooth width-k
-    decomposition whose host tree has maximum degree exactly 4, and a role map
-    (keys "K", "S", "T", "pad", and "T2(w)"/"T3(w)"/"T4(w)" per T-vertex w).
+    Returns the graph together with a k-tree certificate that carries its
+    host tree (`parents`), that certificate's smooth width-k decomposition,
+    whose host tree has maximum degree exactly 4, and a role map (keys "K",
+    "S", "T", "pad", and "T2(w)"/"T3(w)"/"T4(w)" per T-vertex w).
 
     Each layer's loop records each vertex once, as a certificate step with
     its host-tree parent bag (see `_lower_layers`).  The graph is the
-    certificate's edges, and the bags are `decomposition_from_certificate`'s.
+    certificate's edges and the decomposition is read off the certificate.
     The host tree hangs each bag under its recorded parent: the S-bags form
     a path, each w-bag hangs under its s-bag, the three 3-bag chains of a
     column hang under its w-bag, and the pad bags continue the S-path.  So
@@ -161,12 +163,8 @@ def build_q(k: int, n: int | None = None) -> QArtifacts:
         parent = len(steps)
 
     certificate = _certificate(k, steps)
-    decomposition = TreeDecomposition(
-        bags=decomposition_from_certificate(certificate).bags,
-        tree_edges=frozenset((p, i) for i, (_, _, p) in enumerate(steps, 1)),
-    )
-    return QArtifacts(graph=Graph(n, certificate._edges(), labels),
-                      certificate=certificate, decomposition=decomposition, roles=roles)
+    return QArtifacts(graph=Graph(n, certificate._edges(), labels), certificate=certificate,
+                      decomposition=decomposition_from_certificate(certificate), roles=roles)
 
 
 def random_ktree(n: int, k: int, seed: int = 0) -> tuple[Graph, KTreeCertificate]:

@@ -137,15 +137,15 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
     """Check an embedding against its graph; never raises.
 
     Structural problems (a page map that is no mapping, order not a
-    permutation of the vertex set, page map not covering exactly the edge
+    permutation of the vertex set, page keys other than exactly the edge
     set, page numbers outside 1..page_count) come back as ok=False with a
     `finding`.  Otherwise each page's arcs are swept left to right with a
     stack of open arcs, and the first crossing pair met, if any, is
     reported as (open arc's edge, new arc's edge).
 
-    Linear apart from sorting the arcs.  The page map's keys are compared
-    with the graph's edge set as they are, and normalized only when that
-    fails; page numbers are type-checked per edge, range-checked once per
+    Linear apart from sorting the arcs.  The keys must equal the edge set as
+    they are, (u, v) with u < v, and are normalized only to name what
+    differs; page numbers are type-checked per edge, range-checked once per
     distinct page, and sorted only to name the first one out of range.
     """
     try:
@@ -170,15 +170,17 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
                 False, used, finding=f"page key {bad!r} is not a pair of vertex ids"
             )
         got = {_norm_edge(u, v) for u, v in pages}
-        if got != g._edge_set:
-            missing = sorted(g._edge_set - got)
-            extra = sorted(got - g._edge_set)
-            detail = []
-            if missing:
-                detail.append(f"uncovered edges {missing[:3]}")
-            if extra:
-                detail.append(f"unknown edges {extra[:3]}")
-            return ValidationResult(False, used, finding="; ".join(detail))
+        missing = sorted(g._edge_set - got)
+        extra = sorted(got - g._edge_set)
+        detail = []
+        if missing:
+            detail.append(f"uncovered edges {missing[:3]}")
+        if extra:
+            detail.append(f"unknown edges {extra[:3]}")
+        if not detail:  # a key (v, u) with u < v, naming its edge once or twice
+            e = next(e for e in pages if e not in g._edge_set)
+            detail.append(f"page key {e!r} is not an edge (u, v) with u < v")
+        return ValidationResult(False, used, finding="; ".join(detail))
     # the set holds one of 1, 1.0 and True, so each value's type is read
     page_count = emb.page_count
     if not (all(type(p) is int for p in pages.values())

@@ -179,6 +179,9 @@ class Graph(_JSONFormat):
         labels = data.get("labels", {})
         if not isinstance(labels, dict):
             raise TypeError("labels must be a JSON object")
+        for v in labels:  # " 01" and "1" would both name vertex 1
+            if not (isinstance(v, str) and v.isascii() and v.isdecimal() and str(int(v)) == v):
+                raise ValueError(f"label key {v!r} is not a vertex id in decimal")
         return cls(n, [tuple(e) for e in edges], {int(v): role for v, role in labels.items()})
 
 
@@ -216,11 +219,12 @@ def add_simplicial(g: Graph, clique: Iterable[int], label: str | None = None) ->
 
 @dataclass(frozen=True)
 class KTreeCertificate:
-    """Witness that a graph is a k-tree.
+    """Witness that a graph is a k-tree, and its bag tree.
 
     `base_clique` lists the k+1 starting vertices; each entry of `additions`
     is (vertex, attachment clique) in construction order.  Replaying the
-    certificate rebuilds the graph edge for edge.
+    certificate rebuilds the graph edge for edge.  `parents` names each
+    addition's parent bag; None keeps `_parent_bags`'s default tree.
 
     Certificates are immutable values, so the checked walk behind `replay`,
     `is_valid_for`, `decomposition_from_certificate` and `embed_ktree` runs
@@ -231,6 +235,7 @@ class KTreeCertificate:
     k: int
     base_clique: tuple[int, ...]
     additions: tuple[tuple[int, frozenset[int]], ...]
+    parents: tuple[int, ...] | None = None
 
     def vertex_count(self) -> int:
         return len(self.base_clique) + len(self.additions)
@@ -239,23 +244,28 @@ class KTreeCertificate:
     def _parent_bags(self) -> tuple[int, ...]:
         """Parent bag of each addition, after every check `replay` documents;
         computed on first access and then kept (the same tuple every time).
+        The one rule that picks a bag's parent.
 
         Bag 0 is the base clique and bag i is addition i's attachment clique
-        plus its vertex.  Let w be the newest member of an attachment set C,
-        the one in the highest-index bag.  No bag before w's own holds w, so
-        the lowest-index bag holding C is w's bag if C lies in it.  And C is
-        a clique exactly when it does: the other members are older than w,
-        and w's older neighbours are exactly w's own attachment clique; if w
-        is a base vertex, all members are, and the base is complete.  So the
-        clique check and the parent both cost O(k) per addition, and a
-        member outside w's bag names a missing pair.
+        C plus its vertex.  Its parent is `parents[i - 1]`, a bag index below
+        i, or by default the bag of w, the newest member of C.  C must lie in
+        the parent bag.  Every bag is a clique, so that is the clique check,
+        and by induction each vertex's bags are joined through parents to its
+        own bag, so the bags form a smooth width-k decomposition.  For the
+        default parent the check is exact: w's older neighbours are w's own
+        attachment clique (the whole base, for a base vertex), so C is a
+        clique iff it lies in w's bag, and a member outside names a missing
+        pair.  O(k) per addition.
         """
         k = self.k
         if k < 1:
             raise InvalidCertificate("k must be positive")
         if len(self.base_clique) != k + 1 or len(set(self.base_clique)) != k + 1:
             raise InvalidCertificate("base clique must have k+1 distinct vertices")
-        bag_of = dict.fromkeys(self.base_clique, 0)
+        given, base = self.parents, frozenset(self.base_clique)
+        if given is not None and len(given) != len(self.additions):
+            raise InvalidCertificate(f"{len(given)} parents for {len(self.additions)} additions")
+        bag_of = dict.fromkeys(base, 0)
         parents: list[int] = []
         for i, (v, clique) in enumerate(self.additions, 1):
             if v in bag_of:
@@ -264,15 +274,17 @@ class KTreeCertificate:
                 raise InvalidCertificate(f"attachment clique for {v} must have size {k}")
             if not clique <= bag_of.keys():
                 raise InvalidCertificate(f"attachment clique for {v} uses unplaced vertices")
-            w = max(clique, key=bag_of.__getitem__)
-            parent = bag_of[w]
-            if parent:
-                stray = clique - self.additions[parent - 1][1] - {w}
-                if stray:
-                    a, b = _norm_edge(min(stray), w)
-                    raise InvalidCertificate(
-                        f"attachment set for {v} is not a clique: missing ({a}, {b})"
-                    )
+            parent = max(map(bag_of.__getitem__, clique)) if given is None else given[i - 1]
+            if type(parent) is not int or not 0 <= parent < i:
+                raise InvalidCertificate(f"parent of {v} is {parent!r}, not a bag in 0..{i - 1}")
+            w, below = self.additions[parent - 1] if parent else (None, base)
+            stray = clique - below - {w}
+            if stray and given is not None:
+                raise InvalidCertificate(f"attachment clique for {v} is outside bag {parent}")
+            if stray:
+                a, b = _norm_edge(min(stray), w)
+                raise InvalidCertificate(
+                    f"attachment set for {v} is not a clique: missing ({a}, {b})")
             bag_of[v] = i
             parents.append(parent)
         if bag_of.keys() != set(range(len(bag_of))):

@@ -42,14 +42,15 @@ def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
     """Embed a k-tree on at most k+1 pages (Ganley-Heath), guided by its
     certificate, in O(nk).
 
-    Spine: the base clique in id order, then the bag tree (bag i is addition
-    i's clique plus its vertex, hung from the lowest-index bag holding the
-    clique) walked depth-first, children by index.  Each added vertex v goes
-    immediately after u0, the leftmost member of its clique C.  Inserting
-    never changes the order of placed vertices, so each bag keeps its
-    members in spine order; C in its parent's order starts with u0, and the
-    child's order is [u0, v] + the rest of C.  The spine is a linked list, so
-    each addition costs O(k).
+    Spine: the base clique in id order, then the certificate's bag tree (bag
+    i is addition i's clique plus its vertex, hung from its parent bag, see
+    `KTreeCertificate._parent_bags`) walked depth-first, children by index.
+    Each added vertex v goes immediately after u0, the leftmost member of
+    its clique C.  Inserting never changes the order of placed vertices, so
+    each bag keeps its members in spine order; C lies in its parent bag, so
+    in the parent's order it starts with u0, and the child's order is
+    [u0, v] + the rest of C.  The spine is a linked list, so each addition
+    costs O(k).
 
     Pages: the base vertices get colours 0..k in id order, and each added
     vertex the one colour its clique lacks, a proper (k+1)-colouring.  Each
@@ -57,22 +58,26 @@ def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
     in id order), so colour c's page holds the edges from colour-c vertices
     to their younger neighbours.
 
-    Why no page has a crossing.  Inserting never reorders placed vertices,
-    so only a new vertex's edges can create one.  Invariant: for every bag
-    whose subtree is being placed, with members w0, ..., wk in spine order,
-    and every a < b, no edge on w_b's page has exactly one endpoint strictly
-    between w_a and w_b, unless it ends at w_b.  The base satisfies it: w_b's
-    page holds only edges from w_b to later base vertices.  When v joins
-    right after u0, its edge to u0 spans no vertex, and its edge to w_b, on
-    w_b's page, could cross only an edge the invariant for (u0, w_b) rules
-    out.  The child bag [u0, v, ...] inherits the invariant: pairs inside C
-    keep it (v's edge on w_b's page ends at w_b), (u0, v) spans nothing, and
-    (v, w_b) spans what (u0, w_b) spans.  A bag keeps it while its subtree is
-    placed: descendants enter only the gaps right after w0 and after w1, and
-    each interval (w_a, w_b) holds a whole gap or none of it; a descendant's
-    neighbours are descendants in its own gap or bag members, and w_b is the
-    bag's only member of its colour, so a descendant's edge on w_b's page
-    stays inside its gap or ends at w_b.
+    Why no page has a crossing, on any valid tree: the argument uses only
+    that each clique lies in its parent bag.  Inserting never reorders
+    placed vertices, so only a new vertex's edges can create one.
+    Invariant: for every bag whose subtree is being placed, with members
+    w0, ..., wk in spine order, and every a < b, no edge on w_b's page has
+    exactly one endpoint strictly between w_a and w_b, unless it ends at
+    w_b.  The base satisfies it: w_b's page holds only edges from w_b to
+    later base vertices.  When v joins right after u0, its edge to u0 spans
+    no vertex, and its edge to w_b, on w_b's page, could cross only an edge
+    the invariant for (u0, w_b) rules out.  The child bag [u0, v, ...]
+    inherits the invariant: pairs inside C keep it (v's edge on w_b's page
+    ends at w_b), (u0, v) spans nothing, and (v, w_b) spans what (u0, w_b)
+    spans.  A bag keeps it while its subtree is placed: a child's clique
+    misses one bag member, so it lands right after w0 or w1, and its
+    subtree stays in that gap, as each bag starts [u0, v].  A bag lies in
+    its parent plus its own vertex, so a descendant's neighbours (its
+    clique, and the vertices whose clique holds it) are bag members or
+    descendants in its own gap.  Each interval (w_a, w_b) holds a whole gap
+    or none of it, and w_b is the bag's only member of its colour, so a
+    descendant's edge on w_b's page stays inside its gap or ends at w_b.
 
     Colour k's page is unused when no vertex of colour k has a younger
     neighbour (always for n = k+1), so `page_count` counts the pages in use.

@@ -194,9 +194,9 @@ def decomposition_from_certificate(cert: KTreeCertificate) -> TreeDecomposition:
     """Smooth width-k decomposition read straight off a k-tree certificate.
 
     Bag 0 is the base clique; each addition (v, C) contributes the bag C + {v},
-    attached to the lowest-index bag that contains C.  O(nk).  Raises
-    InvalidCertificate whenever `cert.replay()` would (see
-    `KTreeCertificate._parent_bags`).
+    attached to its parent in the certificate's tree (`cert.parents`, or by
+    default the bag of C's newest member).  O(nk).  Raises InvalidCertificate
+    whenever `cert.replay()` would (see `KTreeCertificate._parent_bags`).
     """
     parents = cert._parent_bags
     bags = [frozenset(cert.base_clique)]

@@ -7,6 +7,7 @@ cross-checked against the independent brute-force oracle when they were
 recorded.
 """
 
+import dataclasses
 import json
 import random
 import time
@@ -184,15 +185,18 @@ def test_criterion_5_bounds_consistency():
 
 
 def test_criterion_6_q_embedding_upper_bound():
+    # on the certificate's host tree (degree 4) and on the default tree
     used = []
     for k in (4, 5, 6):
         art = build_q(k)
-        emb = embed_ktree(art.graph, art.certificate)
-        res = validate_embedding(art.graph, emb)
-        assert res.ok
-        assert res.pages_used == k + 1  # bt(Q(k)) = k+1, met exactly
+        assert validate_decomposition(art.graph, art.decomposition).max_degree == 4
+        for cert in (art.certificate, dataclasses.replace(art.certificate, parents=None)):
+            emb = embed_ktree(art.graph, cert)
+            res = validate_embedding(art.graph, emb)
+            assert res.ok
+            assert res.pages_used == k + 1  # bt(Q(k)) = k+1, met exactly
         used.append(res.pages_used)
-    _passed(6, "Q(4..6) k-tree embedding", f"valid, {used} pages achieved")
+    _passed(6, "Q(4..6) k-tree embedding", f"valid on both trees, {used} pages achieved")
 
 
 # ---- 7. mutation and property suites ----

@@ -12,9 +12,11 @@ from bookembed import (
     complete_bipartite,
     complete_graph,
     is_k_tree,
+    random_ktree,
     validate_decomposition,
     validate_embedding,
 )
+from bookembed import cli
 from bookembed.bruteforce import random_connected_graph
 from bookembed.cli import main
 from util import cycle
@@ -207,6 +209,19 @@ def test_labels_that_are_no_json_object_are_a_usage_error(capsys, tmp_path):
     assert "labels must be a JSON object" in err
 
 
+@pytest.mark.parametrize("command", ["bt", "check", "embed"])
+def test_label_keys_that_are_no_decimal_ids_are_usage_errors(capsys, tmp_path, command):
+    # " 01" and "1" would both name vertex 1, the last one silently winning
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(json.dumps({"n": 3, "edges": [[0, 1]], "labels": {"1": "a", " 01": "b"}}))
+    epath = tmp_path / "emb.json"
+    epath.write_text(json.dumps({"order": [0, 1, 2], "pages": [[0, 1, 1]]}))
+    extra = ["--embedding", str(epath)] if command == "check" else []
+    code, out, err = _run(capsys, command, "--graph", str(gpath), *extra)
+    _assert_one_line_error(code, out, err)
+    assert "label key ' 01' is not a vertex id in decimal" in err
+
+
 def test_gen_empty_complete_graph_is_a_usage_error(capsys):
     _assert_one_line_error(*_run(capsys, "gen", "--family", "complete", "--n", "0"))
 
@@ -285,6 +300,41 @@ def test_embed_rejects_non_ktrees(capsys, tmp_path):
     code, _, err = _run(capsys, "embed", "--graph", str(gpath), "--method", "ktree")
     assert code == 1
     assert "not a k-tree" in err
+
+
+@pytest.mark.parametrize("g", [
+    Graph(1),  # no k in 1..n-1
+    Graph(3),  # no edges
+    cycle(4),  # 4 edges: a 1-tree on 4 vertices has 3, a 2-tree 5
+    Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)]),  # 4 edges again
+    # 7 edges, a 2-tree's count, but vertex 4 has degree 1
+    Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)]),
+], ids=["K1", "empty", "C4", "triangle-and-edge", "K4-and-pendant"])
+def test_embed_without_k_rejects_graphs_no_width_fits(capsys, tmp_path, g):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(g.to_json())
+    code, out, err = _run(capsys, "embed", "--graph", str(gpath), "--method", "ktree")
+    assert (code, out) == (1, "")
+    assert err == "graph is not a k-tree for the requested (or any matching) k\n"
+
+
+def test_embed_without_k_recognizes_once(monkeypatch):
+    # the edge count alone names the one width that can fit
+    calls = []
+
+    def counting(g, k):
+        calls.append(k)
+        return is_k_tree(g, k)
+
+    monkeypatch.setattr(cli, "is_k_tree", counting)
+    for n in range(2, 13):
+        for k in range(1, n):
+            g, _ = random_ktree(n, k, seed=n * k)
+            calls.clear()
+            assert cli._infer_certificate(g, None).k == k and calls == [k]
+            calls.clear()
+            cli._infer_certificate(g.without_edge(*g.edges[0]), None)
+            assert len(calls) == 1
 
 
 def test_embed_first_fit_with_explicit_order(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Graph families: split graphs, path powers, gadgets, and the Q family."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -155,6 +156,21 @@ def test_q_certificate_decomposition_also_validates():
     td = decomposition_from_certificate(art.certificate)
     rep = validate_decomposition(art.graph, td)
     assert rep.valid and rep.smooth and rep.width == 4
+    # the default tree, each bag under the bag of its clique's newest member
+    td = decomposition_from_certificate(dataclasses.replace(art.certificate, parents=None))
+    rep = validate_decomposition(art.graph, td)
+    assert rep.valid and rep.smooth and rep.width == 4 and rep.max_degree == 33
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+@pytest.mark.parametrize("pad", [0, 7])
+def test_q_decomposition_is_read_off_its_certificate(k, pad):
+    # one bag tree: the certificate carries the host tree of degree 4
+    art = build_q(k, k + 11 * (2 * k * k + 1) + pad)
+    assert len(art.certificate.parents) == art.graph.n - k - 1
+    assert decomposition_from_certificate(art.certificate) == art.decomposition
+    rep = validate_decomposition(art.graph, art.decomposition)
+    assert rep.valid and rep.smooth and rep.width == k and rep.max_degree == 4
 
 
 def test_q_padding():

@@ -121,6 +121,18 @@ def test_validate_structural_findings():
     assert not res.ok and "outside" in res.finding
 
 
+@pytest.mark.parametrize("pages, key", [
+    # one edge named twice, in both orientations, on two pages
+    ({(0, 1): 1, (1, 0): 2, (0, 2): 1, (1, 2): 1}, (1, 0)),
+    # one edge named once, reversed
+    ({(0, 1): 1, (2, 0): 1, (1, 2): 1}, (2, 0)),
+])
+def test_keys_that_only_normalize_onto_the_edges_are_findings(pages, key):
+    res = validate_embedding(complete_graph(3), BookEmbedding((0, 1, 2), pages, 2))
+    assert not res.ok and res.first_conflict is None
+    assert res.finding == f"page key {key} is not an edge (u, v) with u < v"
+
+
 def test_embedding_json_round_trip():
     g = complete_graph(4)
     emb = _emb(g, (2, 0, 3, 1), {e: 1 + i % 2 for i, e in enumerate(g.edges)})

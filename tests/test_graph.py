@@ -234,6 +234,39 @@ def test_certificate_attachment_must_be_clique_so_far():
         cert.replay()
 
 
+_STEPS = ((3, frozenset({0, 1})), (4, frozenset({1, 3})), (5, frozenset({0, 2})))
+
+
+def test_certificate_keeps_its_given_tree():
+    cert = KTreeCertificate(2, (0, 1, 2), _STEPS, (0, 1, 0))
+    td = decomposition_from_certificate(cert)
+    assert td.tree_edges == {(0, 1), (1, 2), (0, 3)}
+    assert cert.replay() == KTreeCertificate(2, (0, 1, 2), _STEPS).replay()
+
+
+@pytest.mark.parametrize("parents, message", [
+    ((0, 1), "2 parents for 3 additions"),
+    ((0, 1, 0, 0), "4 parents for 3 additions"),
+    ((1, 1, 0), r"parent of 3 is 1, not a bag in 0\.\.0"),
+    ((0, 2, 0), r"parent of 4 is 2, not a bag in 0\.\.1"),
+    ((0, -1, 0), r"parent of 4 is -1, not a bag in 0\.\.1"),
+    ((0, 1.0, 0), r"parent of 4 is 1\.0, not a bag in 0\.\.1"),
+    ((0, True, 0), r"parent of 4 is True, not a bag in 0\.\.1"),
+    # {1, 3} is a clique, but it does not lie in the base
+    ((0, 0, 0), "attachment clique for 4 is outside bag 0"),
+])
+def test_certificate_rejects_bad_parents(parents, message):
+    g = KTreeCertificate(2, (0, 1, 2), _STEPS).replay()
+    cert = KTreeCertificate(2, (0, 1, 2), _STEPS, parents)
+    with pytest.raises(InvalidCertificate, match=message):
+        cert.replay()
+    assert not cert.is_valid_for(g)
+    with pytest.raises(InvalidCertificate):
+        decomposition_from_certificate(cert)
+    with pytest.raises(InvalidCertificate):
+        embed_ktree(g, cert)
+
+
 def _first_non_clique(cert):
     """(vertex, missing pairs) at the first attachment set that is not a
     clique of the graph built so far, found by looking up every pair; None
@@ -508,3 +541,12 @@ def test_json_round_trip():
         assert Graph.from_json(g.to_json()) == g
     labeled = Graph(3, [(0, 2)], labels={2: "pad"})
     assert Graph.from_json(labeled.to_json()) == labeled
+
+
+@pytest.mark.parametrize("key", [" 01", "01", "1 ", "+1", "1_0", "\uff11", "0x1", "-1", "a"])
+def test_json_label_keys_must_be_decimal_ids(key):
+    # each of these would land on a vertex that "1" or "10" names as well
+    with pytest.raises(ValueError, match=re.escape(f"label key {key!r} is not a vertex id")):
+        Graph.from_json_dict({"n": 11, "edges": [], "labels": {"1": "a", key: "b"}})
+    g = Graph.from_json_dict({"n": 11, "edges": [], "labels": {"1": "a", "10": "b", "0": "c"}})
+    assert g.labels == {1: "a", 10: "b", 0: "c"}

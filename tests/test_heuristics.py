@@ -1,25 +1,37 @@
 """Heuristic embedders: always valid, never promised optimal."""
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookembed import (
     BookEmbedError,
+    Graph,
     InvalidCertificate,
     InvalidOrder,
     book_thickness_exact,
     build_q,
     complete_graph,
+    decomposition_from_certificate,
     embed_ktree,
     first_fit_pages,
     is_k_tree,
     path_power,
     random_ktree,
+    validate_decomposition,
     validate_embedding,
 )
-from util import cycle, ktree_cases, random_graph, reference_spine
+from util import (
+    cycle,
+    degree3_ktree,
+    ktree_cases,
+    random_graph,
+    reference_spine,
+    relabelled_certificate,
+)
 
 
 # ---- first fit under a fixed order ----
@@ -123,10 +135,12 @@ def test_embed_ktree_rejects_foreign_certificates():
 
 def test_embed_ktree_on_the_q_construction():
     # bt(Q(k)) = k+1 (the paper) and every k-tree fits on k+1 pages
-    # (Ganley-Heath): the colour rule meets both bounds
+    # (Ganley-Heath): the colour rule meets both bounds, on the host tree
+    # of degree 4 and on the default tree alike
     for k in (4, 5, 6):
         art = build_q(k)
-        for cert in (art.certificate, is_k_tree(art.graph, k)):
+        default = dataclasses.replace(art.certificate, parents=None)
+        for cert in (art.certificate, default, is_k_tree(art.graph, k)):
             emb = embed_ktree(art.graph, cert)
             res = validate_embedding(art.graph, emb)
             assert res.ok
@@ -141,4 +155,24 @@ def test_embed_ktree_uses_at_most_k_plus_one_pages_on_the_reference_spine(case):
     assert validate_embedding(g, emb).ok
     # the base clique's edges alone fill k colour pages
     assert k <= emb.pages_used() == emb.page_count <= k + 1
+    assert list(emb.order) == reference_spine(cert)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 6), st.integers(0, 59), st.integers(0, 2**32), st.randoms())
+def test_embed_ktree_walks_a_given_degree_three_tree(k, extra, seed, rng):
+    # the certificate's own host tree, not the default one, is walked, and
+    # the colour rule stays valid on k+1 pages under it
+    n = min(60, k + 1 + extra)
+    g, cert = degree3_ktree(n, k, seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cert = relabelled_certificate(cert, perm)
+    g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert cert.replay() == g and cert.is_valid_for(g)
+    rep = validate_decomposition(g, decomposition_from_certificate(cert))
+    assert rep.valid and rep.smooth and rep.width == k and rep.max_degree <= 3
+    emb = embed_ktree(g, cert)
+    res = validate_embedding(g, emb)
+    assert res.ok and res.pages_used <= k + 1
     assert list(emb.order) == reference_spine(cert)

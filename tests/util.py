@@ -60,12 +60,17 @@ def reference_graph(n, edges=(), labels=None):
 
 def reference_decomposition(cert):
     """Bags and tree edges of a certificate's decomposition, found the slow,
-    literal way: each addition's bag hangs from the first bag, scanning all
-    earlier ones, that contains its clique."""
+    literal way: each addition's bag hangs from its given parent bag, or
+    without given parents from the first bag, scanning all earlier ones,
+    that contains its clique."""
     bags = [frozenset(cert.base_clique)]
     tree_edges = set()
-    for v, clique in cert.additions:
-        parent = next(i for i, b in enumerate(bags) if clique <= b)
+    for step, (v, clique) in enumerate(cert.additions):
+        if cert.parents is None:
+            parent = next(i for i, b in enumerate(bags) if clique <= b)
+        else:
+            parent = cert.parents[step]
+            assert clique <= bags[parent]
         tree_edges.add((parent, len(bags)))
         bags.append(frozenset(clique | {v}))
     return tuple(bags), frozenset(tree_edges)
@@ -73,8 +78,9 @@ def reference_decomposition(cert):
 
 def reference_spine(cert):
     """The k-tree spine built on a plain list: the base in id order, then the
-    reference decomposition walked depth-first, children by index, each added
-    vertex inserted right after its clique's leftmost member."""
+    reference decomposition (the certificate's given tree, if any) walked
+    depth-first, children by index, each added vertex inserted right after
+    its clique's leftmost member."""
     bags, tree_edges = reference_decomposition(cert)
     children = [[] for _ in bags]
     for i, j in sorted(tree_edges):
@@ -92,12 +98,39 @@ def reference_spine(cert):
 
 
 def relabelled_certificate(cert, perm):
-    """The certificate with every vertex v renamed perm[v]."""
+    """The certificate with every vertex v renamed perm[v]; the bag tree
+    stays as it is."""
     return KTreeCertificate(
         cert.k,
         tuple(perm[v] for v in cert.base_clique),
         tuple((perm[v], frozenset(perm[u] for u in c)) for v, c in cert.additions),
+        cert.parents,
     )
+
+
+def degree3_ktree(n, k, seed):
+    """(graph, certificate): a seeded k-tree on n >= k+1 vertices whose
+    certificate carries a host tree of maximum degree <= 3.  Each step picks
+    a bag with fewer than 3 tree neighbours and drops any one of its
+    members, the newest one included; the rest is the new vertex's clique
+    and the picked bag its parent.  With the newest never dropped, the tree
+    would be the certificate's default one, so the dropping is what makes
+    the given tree differ from it."""
+    rng = random.Random(seed)
+    bags = [tuple(range(k + 1))]
+    degree = [0]
+    additions, parents = [], []
+    for v in range(k + 1, n):
+        parent = rng.choice([b for b, d in enumerate(degree) if d < 3])
+        clique = list(bags[parent])
+        del clique[rng.randrange(k + 1)]
+        additions.append((v, frozenset(clique)))
+        parents.append(parent)
+        degree[parent] += 1
+        degree.append(1)
+        bags.append((*clique, v))
+    cert = KTreeCertificate(k, bags[0], tuple(additions), tuple(parents))
+    return cert.replay(), cert
 
 
 @st.composite
@@ -209,8 +242,9 @@ def reference_validate_decomposition(g, td):
 
 def reference_validate_embedding(g, emb):
     """`validate_embedding` the slow, literal way: edge sets rebuilt and
-    compared after normalizing every page key, every page number checked in
-    sorted order, and one stack sweep per page.  Raises on non-integer ids."""
+    compared after normalizing every page key, then each key looked up as
+    it is, every page number checked in sorted order, and one stack sweep
+    per page.  Raises on non-integer ids."""
     used = len(set(emb.pages.values()))
     if sorted(emb.order) != list(range(g.n)):
         return ValidationResult(False, used, finding="order is not a permutation of the vertices")
@@ -224,6 +258,11 @@ def reference_validate_embedding(g, emb):
         if extra:
             detail.append(f"unknown edges {extra[:3]}")
         return ValidationResult(False, used, finding="; ".join(detail))
+    # every edge named once, as (u, v) with u < v
+    reversed_keys = [e for e in emb.pages if e not in set(g.edges)]
+    if reversed_keys:
+        return ValidationResult(
+            False, used, finding=f"page key {reversed_keys[0]!r} is not an edge (u, v) with u < v")
     for e, p in sorted(emb.pages.items()):
         if not (1 <= p <= emb.page_count):
             return ValidationResult(
