@@ -19,7 +19,7 @@ from .constructions import (build_q, complete_bipartite, complete_split, dujwoo_
                             path_power, random_ktree)
 from .embedding import BookEmbedding, validate_embedding
 from .errors import BookEmbedError, InvalidInput
-from .graph import Graph, _json_text, complete_graph, is_k_tree
+from .graph import Graph, _check_vertex_count, _json_text, complete_graph, is_k_tree
 from .heuristics import embed_ktree, first_fit_pages
 from .solver import SolverOptions, book_thickness_exact
 from .treedec import TreeDecomposition, decomposition_from_certificate, validate_decomposition
@@ -65,27 +65,31 @@ def _parse_order(text: str) -> list:
 # ---- gen ----
 
 
-# family -> (required parameters, builder returning the graph and its k-tree
-# certificate or None); the keys are `gen --family`'s choices, in order
+# family -> (required parameters, the vertex count it will have, builder
+# returning the graph and its k-tree certificate or None); the keys are `gen
+# --family`'s choices, in order
 _FAMILIES = {
-    "complete": (("n",), lambda a: (complete_graph(a.n), None)),
-    "split": (("k", "m"), lambda a: (complete_split(a.k, a.m), None)),
-    "q": (("k",), lambda a: attrgetter("graph", "certificate")(build_q(a.k, a.n))),
-    "path-power": (("n", "k"), lambda a: (path_power(a.n, a.k), None)),
-    "dujwoo": (("k", "m"), lambda a: (dujwoo_gadget(a.k, a.m), None)),
-    "complete-bipartite": (("k", "m"), lambda a: (complete_bipartite(a.k, a.m), None)),
-    "random-ktree": (("n", "k"), lambda a: random_ktree(a.n, a.k, a.seed)),
+    "complete": (("n",), lambda a: a.n, lambda a: (complete_graph(a.n), None)),
+    "split": (("k", "m"), lambda a: a.k + a.m, lambda a: (complete_split(a.k, a.m), None)),
+    "q": (("k",), lambda a: max(a.n or 0, a.k + 11 * (2 * a.k * a.k + 1)),
+          lambda a: attrgetter("graph", "certificate")(build_q(a.k, a.n))),
+    "path-power": (("n", "k"), lambda a: a.n, lambda a: (path_power(a.n, a.k), None)),
+    "dujwoo": (("k", "m"), lambda a: a.k + 2 * a.m, lambda a: (dujwoo_gadget(a.k, a.m), None)),
+    "complete-bipartite": (("k", "m"), lambda a: a.k + a.m,
+                           lambda a: (complete_bipartite(a.k, a.m), None)),
+    "random-ktree": (("n", "k"), lambda a: a.n, lambda a: random_ktree(a.n, a.k, a.seed)),
 }
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     fam = args.family
-    need, build = _FAMILIES[fam]
+    need, size, build = _FAMILIES[fam]
     for p in need:
         if getattr(args, p) is None:
             _say(f"gen --family {fam} requires --{p}")
             return 2
     with _reading(f"--family {fam}"):
+        _check_vertex_count(size(args))
         g, cert = build(args)
 
     want_td = args.with_treedec

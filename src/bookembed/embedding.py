@@ -144,9 +144,10 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
     reported as (open arc's edge, new arc's edge).
 
     Linear apart from sorting the arcs.  The keys must equal the edge set as
-    they are, (u, v) with u < v, and are normalized only to name what
-    differs; page numbers are type-checked per edge, range-checked once per
-    distinct page, and sorted only to name the first one out of range.
+    they are, pairs (u, v) of ints with u < v, and are normalized only to
+    name what differs; page numbers are type-checked per edge, range-checked
+    once per distinct page, and sorted only to name the first one out of
+    range.
     """
     try:
         pages = dict(emb.pages)
@@ -163,7 +164,10 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
         order = None
     if order is None or not _is_permutation(order, g.n):
         return ValidationResult(False, used, finding="order is not a permutation of the vertices")
-    if pages.keys() != g._edge_set:
+    # (0, True) and (0, 1.0) equal (0, 1) and hash like it, so keys that
+    # equal the edge set still have their ids' types read
+    keys = pages.keys()
+    if keys != g._edge_set or not all(type(u) is int is type(v) for u, v in keys):
         bad = next((e for e in pages if not _is_vertex_pair(e)), None)
         if bad is not None:
             return ValidationResult(

@@ -29,6 +29,18 @@ def _json_text(obj: object) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+# The most vertices a graph read from a file or made by `bookembed gen` may
+# have.  A graph holds two sets per vertex (building an edgeless one on 10^5
+# vertices peaks at about 45 MB), so the count is checked before anything
+# is allocated for it.
+MAX_VERTICES = 10**6
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
+
+
 def _require_ints(values: Iterable, what: str) -> None:
     """The package's one id rule, applied to raw JSON lists before any set or
     dict can merge 1.0 or true into 1: every id is a JSON integer."""
@@ -151,6 +163,7 @@ class Graph(_JSONFormat):
                 if len(nums) != 2:
                     raise ValueError(f"bad header line: {raw!r}")
                 header = (int(nums[0]), int(nums[1]))
+                _check_vertex_count(header[0])
             else:
                 if len(nums) != 2:
                     raise ValueError(f"bad edge line: {raw!r}")
@@ -174,6 +187,7 @@ class Graph(_JSONFormat):
         n = data["n"]
         if type(n) is not int:  # int() would take 3.5 or "3" as 3
             raise ValueError(f"vertex count must be an integer, got {n!r}")
+        _check_vertex_count(n)
         edges = data["edges"]
         _require_ints([v for e in edges for v in e], "edge endpoints")
         labels = data.get("labels", {})

@@ -8,7 +8,10 @@ n + p(n-3) edges, so a block's search starts from that edge bound
 (`density_lower_bound`), which already equals the answer on complete
 graphs.  When that bound is 1, an O(m log m) outerplanarity test
 (`_outerplanar_cycle`, checked by first-fit) decides whether one page
-suffices, so no block is ever searched for a one-page order.
+suffices, so no block is ever searched for a one-page order.  When it is 2
+and first-fit needs more, a planarity test (`_planar`) raises a non-planar
+block to 3, since two pages are a plane drawing, so no search proves that a
+non-planar block misses two pages.
 
 Each remaining block's circular orders are searched depth-first, filling
 positions 1..n-1 left to right with a maximum-degree vertex pinned at
@@ -584,6 +587,95 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
     return order
 
 
+def _planar(block: Graph) -> bool:
+    """Whether a biconnected block is planar, by the face-splitting test of
+    Demoucron, Malgrange and Pertuiset (1964).  A non-planar graph contains
+    a subdivision of K5 or K3,3 (Kuratowski), so fewer than 5 vertices or 9
+    edges is planar.
+
+    Start from a cycle, drawn with its two faces.  A fragment of the drawn
+    part H is an edge of G - H with both ends in H, or a component of
+    G - V(H) with its edges to H; its contacts are its vertices in H, at
+    least two in a biconnected block.  A fragment fits a face whose boundary
+    holds all its contacts.  Each step draws a path of a fragment between
+    two contacts across a face it fits, preferring a fragment that fits only
+    one face, which splits that face in two.  In a biconnected plane graph
+    every face is bounded by a cycle, kept as its vertex list.  If some
+    fragment fits no face, no plane drawing extends the one of H, and so G
+    is not planar.  The theorem of Demoucron et al. is the converse: if G is
+    planar, every drawing the rule reaches extends to a drawing of G, so
+    the test ends with all of G drawn exactly when G is planar.
+    """
+    n, edges = block.n, block.edges
+    if n < 5 or len(edges) < 9:
+        return True
+    adj = [block.neighbors(v) for v in range(n)]
+    w = min(adj[0])  # the cycle: edge (0, w) and a path from w to 0 without it
+    prev = {w: w}
+    queue = [w]
+    for u in queue:
+        for x in adj[u]:
+            if x not in prev and (u, x) != (w, 0):
+                prev[x] = u
+                queue.append(x)
+    cycle = [0]
+    while cycle[-1] != w:
+        cycle.append(prev[cycle[-1]])
+    faces = [cycle, cycle[:]]
+    on = set(cycle)
+    done = {_norm_edge(u, v) for u, v in zip(cycle, cycle[1:] + [0])}
+    while len(done) < len(edges):
+        frags = [({u, v}, [u, v]) for u, v in edges
+                 if u in on and v in on and (u, v) not in done]
+        seen = set(on)
+        for s in range(n):
+            if s in seen:
+                continue
+            seen.add(s)
+            comp = [s]
+            for u in comp:
+                for x in adj[u]:
+                    if x not in seen:
+                        seen.add(x)
+                        comp.append(x)
+            frags.append(({x for u in comp for x in adj[u] if x in on}, comp))
+        best = None
+        for contacts, part in frags:
+            fits = [f for f in faces if contacts <= set(f)]
+            if not fits:
+                return False
+            if best is None or len(fits) < len(best[0]):
+                best = fits, contacts, part
+        fits, contacts, path = best
+        if path[0] not in on:  # a component: a path from a contact through it
+            a = min(contacts)
+            inside = set(path)
+            x = next(u for u in path if a in adj[u])
+            prev = {x: a}
+            queue = [x]
+            for u in queue:
+                b = next((y for y in adj[u] if y in on and y != a), None)
+                if b is not None:
+                    break
+                for y in adj[u]:
+                    if y in inside and y not in prev:
+                        prev[y] = u
+                        queue.append(y)
+            path = [b, u]
+            while path[-1] != a:
+                path.append(prev[path[-1]])
+        # the face, turned to start at the path's first end, splits at its last
+        face = fits[0]
+        i = face.index(path[0])
+        f = face[i:] + face[:i]
+        j = f.index(path[-1])
+        faces.remove(face)
+        faces += [f[:j + 1] + path[-2:0:-1], f[j:] + path[:-1]]
+        on.update(path)
+        done.update(_norm_edge(u, v) for u, v in zip(path, path[1:]))
+    return True
+
+
 def _solve_block(edges: list[tuple[int, int]], search: _Search):
     """Order search on the block with these edges, under the solve's shared
     `search`.  Returns (upper, lower, circular order, page map), with the
@@ -596,6 +688,15 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     always checked: first-fit under it must use one page, and its first
     page is the same stack sweep of the same arcs in (a, -b) order that
     decides whether one page holds them all.
+
+    Two pages hold only planar graphs (Bernhart and Kainen): with the spine
+    drawn as a circle, one page's edges inside it and the other's outside,
+    no two edges cross.  So when the edge bound is 2 and the incumbent and
+    cap leave 3 or more pages open, a block that `_planar` finds non-planar
+    starts from 3.  Such a block is biconnected, since a bridge settles at
+    one page, and has m <= 3n - 6 edges, since the edge bound 2 means
+    m <= n + 2(n - 3).  Under a one-page cap the test never runs, so
+    `is_outerplanar` keeps its cost.
     """
     verts = sorted({v for e in edges for v in e})
     local = {v: i for i, v in enumerate(verts)}
@@ -608,6 +709,9 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
         lb = 2
     incumbent = first_fit_pages(sub, range(sub.n))
     search.reset(incumbent.page_count, incumbent, lb)
+    if lb == 2 < search.cap() and not _planar(sub):
+        lb = 3
+        search.reset(incumbent.page_count, incumbent, lb)
     if lb < search.cap():
         search.check_budget()  # an earlier block may have spent it
         _search_orders(sub, search)

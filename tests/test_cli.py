@@ -2,8 +2,14 @@
 
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bookembed import (
     BookEmbedding,
@@ -11,6 +17,8 @@ from bookembed import (
     TreeDecomposition,
     complete_bipartite,
     complete_graph,
+    decomposition_from_certificate,
+    embed_ktree,
     is_k_tree,
     random_ktree,
     validate_decomposition,
@@ -185,6 +193,60 @@ def test_bt_bad_text_header_is_a_usage_error(capsys, tmp_path):
     gpath = tmp_path / "bad.txt"
     gpath.write_text("3 x\n0 1\n")
     _assert_one_line_error(*_run(capsys, "bt", "--graph", str(gpath)))
+
+
+@pytest.mark.parametrize("name, text", [
+    ("huge.json", '{"n": 100000000000, "edges": [[0, 1]]}'),
+    ("huge.json", '{"n": 1000001, "edges": []}'),
+    ("huge.txt", "100000000000 1\n0 1\n"),
+    ("huge.txt", "100000000000000000000 0\n"),
+])
+def test_graph_files_above_the_vertex_limit_are_usage_errors(capsys, tmp_path, monkeypatch,
+                                                             name, text):
+    gpath = tmp_path / name
+    gpath.write_text(text)
+
+    def built(*args, **kwargs):  # the count must be refused before a graph is built
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", built)
+    code, out, err = _run(capsys, "bt", "--graph", str(gpath))
+    _assert_one_line_error(code, out, err)
+    assert "is above the limit of 1000000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["path-power", "--n", "100000000000", "--k", "1"],
+    ["complete", "--n", "1000001"],
+    ["random-ktree", "--n", "100000000000000000000", "--k", "2"],
+    ["q", "--k", "1000"],  # k + 11(2k^2 + 1) = 22,001,011 vertices
+    ["q", "--k", "4", "--n", "1000001"],
+    ["split", "--k", "1", "--m", "1000000"],
+    ["dujwoo", "--k", "2", "--m", "500000"],
+    ["complete-bipartite", "--k", "1000000", "--m", "1"],
+])
+def test_gen_above_the_vertex_limit_is_a_usage_error(capsys, monkeypatch, argv):
+    fam = argv[0]
+    need, size, _ = cli._FAMILIES[fam]
+
+    def build(args):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setitem(cli._FAMILIES, fam, (need, size, build))
+    code, out, err = _run(capsys, "gen", "--family", *argv)
+    _assert_one_line_error(code, out, err)
+    assert "is above the limit of 1000000" in err
+
+
+def test_gen_vertex_counts_match_the_families():
+    parse = cli.build_parser().parse_args
+    for argv in (["complete", "--n", "5"], ["split", "--k", "3", "--m", "4"], ["q", "--k", "4"],
+                 ["q", "--k", "4", "--n", "500"], ["path-power", "--n", "9", "--k", "3"],
+                 ["dujwoo", "--k", "3", "--m", "2"], ["complete-bipartite", "--k", "2", "--m", "3"],
+                 ["random-ktree", "--n", "12", "--k", "3"]):
+        args = parse(["gen", "--family", *argv])
+        _, size, build = cli._FAMILIES[argv[0]]
+        assert size(args) == build(args)[0].n, argv
 
 
 @pytest.mark.parametrize("command", ["bt", "embed"])
@@ -434,3 +496,83 @@ def test_oracle_rejects_negative_samples(capsys, samples):
     code, out, err = _run(capsys, "oracle", "--max-n", "3", "--samples", samples)
     assert code == 2 and out == ""
     assert err == f"error: oracle: --samples must be at least 0, got {samples}\n"
+
+
+# ---- fuzzing the input files ----
+
+
+# small ints only: a vertex count below the limit but far above these sizes
+# would allocate a set per vertex
+_JUNK = st.one_of(st.integers(-2, 12), st.sampled_from(
+    [10**20, -(10**20), 1.0, 0.5, True, None, "1", "x", [], {}, [0, 1], [[0, 1]], {"1": 1}]))
+
+
+def _places(x, path=()):
+    """The path to every value inside parsed JSON, the root first."""
+    yield path
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield from _places(value, (*path, key))
+
+
+@st.composite
+def _mutated_files(draw):
+    """The texts of a graph, an embedding and a decomposition file for one
+    small k-tree, after one to three mutations: a value replaced, dropped or
+    copied (a dict entry under another key), a graph written as text, or a
+    text cut short."""
+    k = draw(st.integers(1, 3))
+    g, cert = random_ktree(draw(st.integers(k + 1, 8)), k, draw(st.integers(0, 2**16)))
+    data = {"graph": g.to_json_dict(), "embedding": embed_ktree(g, cert).to_json_dict(),
+            "treedec": decomposition_from_certificate(cert).to_json_dict()}
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(data)))
+        place = draw(st.sampled_from(list(_places(data[name]))))
+        if not place:  # the whole file
+            data[name] = draw(_JUNK)
+            continue
+        *head, last = place
+        parent = data[name]
+        for key in head:
+            parent = parent[key]
+        action = draw(st.sampled_from(("set", "drop", "copy")))
+        if action == "set":
+            parent[last] = draw(_JUNK)
+        elif action == "drop":
+            del parent[last]
+        elif isinstance(parent, list):
+            parent.append(parent[last])
+        else:
+            parent[draw(st.sampled_from(("n", "edges", "labels", "order", "pages", "bags",
+                                         "tree_edges", "7")))] = parent[last]
+    texts = {name: json.dumps(value) for name, value in data.items()}
+    if draw(st.booleans()):
+        try:
+            texts["graph"] = Graph.from_json_dict(data["graph"]).to_text()
+        except (ValueError, KeyError, TypeError):
+            pass
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(texts)))
+        texts[name] = texts[name][:draw(st.integers(0, len(texts[name])))]
+    return texts
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_mutated_files())
+def test_mutated_files_exit_cleanly(texts):
+    """Every command ends in exit 0, 1 or 2, never a traceback, and an exit
+    2 prints exactly one line on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in texts.items():
+            Path(tmp, name).write_text(text)
+        g, emb, td = (str(Path(tmp, name)) for name in ("graph", "embedding", "treedec"))
+        for argv in (["bt", "--graph", g, "--node-limit", "50"], ["embed", "--graph", g],
+                     ["embed", "--graph", g, "--method", "first-fit"],
+                     ["check", "--graph", g, "--embedding", emb],
+                     ["treedec", "validate", "--graph", g, "--treedec", td]):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert err.getvalue().count("\n") == 1 and not out.getvalue(), argv

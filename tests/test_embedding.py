@@ -380,11 +380,16 @@ def test_validation_matches_the_literal_checks(case):
     # the set of pages keeps the 1 met first and drops True
     ((0, 1, 2, 3), {(2, 3): True}, "edge (2, 3) on page True, outside 1..2"),
     ((0.0, 1, 2, 3), {}, "order is not a permutation of the vertices"),
+    # True and 1.0 equal 1 and hash like it, so these keys equal the edge set
+    ((0, 1, 2, 3), {(0, True): 1}, "page key (0, True) is not a pair of vertex ids"),
+    ((0, 1, 2, 3), {(1.0, 2): 1}, "page key (1.0, 2) is not a pair of vertex ids"),
 ])
 def test_non_integer_ids_are_findings(order, pages, finding):
     g = complete_graph(4)
     full = {e: 1 + (e == (1, 3)) for e in g.edges}
-    full.update(pages)
+    for e, p in pages.items():
+        full.pop(e, None)  # an equal key would otherwise keep its old form
+        full[e] = p
     res = validate_embedding(g, BookEmbedding(order, full, 2))
     assert not res.ok and res.finding == finding
 

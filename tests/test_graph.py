@@ -26,6 +26,7 @@ from bookembed import (
 )
 from bookembed.bruteforce import enumerate_graphs, is_k_tree_brute, random_connected_graph
 from bookembed.constructions import build_q, complete_split, dujwoo_gadget, path_power, random_ktree
+from bookembed.graph import MAX_VERTICES
 from util import (
     ktree_cases,
     random_graph,
@@ -541,6 +542,18 @@ def test_json_round_trip():
         assert Graph.from_json(g.to_json()) == g
     labeled = Graph(3, [(0, 2)], labels={2: "pad"})
     assert Graph.from_json(labeled.to_json()) == labeled
+
+
+def test_parsers_refuse_graphs_above_the_vertex_limit(monkeypatch):
+    def built(*args, **kwargs):  # the count must be refused before a graph is built
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", built)
+    for n in (MAX_VERTICES + 1, 10**11, 10**20):
+        with pytest.raises(ValueError, match=f"vertex count {n} is above the limit of 1000000"):
+            Graph.from_json_dict({"n": n, "edges": [[0, 1]]})
+        with pytest.raises(ValueError, match=f"vertex count {n} is above the limit of 1000000"):
+            Graph.from_text(f"{n} 1\n0 1\n")
 
 
 @pytest.mark.parametrize("key", [" 01", "01", "1 ", "+1", "1_0", "\uff11", "0x1", "-1", "a"])

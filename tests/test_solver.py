@@ -21,6 +21,7 @@ from bookembed import (
     min_pages_for_order,
     path_power,
     random_ktree,
+    solver,
     validate_embedding,
 )
 from bookembed.bruteforce import (
@@ -31,8 +32,8 @@ from bookembed.bruteforce import (
 )
 from bookembed.embedding import crossing_masks
 from bookembed.graph import _norm_edge
-from bookembed.solver import _fewest_colours, _Prefix, _try_color
-from util import cycle, path, random_tree
+from bookembed.solver import _blocks, _fewest_colours, _planar, _Prefix, _try_color
+from util import cycle, path, random_tree, stacked_triangulation
 
 
 def _bt(g, **kw):
@@ -126,13 +127,14 @@ def test_matches_brute_force_on_random_six_vertex_graphs():
 
 
 def _needs_search():
-    # bt 3 but root bound 2, so the answer takes ~1.2k search nodes; complete
-    # graphs close at the root and cannot exercise the budgets
-    return random_connected_graph(9, random.Random(9), 0.5)
+    # bt 4 but root bound 3, so the answer takes ~163k search nodes; complete
+    # graphs close at the root and cannot exercise the budgets, and neither
+    # can a non-planar graph of bt 3, which starts from 3
+    return random_connected_graph(10, random.Random(4), 0.7)
 
 
 def test_max_pages_cap():
-    g = _needs_search()
+    g = random_connected_graph(9, random.Random(9), 0.5)  # bt 3, non-planar
     rep = _bt(g, max_pages=1)
     assert rep.status is SolverStatus.LOWER_BOUND_ONLY
     assert rep.lower_bound == 2
@@ -149,9 +151,9 @@ def test_node_limit_times_out():
     rep = _bt(g, node_limit=50)
     assert rep.status is SolverStatus.TIMEOUT
     assert rep.nodes_explored >= 50
-    assert rep.lower_bound == 2
-    assert rep.book_thickness >= 3
-    assert rep.lower_bound <= 3 <= rep.book_thickness
+    assert rep.lower_bound == 3
+    assert rep.book_thickness >= 4
+    assert rep.lower_bound <= 4 <= rep.book_thickness
     # the reported upper bound is still a real embedding
     assert validate_embedding(g, rep.witness).ok
 
@@ -426,6 +428,105 @@ def test_outerplanar_blocks_are_decided_without_search(case):
         full = _bt(h)
         assert full.status is SolverStatus.EXACT
         assert full.book_thickness == book_thickness_brute(h) == 2
+
+
+# ---- the planarity bound ----
+
+
+def _block_graphs(g):
+    """Each block of g as a graph of its own, its vertices renumbered in
+    id order, as `_solve_block` does."""
+    out = []
+    for _, edges in _blocks(g):
+        verts = sorted({v for e in edges for v in e})
+        local = {v: i for i, v in enumerate(verts)}
+        out.append(Graph(len(verts), [(local[u], local[v]) for u, v in edges]))
+    return out
+
+
+def test_non_planar_blocks_are_exactly_those_needing_three_pages():
+    """Two pages give a plane drawing: the spine as a circle, one page's
+    chords inside it and the other's outside (Bernhart and Kainen).  On at
+    most 10 vertices the converse holds too.  A planar graph lies in a
+    maximal planar graph on the same vertices, which is Hamiltonian there,
+    since the smallest non-Hamiltonian one (Goldner-Harary) has 11 vertices.
+    With that cycle as the spine, the chords inside it go on one page and
+    those outside on the other.  So on these sizes a block is non-planar
+    iff `book_thickness_brute` says it needs 3 or more pages.  Checked on
+    every block of every connected graph with n <= 6 and of 20 seeded ones
+    with n = 7."""
+    rng = random.Random(67)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [random_connected_graph(7, rng, rng.choice((0.5, 0.7))) for _ in range(20)]
+    verdicts = []
+    for g in graphs:
+        for block in _block_graphs(g):
+            planar = _planar(block)
+            assert planar == (book_thickness_brute(block) <= 2), block.edges
+            verdicts.append(planar)
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+
+def test_non_planar_blocks_start_at_three_pages():
+    # K3,3 has 9 edges on 6 vertices, so the edge bound allows 2 pages;
+    # first-fit finds 3 and the planarity bound closes the gap at the root
+    rep = _bt(complete_bipartite(3, 3))
+    assert rep.status is SolverStatus.EXACT
+    assert rep.book_thickness == rep.lower_bound == 3 and rep.nodes_explored == 0
+    g = random_connected_graph(9, random.Random(9), 0.5)  # bt 3, non-planar
+    capped = _bt(g, max_pages=2)
+    assert capped.status is SolverStatus.LOWER_BOUND_ONLY
+    assert capped.lower_bound == 3 and capped.nodes_explored == 0
+    rep = _bt(g)
+    assert rep.status is SolverStatus.EXACT and rep.book_thickness == rep.lower_bound == 3
+
+
+def test_one_page_caps_never_test_planarity(monkeypatch):
+    """Under a one-page cap a block the edge bound puts at 2 is already
+    decided, so `is_outerplanar` keeps its O(m log m) cost."""
+    def boom(block):
+        raise AssertionError("planarity tested")
+
+    monkeypatch.setattr(solver, "_planar", boom)
+    g = complete_bipartite(3, 3)
+    assert not is_outerplanar(g)
+    rep = _bt(g, max_pages=1)
+    assert rep.status is SolverStatus.LOWER_BOUND_ONLY and rep.lower_bound == 2
+
+
+@st.composite
+def _planar_and_kuratowski(draw):
+    """(G, H): G a stacked triangulation on n <= 30 vertices with some edges
+    dropped, so planar; H is G plus a subdivided K5 or K3,3 whose branch
+    vertices include two or more of G's vertices, so not planar.  Both are
+    relabelled by one permutation of H's vertices."""
+    n = draw(st.integers(3, 30))
+    tri = stacked_triangulation(n, draw(st.integers(0, 2**32)))
+    dropped = draw(st.sets(st.sampled_from(tri.edges)))
+    edges = [e for e in tri.edges if e not in dropped]
+    if draw(st.booleans()):
+        size, pairs = 5, list(combinations(range(5), 2))
+    else:
+        size, pairs = 6, [(i, j) for i in range(3) for j in range(3, 6)]
+    shared = draw(st.integers(2, min(size, n)))
+    total = n + size - shared
+    branch = draw(st.permutations(range(n)))[:shared] + list(range(n, total))
+    extra = []
+    for i, j in pairs:
+        path = [branch[i], *range(total, total + draw(st.integers(0, 2))), branch[j]]
+        total += len(path) - 2
+        extra += zip(path, path[1:])
+    perm = draw(st.permutations(range(total)))
+    relabel = lambda es: Graph(total, [(perm[u], perm[v]) for u, v in es])
+    return relabel(edges), relabel(edges + extra)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_planar_and_kuratowski())
+def test_planarity_on_triangulations_and_kuratowski_subdivisions(case):
+    g, h = case
+    assert all(_planar(b) for b in _block_graphs(g))
+    assert not all(_planar(b) for b in _block_graphs(h))
 
 
 def _literal_prefix_graph(g, order, d):

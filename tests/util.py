@@ -241,13 +241,17 @@ def reference_validate_decomposition(g, td):
 
 
 def reference_validate_embedding(g, emb):
-    """`validate_embedding` the slow, literal way: edge sets rebuilt and
-    compared after normalizing every page key, then each key looked up as
-    it is, every page number checked in sorted order, and one stack sweep
-    per page.  Raises on non-integer ids."""
+    """`validate_embedding` the slow, literal way: every page key checked to
+    be a pair of ints, edge sets rebuilt and compared after normalizing
+    every page key, then each key looked up as it is, every page number
+    checked in sorted order, and one stack sweep per page.  Raises on
+    non-integer order entries and page numbers."""
     used = len(set(emb.pages.values()))
     if sorted(emb.order) != list(range(g.n)):
         return ValidationResult(False, used, finding="order is not a permutation of the vertices")
+    for e in emb.pages:
+        if not (isinstance(e, tuple) and len(e) == 2 and all(type(x) is int for x in e)):
+            return ValidationResult(False, used, finding=f"page key {e!r} is not a pair of vertex ids")
     got = {(u, v) if u < v else (v, u) for u, v in emb.pages}
     if got != set(g.edges):
         missing = sorted(set(g.edges) - got)
@@ -288,3 +292,18 @@ def reference_validate_embedding(g, emb):
             return ValidationResult(False, used, first_conflict=(stack[-1][1], e))
         stack.append((b, e))
     return ValidationResult(True, used)
+
+
+def stacked_triangulation(n, seed):
+    """A seeded stacked triangulation (Apollonian network) on n >= 3
+    vertices: start from a triangle, then put each new vertex inside a
+    random face and join it to that face's three corners.  Every such graph
+    is maximal planar."""
+    rng = random.Random(seed)
+    faces = [(0, 1, 2), (0, 1, 2)]  # the triangle's inside and outside
+    edges = [(0, 1), (0, 2), (1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+        edges += [(a, v), (b, v), (c, v)]
+    return Graph(n, edges)
