@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from math import isqrt
 from operator import attrgetter
 from pathlib import Path
 
@@ -19,7 +18,8 @@ from .constructions import (build_q, complete_bipartite, complete_split, dujwoo_
                             path_power, random_ktree)
 from .embedding import BookEmbedding, validate_embedding
 from .errors import BookEmbedError, InvalidInput
-from .graph import Graph, _check_vertex_count, _json_text, complete_graph, is_k_tree
+from .graph import (Graph, _check_edge_count, _check_vertex_count, _json_text, complete_graph,
+                    is_k_tree, ktree_edge_count)
 from .heuristics import embed_ktree, first_fit_pages
 from .solver import SolverOptions, book_thickness_exact
 from .treedec import TreeDecomposition, decomposition_from_certificate, validate_decomposition
@@ -65,37 +65,50 @@ def _parse_order(text: str) -> list:
 # ---- gen ----
 
 
-# family -> (required parameters, the vertex count it will have, builder
-# returning the graph and its k-tree certificate or None); the keys are `gen
-# --family`'s choices, in order
+# family -> (required parameters, the vertex and edge counts it will have,
+# builder returning the graph and its k-tree certificate or None); the keys
+# are `gen --family`'s choices, in order
 _FAMILIES = {
-    "complete": (("n",), lambda a: a.n, lambda a: (complete_graph(a.n), None)),
-    "split": (("k", "m"), lambda a: a.k + a.m, lambda a: (complete_split(a.k, a.m), None)),
-    "q": (("k",), lambda a: max(a.n or 0, a.k + 11 * (2 * a.k * a.k + 1)),
+    "complete": (("n",), lambda a: (a.n, a.n * (a.n - 1) // 2),
+                 lambda a: (complete_graph(a.n), None)),
+    "split": (("k", "m"), lambda a: (a.k + a.m, a.k * (a.k - 1) // 2 + a.k * a.m),
+              lambda a: (complete_split(a.k, a.m), None)),
+    "q": (("k",), lambda a: _ktree_size(max(a.n or 0, a.k + 11 * (2 * a.k * a.k + 1)), a.k),
           lambda a: attrgetter("graph", "certificate")(build_q(a.k, a.n))),
-    "path-power": (("n", "k"), lambda a: a.n, lambda a: (path_power(a.n, a.k), None)),
-    "dujwoo": (("k", "m"), lambda a: a.k + 2 * a.m, lambda a: (dujwoo_gadget(a.k, a.m), None)),
-    "complete-bipartite": (("k", "m"), lambda a: a.k + a.m,
+    "path-power": (("n", "k"), lambda a: _ktree_size(a.n, a.k),
+                   lambda a: (path_power(a.n, a.k), None)),
+    "dujwoo": (("k", "m"), lambda a: _ktree_size(a.k + 2 * a.m, a.k),
+               lambda a: (dujwoo_gadget(a.k, a.m), None)),
+    "complete-bipartite": (("k", "m"), lambda a: (a.k + a.m, a.k * a.m),
                            lambda a: (complete_bipartite(a.k, a.m), None)),
-    "random-ktree": (("n", "k"), lambda a: a.n, lambda a: random_ktree(a.n, a.k, a.seed)),
+    "random-ktree": (("n", "k"), lambda a: _ktree_size(a.n, a.k),
+                     lambda a: random_ktree(a.n, a.k, a.seed)),
 }
+
+
+def _ktree_size(n: int, k: int) -> tuple[int, int]:
+    return n, ktree_edge_count(n, k)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     fam = args.family
     need, size, build = _FAMILIES[fam]
     for p in need:
-        if getattr(args, p) is None:
+        value = getattr(args, p)
+        if value is None:
             _say(f"gen --family {fam} requires --{p}")
             return 2
+        if value < 0:  # the counts below would square it into a large one
+            raise InvalidInput(f"gen --family {fam}: --{p} must be non-negative, got {value}")
     with _reading(f"--family {fam}"):
-        _check_vertex_count(size(args))
+        n, m = size(args)
+        _check_vertex_count(n)
+        _check_edge_count(m)
         g, cert = build(args)
 
     want_td = args.with_treedec
     if want_td and cert is None:
-        with _reading("--k"):
-            cert = is_k_tree(g, args.k) if args.k else None
+        cert = is_k_tree(g)
         if cert is None:
             _say(f"--with-treedec is not available for family {fam}")
             return 2
@@ -141,20 +154,11 @@ def _cmd_bt(args: argparse.Namespace) -> int:
 # ---- embed ----
 
 
-def _infer_certificate(g: Graph, k: int | None):
-    if k is None:
-        # m = kn - k(k+1)/2 rises strictly for k in 1..n-1, so at most one k
-        # fits: the smaller root of k^2 - (2n-1)k + 2m, an integer if any fits
-        b = 2 * g.n - 1
-        k = max(1, (b - isqrt(b * b - 8 * g.m)) // 2)
-    return is_k_tree(g, k)
-
-
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load("graph", args.graph, _parse_graph)
     if args.method == "ktree":
         with _reading("--k"):
-            cert = _infer_certificate(g, args.k)
+            cert = is_k_tree(g, args.k)
         if cert is None:
             _say("graph is not a k-tree for the requested (or any matching) k")
             return 1

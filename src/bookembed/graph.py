@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import isqrt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidCertificate, InvalidSize, NotAClique
@@ -36,9 +37,20 @@ def _json_text(obj: object) -> str:
 MAX_VERTICES = 10**6
 
 
+# The most edges a graph made by `bookembed gen` may have.  A dense family
+# passes the vertex limit with far more edges than memory holds, at about
+# 0.5 KB each (`path_power` with 10^6 edges peaks at 493 MB).
+MAX_EDGES = 10**6
+
+
 def _check_vertex_count(n: int) -> None:
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
+
+
+def _check_edge_count(m: int) -> None:
+    if m > MAX_EDGES:
+        raise ValueError(f"edge count {m} is above the limit of {MAX_EDGES}")
 
 
 def _require_ints(values: Iterable, what: str) -> None:
@@ -357,8 +369,13 @@ def ktree_edge_count(n: int, k: int) -> int:
     return k * n - k * (k + 1) // 2
 
 
-def is_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
+def is_k_tree(g: Graph, k: int | None = None) -> KTreeCertificate | None:
     """Recognize k-trees by greedy elimination; None if g is not one.
+
+    Without k, the edge count names the one width that can fit: m = kn -
+    k(k+1)/2 rises strictly for k in 1..n-1, so at most one k gives m, the
+    smaller root of k^2 - (2n-1)k + 2m, an integer if any fits.  Its
+    discriminant (2n-1)^2 - 8m is positive, since m <= n(n-1)/2.
 
     Removes the lowest-id vertex of degree exactly k, n-k-1 times, and
     returns the reversed removals on the k+1 vertices left as a certificate
@@ -369,9 +386,12 @@ def is_k_tree(g: Graph, k: int) -> KTreeCertificate | None:
     k(k+1)/2 edges on the k+1 vertices left, so a certificate that passes
     the walk replays to g, and a graph that is not a k-tree fails the walk.
     """
+    n = g.n
+    if k is None:
+        b = 2 * n - 1
+        k = max(1, (b - isqrt(b * b - 8 * g.m)) // 2)
     if k < 1:
         raise ValueError("k must be positive")
-    n = g.n
     if n < k + 1 or g.m != ktree_edge_count(n, k):
         return None
     adj: list[set[int]] = [set(g.neighbors(v)) for v in range(n)]

@@ -254,14 +254,16 @@ class _Prefix:
     vertex at position a still has an unplaced neighbour.
 
     The two-page verdict is a parity union-find over one node per position
-    (its hub) and one per arc (node n + t), with union by rank and no path
-    compression: `up`, `par` (parity to the parent), `rank`, and `odd` once
-    a link closes an odd cycle.  `place` snapshots every list it changes
-    and `unplace` restores the snapshot, so no node rebuilds any of it.
+    (its hub) and one per arc (node n + t): `up`, `par` (parity to the
+    parent), and `odd` once a link closes an odd cycle.  It has no path
+    compression and no union by rank: whether a link closes an odd cycle
+    does not depend on which root goes under which.  `place` snapshots
+    every list it changes and `unplace` restores the snapshot, so no node
+    rebuilds any of it.
     """
 
     __slots__ = ("nbr", "order", "pos", "arcs", "masks", "cover", "covered", "free", "pend",
-                 "up", "par", "rank", "odd")
+                 "up", "par", "odd")
 
     def __init__(self, g: Graph) -> None:
         n = g.n
@@ -277,7 +279,6 @@ class _Prefix:
         nodes = n + len(g.edges)
         self.up = list(range(nodes))
         self.par = [0] * nodes
-        self.rank = [0] * nodes
         self.odd = False
 
     def place(self, v: int, d: int) -> tuple:
@@ -291,7 +292,7 @@ class _Prefix:
         arcs, masks = self.arcs, self.masks
         first = len(arcs)
         undo = (first, masks[:], cover[:], self.covered, self.pend,
-                self.up[:], self.par[:], self.rank[:], self.odd)
+                self.up[:], self.par[:], self.odd)
         self.order[d] = v
         pos[v] = d
         free = self.free = self.free & ~(1 << v)
@@ -327,16 +328,16 @@ class _Prefix:
     def unplace(self, v: int, undo: tuple) -> None:
         """Undo `place(v, d)`, which returned `undo`."""
         (t, self.masks[:], self.cover[:], self.covered, self.pend,
-         self.up[:], self.par[:], self.rank[:], self.odd) = undo
+         self.up[:], self.par[:], self.odd) = undo
         del self.arcs[t:]
         self.pos[v] = -1
         self.free |= 1 << v
 
     def _differ(self, x: int, others: int) -> bool:
         """Link node x to each node in the bitmask `others` as crossing it:
-        on the other side.  Returns False, with `odd` set, at the first link
-        that closes an odd cycle."""
-        up, par, rank = self.up, self.par, self.rank
+        on the other side, hanging each other root under x's root.  Returns
+        False, with `odd` set, at the first link that closes an odd cycle."""
+        up, par = self.up, self.par
         p = 0  # x's parity to its root, which x then names
         while up[x] != x:
             p ^= par[x]
@@ -352,12 +353,8 @@ class _Prefix:
                 if w:
                     self.odd = True
                     return False
-            elif rank[x] < rank[y]:
-                up[x], par[x] = y, w
-                x, p = y, p ^ w
             else:
                 up[y], par[y] = x, w
-                rank[x] += rank[x] == rank[y]
         return True
 
     def _link(self, first: int, fresh: int) -> None:

@@ -58,9 +58,14 @@ def test_gen_text_format_round_trips(capsys):
 
 
 def test_gen_with_treedec(capsys):
-    # random-ktree has a certificate of its own; path-power is recognized
+    # random-ktree has a certificate of its own; the rest are recognized at
+    # the width their edge count names, not at --k: K5 is a 4-tree, K3 (the
+    # split graph with m = 0) a 2-tree and P3 (K1,2) a 1-tree
     for argv, k in ((("random-ktree", "--n", "12", "--k", "2", "--seed", "5"), 2),
-                    (("path-power", "--n", "9", "--k", "3"), 3)):
+                    (("path-power", "--n", "9", "--k", "3"), 3),
+                    (("complete", "--n", "5"), 4),
+                    (("split", "--k", "3", "--m", "0"), 2),
+                    (("complete-bipartite", "--k", "2", "--m", "1"), 1)):
         code, out, _ = _run(capsys, "gen", "--family", *argv, "--with-treedec")
         assert code == 0
         payload = json.loads(out)
@@ -75,11 +80,16 @@ def test_gen_usage_errors(capsys):
     assert code == 2 and "requires --k" in err
     code, _, err = _run(capsys, "gen", "--family", "q", "--k", "3")  # domain error
     assert code == 2 and "error:" in err
+    # a negative size is refused as such, not squared into a count above the limit
+    code, out, err = _run(capsys, "gen", "--family", "complete-bipartite", "--k", "-2000",
+                          "--m", "-2000")
+    _assert_one_line_error(code, out, err)
+    assert "--k must be non-negative, got -2000" in err
     code, _, err = _run(capsys, "gen", "--family", "complete", "--n", "4",
                         "--with-treedec", "--format", "text")
     assert code == 2
-    code, out, err = _run(capsys, "gen", "--family", "split", "--k", "3", "--m", "0",
-                          "--with-treedec")  # K3 is no 3-tree
+    code, out, err = _run(capsys, "gen", "--family", "complete-bipartite", "--k", "2", "--m", "2",
+                          "--with-treedec")  # C4 is no k-tree
     assert code == 2 and out == "" and "not available" in err
     code, out, err = _run(capsys, "gen", "--family", "random-ktree", "--n", "9", "--k", "2",
                           "--with-treedec", "--format", "text")
@@ -215,6 +225,15 @@ def test_graph_files_above_the_vertex_limit_are_usage_errors(capsys, tmp_path, m
     assert "is above the limit of 1000000" in err
 
 
+def _unbuildable(monkeypatch, fam):
+    need, size, _ = cli._FAMILIES[fam]
+
+    def build(args):
+        raise AssertionError("the family was built")
+
+    monkeypatch.setitem(cli._FAMILIES, fam, (need, size, build))
+
+
 @pytest.mark.parametrize("argv", [
     ["path-power", "--n", "100000000000", "--k", "1"],
     ["complete", "--n", "1000001"],
@@ -226,27 +245,45 @@ def test_graph_files_above_the_vertex_limit_are_usage_errors(capsys, tmp_path, m
     ["complete-bipartite", "--k", "1000000", "--m", "1"],
 ])
 def test_gen_above_the_vertex_limit_is_a_usage_error(capsys, monkeypatch, argv):
-    fam = argv[0]
-    need, size, _ = cli._FAMILIES[fam]
-
-    def build(args):
-        raise AssertionError("the family was built")
-
-    monkeypatch.setitem(cli._FAMILIES, fam, (need, size, build))
+    _unbuildable(monkeypatch, argv[0])
     code, out, err = _run(capsys, "gen", "--family", *argv)
     _assert_one_line_error(code, out, err)
     assert "is above the limit of 1000000" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["complete", "--n", "100000"],  # 4,999,950,000 edges
+    ["split", "--k", "2", "--m", "500000"],
+    ["q", "--k", "4", "--n", "300000"],
+    ["path-power", "--n", "1000000", "--k", "2"],
+    ["dujwoo", "--k", "3", "--m", "200000"],
+    ["complete-bipartite", "--k", "1000", "--m", "1001"],
+    ["random-ktree", "--n", "600000", "--k", "2"],
+])
+def test_gen_above_the_edge_limit_is_a_usage_error(capsys, monkeypatch, argv):
+    _unbuildable(monkeypatch, argv[0])
+    code, out, err = _run(capsys, "gen", "--family", *argv)
+    _assert_one_line_error(code, out, err)
+    assert "edge count" in err and "is above the limit of 1000000" in err
+
+
+def test_gen_at_the_edge_limit_is_built(monkeypatch):
+    _unbuildable(monkeypatch, "complete-bipartite")
+    with pytest.raises(AssertionError, match="the family was built"):
+        main(["gen", "--family", "complete-bipartite", "--k", "1000", "--m", "1000"])
+
+
 def test_gen_vertex_counts_match_the_families():
     parse = cli.build_parser().parse_args
-    for argv in (["complete", "--n", "5"], ["split", "--k", "3", "--m", "4"], ["q", "--k", "4"],
+    for argv in (["complete", "--n", "5"], ["split", "--k", "3", "--m", "4"],
+                 ["split", "--k", "3", "--m", "0"], ["q", "--k", "4"],
                  ["q", "--k", "4", "--n", "500"], ["path-power", "--n", "9", "--k", "3"],
                  ["dujwoo", "--k", "3", "--m", "2"], ["complete-bipartite", "--k", "2", "--m", "3"],
                  ["random-ktree", "--n", "12", "--k", "3"]):
         args = parse(["gen", "--family", *argv])
         _, size, build = cli._FAMILIES[argv[0]]
-        assert size(args) == build(args)[0].n, argv
+        g = build(args)[0]
+        assert size(args) == (g.n, g.m), argv
 
 
 @pytest.mark.parametrize("command", ["bt", "embed"])
@@ -380,23 +417,29 @@ def test_embed_without_k_rejects_graphs_no_width_fits(capsys, tmp_path, g):
     assert err == "graph is not a k-tree for the requested (or any matching) k\n"
 
 
-def test_embed_without_k_recognizes_once(monkeypatch):
-    # the edge count alone names the one width that can fit
+def test_embed_without_k_recognizes_once(capsys, monkeypatch, tmp_path):
+    # the edge count alone names the one width that can fit, so embed asks
+    # the recognizer once, and gets what naming the width would have given
     calls = []
 
-    def counting(g, k):
+    def counting(g, k=None):
         calls.append(k)
         return is_k_tree(g, k)
 
     monkeypatch.setattr(cli, "is_k_tree", counting)
-    for n in range(2, 13):
+    gpath = tmp_path / "g.json"
+    for n in range(2, 10):
         for k in range(1, n):
             g, _ = random_ktree(n, k, seed=n * k)
+            gpath.write_text(g.to_json())
             calls.clear()
-            assert cli._infer_certificate(g, None).k == k and calls == [k]
+            code, out, _ = _run(capsys, "embed", "--graph", str(gpath))
+            assert (code, calls) == (0, [None])
+            assert out == embed_ktree(g, is_k_tree(g, k)).to_json()
+            gpath.write_text(g.without_edge(*g.edges[0]).to_json())
             calls.clear()
-            cli._infer_certificate(g.without_edge(*g.edges[0]), None)
-            assert len(calls) == 1
+            _run(capsys, "embed", "--graph", str(gpath))
+            assert calls == [None]
 
 
 def test_embed_first_fit_with_explicit_order(capsys, tmp_path):

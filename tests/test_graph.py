@@ -428,6 +428,11 @@ def test_recognizer_on_fixed_examples():
     c4_pair = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
     assert is_k_tree(c4_pair, 2) is None
     assert is_k_tree_brute(c4_pair, 2) is False
+    # without k, the edge count names the one width that can fit
+    assert is_k_tree(Graph(0)) is None and is_k_tree(Graph(1)) is None
+    assert is_k_tree(Graph(2, [(0, 1)])).k == 1 and is_k_tree(path_power(6, 4)).k == 4
+    assert is_k_tree(complete_graph(5).without_edge(0, 1)).k == 3
+    assert is_k_tree(cyc) is None and is_k_tree(pendant) is None
 
 
 def _recognizer_cases(family):
@@ -514,6 +519,39 @@ def test_recognizer_rejects_one_edge_off():
         g, _ = random_ktree(rng.randint(6, 14), 2, seed=rng.randrange(10**6))
         u, v = g.edges[rng.randrange(g.m)]
         assert is_k_tree(g.without_edge(u, v), 2) is None
+
+
+@st.composite
+def _ktrees_and_neighbours(draw):
+    """(graph, k, kept): a relabelled random k-tree, k = 1..6, as is (kept)
+    or with one edge removed or added."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k + 1, 40))
+    g, _ = random_ktree(n, k, seed=draw(st.integers(0, 2**32)))
+    perm = draw(st.permutations(range(n)))
+    g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    change = draw(st.sampled_from(["none", "remove", "add"]))
+    if change == "remove":
+        g = g.without_edge(*draw(st.sampled_from(g.edges)))
+    elif change == "add" and g.m < n * (n - 1) // 2:
+        missing = [e for e in combinations(range(n), 2) if not g.has_edge(*e)]
+        g = Graph(n, g.edges + (draw(st.sampled_from(missing)),))
+    else:
+        change = "none"
+    return g, k, change == "none"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_ktrees_and_neighbours())
+def test_recognizer_works_out_k(case):
+    # one edge off can still be a k-tree of another width: K_{k+1} less an
+    # edge is a (k-1)-tree, and a k-tree on k+2 vertices plus one is K_{k+2}
+    g, k, kept = case
+    fits = [cert for j in range(1, g.n) if (cert := is_k_tree(g, j)) is not None]
+    assert len(fits) <= 1
+    assert is_k_tree(g) == (fits[0] if fits else None)
+    if kept:
+        assert is_k_tree(g) == is_k_tree(g, k) is not None
 
 
 # ---- serialization ----

@@ -33,7 +33,7 @@ from bookembed.bruteforce import (
 from bookembed.embedding import crossing_masks
 from bookembed.graph import _norm_edge
 from bookembed.solver import _blocks, _fewest_colours, _planar, _Prefix, _try_color
-from util import cycle, path, random_tree, stacked_triangulation
+from util import cycle, degree3_ktree, path, random_tree, stacked_triangulation
 
 
 def _bt(g, **kw):
@@ -656,7 +656,7 @@ def test_prefix_bound_never_exceeds_the_full_order(case):
     assert prefix.cover == [0] * g.n and prefix.pos == [-1] * g.n
     assert prefix.free == (1 << g.n) - 1
     nodes = g.n + g.m
-    assert (prefix.up, prefix.par, prefix.rank) == (list(range(nodes)), [0] * nodes, [0] * nodes)
+    assert (prefix.up, prefix.par) == (list(range(nodes)), [0] * nodes)
     assert not prefix.odd
 
 
@@ -695,6 +695,26 @@ def test_matches_brute_force_on_relabelled_graphs(g):
     assert rep.book_thickness == book_thickness_brute(g)
     res = validate_embedding(g, rep.witness)
     assert res.ok and res.pages_used == rep.book_thickness
+
+
+@pytest.mark.parametrize("k, sizes", [(2, range(4, 15)), (3, range(5, 13))])
+def test_degree3_ktrees_fit_on_k_pages(k, sizes):
+    """Evidence for Vandenbussche et al. (2009), not their construction: a
+    k-tree with a smooth degree-3 tree decomposition of width k has book
+    thickness at most k.  Six relabelled `degree3_ktree`s for each n, each
+    decided by the exact solver under a k-page cap within 10^5 nodes.  The
+    two-page cases read `_Prefix`'s union-find at every node.  k = 4 is left
+    out: some of its cases with n >= 10 time out at 2*10^5 nodes."""
+    for n in sizes:
+        for seed in range(6):
+            g, _ = degree3_ktree(n, k, seed)
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+            rep = _bt(g, max_pages=k, node_limit=10**5)
+            assert rep.status is SolverStatus.EXACT and rep.book_thickness <= k, (n, seed)
+            res = validate_embedding(g, rep.witness)
+            assert res.ok and res.pages_used <= k, (n, seed)
 
 
 # ---- pinned reports ----
