@@ -37,20 +37,9 @@ def _json_text(obj: object) -> str:
 MAX_VERTICES = 10**6
 
 
-# The most edges a graph made by `bookembed gen` may have.  A dense family
-# passes the vertex limit with far more edges than memory holds, at about
-# 0.5 KB each (`path_power` with 10^6 edges peaks at 493 MB).
-MAX_EDGES = 10**6
-
-
 def _check_vertex_count(n: int) -> None:
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
-
-
-def _check_edge_count(m: int) -> None:
-    if m > MAX_EDGES:
-        raise ValueError(f"edge count {m} is above the limit of {MAX_EDGES}")
 
 
 def _require_ints(values: Iterable, what: str) -> None:

@@ -254,12 +254,11 @@ class _Prefix:
     vertex at position a still has an unplaced neighbour.
 
     The two-page verdict is a parity union-find over one node per position
-    (its hub) and one per arc (node n + t): `up`, `par` (parity to the
-    parent), and `odd` once a link closes an odd cycle.  It has no path
-    compression and no union by rank: whether a link closes an odd cycle
-    does not depend on which root goes under which.  `place` snapshots
-    every list it changes and `unplace` restores the snapshot, so no node
-    rebuilds any of it.
+    (its hub) and one per arc (node n + t), with no path compression: `up`,
+    `par` (parity to the parent), and `odd` once a link closes an odd
+    cycle.  The lower-id root stays root, so a fresh arc node goes under
+    the component it joins.  `place` snapshots every list it changes and
+    `unplace` restores the snapshot, so no node rebuilds any of it.
     """
 
     __slots__ = ("nbr", "order", "pos", "arcs", "masks", "cover", "covered", "free", "pend",
@@ -335,8 +334,9 @@ class _Prefix:
 
     def _differ(self, x: int, others: int) -> bool:
         """Link node x to each node in the bitmask `others` as crossing it:
-        on the other side, hanging each other root under x's root.  Returns
-        False, with `odd` set, at the first link that closes an odd cycle."""
+        on the other side; no verdict depends on which root goes under
+        which.  Returns False, with `odd` set, at the first link that closes
+        an odd cycle."""
         up, par = self.up, self.par
         p = 0  # x's parity to its root, which x then names
         while up[x] != x:
@@ -345,7 +345,7 @@ class _Prefix:
         while others:
             y = (others & -others).bit_length() - 1
             others &= others - 1
-            w = p ^ 1  # the parity y's root must take under x's
+            w = p ^ 1  # the parity between x's root and y's
             while up[y] != y:
                 w ^= par[y]
                 y = up[y]
@@ -353,8 +353,11 @@ class _Prefix:
                 if w:
                     self.odd = True
                     return False
-            else:
+            elif x < y:
                 up[y], par[y] = x, w
+            else:
+                up[x], par[x] = y, w
+                x, p = y, p ^ w
         return True
 
     def _link(self, first: int, fresh: int) -> None:

@@ -428,7 +428,7 @@ def test_embed_without_k_recognizes_once(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "is_k_tree", counting)
     gpath = tmp_path / "g.json"
-    for n in range(2, 10):
+    for n in range(2, 13):
         for k in range(1, n):
             g, _ = random_ktree(n, k, seed=n * k)
             gpath.write_text(g.to_json())
