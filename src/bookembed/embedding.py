@@ -143,11 +143,11 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
     stack of open arcs, and the first crossing pair met, if any, is
     reported as (open arc's edge, new arc's edge).
 
-    Linear apart from sorting the arcs.  The keys must equal the edge set as
-    they are, pairs (u, v) of ints with u < v, and are normalized only to
-    name what differs; page numbers are type-checked per edge, range-checked
-    once per distinct page, and sorted only to name the first one out of
-    range.
+    Linear apart from sorting the arcs.  The keys must be the graph's m
+    edges as they are, pairs (u, v) of ints with u < v, and are normalized
+    into a set only to name what differs; page numbers are type-checked per
+    edge, range-checked once per distinct page, and sorted only to name the
+    first one out of range.
     """
     try:
         pages = dict(emb.pages)
@@ -164,25 +164,25 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
         order = None
     if order is None or not _is_permutation(order, g.n):
         return ValidationResult(False, used, finding="order is not a permutation of the vertices")
-    # (0, True) and (0, 1.0) equal (0, 1) and hash like it, so keys that
-    # equal the edge set still have their ids' types read
-    keys = pages.keys()
-    if keys != g._edge_set or not all(type(u) is int is type(v) for u, v in keys):
+    # m distinct keys that hold every edge are the edge set; (0, True) and
+    # (0, 1.0) equal (0, 1) and hash like it, so their ids' types are read
+    if not (len(pages) == g.m and all(map(pages.__contains__, g.edges))
+            and all(type(u) is int is type(v) for u, v in pages)):
         bad = next((e for e in pages if not _is_vertex_pair(e)), None)
         if bad is not None:
             return ValidationResult(
                 False, used, finding=f"page key {bad!r} is not a pair of vertex ids"
             )
         got = {_norm_edge(u, v) for u, v in pages}
-        missing = sorted(g._edge_set - got)
-        extra = sorted(got - g._edge_set)
+        missing = sorted(set(g.edges) - got)
+        extra = sorted(got.difference(g.edges))
         detail = []
         if missing:
             detail.append(f"uncovered edges {missing[:3]}")
         if extra:
             detail.append(f"unknown edges {extra[:3]}")
         if not detail:  # a key (v, u) with u < v, naming its edge once or twice
-            e = next(e for e in pages if e not in g._edge_set)
+            e = next(e for e in pages if e[0] > e[1])
             detail.append(f"page key {e!r} is not an edge (u, v) with u < v")
         return ValidationResult(False, used, finding="; ".join(detail))
     # the set holds one of 1, 1.0 and True, so each value's type is read

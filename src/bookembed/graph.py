@@ -42,6 +42,27 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
 
 
+def _decimal(s: object, what: str, kind: str = "a vertex id") -> int:
+    """The one rule for a number written as text: ASCII digits with no leading
+    zero, so no two spellings (" 01", "1_0", "\u0661" to `int()`) name one id."""
+    if not (isinstance(s, str) and s.isascii() and s.isdecimal() and str(int(s)) == s):
+        raise ValueError(f"{what} {s!r} is not {kind} in decimal")
+    return int(s)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """`pairs` as a dict, refusing a repeated key, where `json.loads` would
+    keep the last value; the `object_pairs_hook` of every JSON input."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return out
+
+
 def _require_ints(values: Iterable, what: str) -> None:
     """The package's one id rule, applied to raw JSON lists before any set or
     dict can merge 1.0 or true into 1: every id is a JSON integer."""
@@ -59,13 +80,13 @@ class _JSONFormat:
 
     @classmethod
     def from_json(cls, text: str):
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 class Graph(_JSONFormat):
     """Immutable simple graph on vertices 0..n-1 with optional string labels."""
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_edge_set")
+    __slots__ = ("n", "edges", "labels", "_adj")
 
     def __init__(
         self,
@@ -88,7 +109,6 @@ class Graph(_JSONFormat):
         self.edges: tuple[tuple[int, int], ...] = tuple(
             [(u, v) for u, nb in enumerate(adj) for v in sorted(nb) if v > u]
         )
-        self._edge_set = frozenset(self.edges)
         lab = dict(labels) if labels else {}
         for v in lab:
             if not (0 <= v < n):
@@ -110,7 +130,7 @@ class Graph(_JSONFormat):
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self._edge_set
+        return 0 <= u < self.n and v in self._adj[u]
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         vs = sorted(set(vertices))
@@ -126,12 +146,12 @@ class Graph(_JSONFormat):
             return NotImplemented
         return (
             self.n == other.n
-            and self._edge_set == other._edge_set
+            and self.edges == other.edges
             and self.labels == other.labels
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edge_set))
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -139,42 +159,42 @@ class Graph(_JSONFormat):
     # ---- serialization ----
 
     def to_text(self) -> str:
-        """Plain text: `n m` header, one `u v` line per edge, label trailer lines."""
+        """Plain text: `n m` header, one `u v` line per edge, label trailer
+        lines.  A role must be one token, non-empty and with no whitespace,
+        to come back as written; any other raises ValueError."""
         lines = [f"{self.n} {self.m}"]
         lines.extend(f"{u} {v}" for u, v in self.edges)
-        lines.extend(f"# label {v} {self.labels[v]}" for v in sorted(self.labels))
+        for v in sorted(self.labels):
+            role = self.labels[v]
+            if not (isinstance(role, str) and role.split() == [role]):
+                raise ValueError(f"label {role!r} on vertex {v} cannot be written as text")
+            lines.append(f"# label {v} {role}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        header: tuple[int, int] | None = None
-        edges: list[tuple[int, int]] = []
-        labels: dict[int, str] = {}
+        """`to_text`'s lines split into `from_json_dict`'s fields, which get
+        every rule on the values; numbers are read by `_decimal`."""
+        rows: list[list[int]] = []
+        labels: list[tuple[str, str]] = []
         for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) >= 4 and parts[1] == "label":
-                    labels[int(parts[2])] = parts[3]
-                continue
-            nums = line.split()
-            if header is None:
-                if len(nums) != 2:
-                    raise ValueError(f"bad header line: {raw!r}")
-                header = (int(nums[0]), int(nums[1]))
-                _check_vertex_count(header[0])
-            else:
-                if len(nums) != 2:
-                    raise ValueError(f"bad edge line: {raw!r}")
-                edges.append((int(nums[0]), int(nums[1])))
-        if header is None:
+            parts = raw.split()
+            if parts and parts[0].startswith("#"):
+                if parts[1:2] == ["label"]:
+                    if len(parts) != 4:
+                        raise ValueError(f"bad label line: {raw!r}")
+                    labels.append((parts[2], parts[3]))
+            elif parts:
+                if len(parts) != 2:
+                    raise ValueError(f"bad {'edge' if rows else 'header'} line: {raw!r}")
+                kind = ("edge endpoint", "a vertex id") if rows else ("header token", "a count")
+                rows.append([_decimal(t, *kind) for t in parts])
+        if not rows:
             raise ValueError("empty graph text")
-        n, m = header
+        (n, m), edges = rows[0], rows[1:]
         if len(edges) != m:
             raise ValueError(f"header says {m} edges, found {len(edges)}")
-        return cls(n, edges, labels)
+        return cls.from_json_dict({"n": n, "edges": edges, "labels": _unique_keys(labels)})
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,10 +214,11 @@ class Graph(_JSONFormat):
         labels = data.get("labels", {})
         if not isinstance(labels, dict):
             raise TypeError("labels must be a JSON object")
-        for v in labels:  # " 01" and "1" would both name vertex 1
-            if not (isinstance(v, str) and v.isascii() and v.isdecimal() and str(int(v)) == v):
-                raise ValueError(f"label key {v!r} is not a vertex id in decimal")
-        return cls(n, [tuple(e) for e in edges], {int(v): role for v, role in labels.items()})
+        for role in labels.values():
+            if type(role) is not str:
+                raise TypeError(f"label role {role!r} is not a string")
+        return cls(n, [tuple(e) for e in edges],
+                   {_decimal(v, "label key"): role for v, role in labels.items()})
 
 
 # ---- construction primitives ----

@@ -321,6 +321,26 @@ def test_label_keys_that_are_no_decimal_ids_are_usage_errors(capsys, tmp_path, c
     assert "label key ' 01' is not a vertex id in decimal" in err
 
 
+@pytest.mark.parametrize("name, text, why", [
+    ("labels.txt", "3 1\n0 1\n# label 1 a\n# label 01 b\n", "label key '01' is not a vertex id"),
+    ("labels.txt", "3 1\n0 1\n# label 1 a\n# label 1 b\n", "repeated key '1'"),
+    ("labels.json", '{"n": 3, "edges": [[0, 1]], "labels": {"1": "a", "1": "b"}}',
+     "repeated key '1'"),
+    ("n.json", '{"n": 3, "n": 2, "edges": [[0, 1]]}', "repeated key 'n'"),
+    ("role.json", '{"n": 3, "edges": [[0, 1]], "labels": {"1": 5}}', "label role 5 is not a string"),
+    ("digit.txt", "3 1\n0 \u0661\n", "edge endpoint '\u0661' is not a vertex id"),
+    ("under.txt", "3 1\n0 1_0\n", "edge endpoint '1_0' is not a vertex id"),
+    ("short.txt", "3 1\n0 1\n# label 1\n", "bad label line"),
+    ("long.txt", "3 1\n0 1\n# label 1 a b\n", "bad label line"),
+])
+def test_text_and_json_graph_files_share_the_id_rules(capsys, tmp_path, name, text, why):
+    gpath = tmp_path / name
+    gpath.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, "bt", "--graph", str(gpath))
+    _assert_one_line_error(code, out, err)
+    assert why in err
+
+
 def test_gen_empty_complete_graph_is_a_usage_error(capsys):
     _assert_one_line_error(*_run(capsys, "gen", "--family", "complete", "--n", "0"))
 

@@ -110,8 +110,17 @@ def test_graph_parts_match_the_sorted_edge_set_construction(case):
         assert str(got.value) == str(exc)
         return
     g = Graph(n, form(edges), labels)
-    assert (g.edges, g._edge_set, g._adj, g.labels) == want
-    assert [type(x) for x in (g.edges, g._edge_set, g._adj)] == [tuple, frozenset, tuple]
+    sorted_edges, edge_set, adj, lab = want
+    assert (g.edges, g._adj, g.labels) == (sorted_edges, adj, lab)
+    assert [type(x) for x in (g.edges, g._adj)] == [tuple, tuple]
+    ids = range(-2, n + 2)  # negative and out-of-range ids have no edges
+    assert {(u, v) for u in ids for v in ids if g.has_edge(u, v)} == (
+        edge_set | {(v, u) for u, v in edge_set})
+    same = Graph(n, edge_set, lab)
+    assert g == same and hash(g) == hash(same)
+    if edge_set:
+        fewer = Graph(n, edge_set - {min(edge_set)}, lab)
+        assert g != fewer and g != Graph(n + 1, edge_set, lab)
 
 
 def test_complete_graph():
@@ -596,8 +605,64 @@ def test_parsers_refuse_graphs_above_the_vertex_limit(monkeypatch):
 
 @pytest.mark.parametrize("key", [" 01", "01", "1 ", "+1", "1_0", "\uff11", "0x1", "-1", "a"])
 def test_json_label_keys_must_be_decimal_ids(key):
-    # each of these would land on a vertex that "1" or "10" names as well
+    # each of these would land on a vertex that "1" or "10" names as well;
+    # a text file's label keys, header and edge tokens follow the same rule
     with pytest.raises(ValueError, match=re.escape(f"label key {key!r} is not a vertex id")):
         Graph.from_json_dict({"n": 11, "edges": [], "labels": {"1": "a", key: "b"}})
     g = Graph.from_json_dict({"n": 11, "edges": [], "labels": {"1": "a", "10": "b", "0": "c"}})
     assert g.labels == {1: "a", 10: "b", 0: "c"}
+    assert Graph.from_text("11 1\n1 10\n# label 1 a\n# label 10 b\n# label 0 c\n") == Graph(
+        11, [(1, 10)], g.labels)
+    if key.split() != [key]:  # not one text token
+        return
+    for text, what in [(f"11 0\n# label 1 a\n# label {key} b\n", "label key"),
+                       (f"11 1\n0 {key}\n", "edge endpoint"),
+                       (f"11 1\n{key} 0\n", "edge endpoint"),
+                       (f"{key} 0\n", "header token"),
+                       (f"11 {key}\n", "header token")]:
+        with pytest.raises(ValueError, match=re.escape(f"{what} {key!r} is not a")):
+            Graph.from_text(text)
+
+
+@pytest.mark.parametrize("role", [5, None, [1], {"a": 1}, True])
+def test_label_roles_must_be_strings(role):
+    with pytest.raises(TypeError, match="is not a string"):
+        Graph.from_json_dict({"n": 3, "edges": [], "labels": {"1": role}})
+    with pytest.raises(ValueError, match="cannot be written as text"):
+        Graph(3, labels={1: role}).to_text()
+
+
+@pytest.mark.parametrize("role", ["a b", " x", "x ", "", "a\nb", "a\x1cb", "a\u2028b"])
+def test_text_refuses_labels_it_cannot_carry_back(role):
+    g = Graph(3, [(0, 1)], labels={1: role})
+    with pytest.raises(ValueError, match="cannot be written as text"):
+        g.to_text()
+    assert Graph.from_json(g.to_json()) == g
+
+
+@st.composite
+def _labelled_graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    roles = st.text(max_size=4) | st.sampled_from(["K", "S", "#", "1", "é"]) | st.integers()
+    labels = draw(st.dictionaries(st.integers(0, n - 1), roles, max_size=n)) if n else {}
+    return Graph(n, edges, labels)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_labelled_graphs())
+def test_labels_round_trip_through_text_and_json_or_raise(g):
+    """Each writer and reader gives the graph back or raises; it never
+    hands back another graph.  String roles always survive JSON, and text
+    too when each is one token."""
+    strings = all(type(r) is str for r in g.labels.values())
+    for write, read, carried in ((Graph.to_text, Graph.from_text,
+                                  strings and all(r.split() == [r] for r in g.labels.values())),
+                                 (Graph.to_json, Graph.from_json, strings)):
+        try:
+            back = read(write(g))
+        except (ValueError, TypeError):
+            assert not carried
+            continue
+        assert back == g
