@@ -12,8 +12,9 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import isqrt
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidCertificate, InvalidSize, NotAClique
@@ -38,7 +39,7 @@ MAX_VERTICES = 10**6
 
 
 def _check_vertex_count(n: int) -> None:
-    if n > MAX_VERTICES:
+    if type(n) is int and n > MAX_VERTICES:  # any other n is Graph's to refuse
         raise ValueError(f"vertex count {n} is above the limit of {MAX_VERTICES}")
 
 
@@ -84,7 +85,9 @@ class _JSONFormat:
 
 
 class Graph(_JSONFormat):
-    """Immutable simple graph on vertices 0..n-1 with optional string labels."""
+    """Immutable simple graph on vertices 0..n-1 with optional string labels.
+    The constructor checks every value, with the readers' messages, so a
+    graph it builds is written as its readers accept."""
 
     __slots__ = ("n", "edges", "labels", "_adj")
 
@@ -94,13 +97,17 @@ class Graph(_JSONFormat):
         edges: Iterable[tuple[int, int]] = (),
         labels: Mapping[int, str] | None = None,
     ) -> None:
+        if type(n) is not int:  # nor a bool, nor 3.0
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            # one test per edge (a bool is no int here), then the fault named
+            if type(u) is not int or type(v) is not int or not (0 <= u < v < n or 0 <= v < u < n):
+                _require_ints((u, v), "edge endpoints")
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             adj[u].add(v)
             adj[v].add(u)
@@ -110,9 +117,11 @@ class Graph(_JSONFormat):
             [(u, v) for u, nb in enumerate(adj) for v in sorted(nb) if v > u]
         )
         lab = dict(labels) if labels else {}
-        for v in lab:
-            if not (0 <= v < n):
-                raise ValueError(f"label on unknown vertex {v}")
+        for v, role in lab.items():
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError(f"label on unknown vertex {v!r}")
+            if type(role) is not str:
+                raise TypeError(f"label role {role!r} is not a string")
         self.labels: dict[int, str] = lab
         self._adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
 
@@ -131,15 +140,6 @@ class Graph(_JSONFormat):
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._adj[u]
-
-    def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = sorted(set(vertices))
-        return all(self.has_edge(a, b) for a, b in combinations(vs, 2))
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        """Copy with one edge removed (no-op if the edge is absent)."""
-        e = _norm_edge(u, v)
-        return Graph(self.n, (f for f in self.edges if f != e), self.labels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -166,15 +166,15 @@ class Graph(_JSONFormat):
         lines.extend(f"{u} {v}" for u, v in self.edges)
         for v in sorted(self.labels):
             role = self.labels[v]
-            if not (isinstance(role, str) and role.split() == [role]):
+            if role.split() != [role]:
                 raise ValueError(f"label {role!r} on vertex {v} cannot be written as text")
             lines.append(f"# label {v} {role}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        """`to_text`'s lines split into `from_json_dict`'s fields, which get
-        every rule on the values; numbers are read by `_decimal`."""
+        """`to_text`'s lines split into `from_json_dict`'s fields; numbers are
+        read by `_decimal`, and the values get the JSON reader's rules."""
         rows: list[list[int]] = []
         labels: list[tuple[str, str]] = []
         for raw in text.splitlines():
@@ -205,20 +205,14 @@ class Graph(_JSONFormat):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
-        n = data["n"]
-        if type(n) is not int:  # int() would take 3.5 or "3" as 3
-            raise ValueError(f"vertex count must be an integer, got {n!r}")
+        """Only the rules of a file: the vertex limit, before anything is
+        allocated, a JSON object of labels and decimal label keys.  The
+        constructor checks the values themselves."""
+        n, edges, labels = data["n"], data["edges"], data.get("labels", {})
         _check_vertex_count(n)
-        edges = data["edges"]
-        _require_ints([v for e in edges for v in e], "edge endpoints")
-        labels = data.get("labels", {})
         if not isinstance(labels, dict):
             raise TypeError("labels must be a JSON object")
-        for role in labels.values():
-            if type(role) is not str:
-                raise TypeError(f"label role {role!r} is not a string")
-        return cls(n, [tuple(e) for e in edges],
-                   {_decimal(v, "label key"): role for v, role in labels.items()})
+        return cls(n, edges, {_decimal(v, "label key"): role for v, role in labels.items()})
 
 
 # ---- construction primitives ----
@@ -291,11 +285,16 @@ class KTreeCertificate:
         default parent the check is exact: w's older neighbours are w's own
         attachment clique (the whole base, for a base vertex), so C is a
         clique iff it lies in w's bag, and a member outside names a missing
-        pair.  O(k) per addition.
+        pair.  O(k) per addition.  Every vertex named is an int, not a bool,
+        so what is built from the certificate is written as readers accept.
         """
-        k = self.k
+        k, adds = self.k, self.additions
         if k < 1:
             raise InvalidCertificate("k must be positive")
+        named = chain(self.base_clique, map(itemgetter(0), adds),
+                      chain.from_iterable(map(itemgetter(1), adds)))
+        if not set(map(type, named)) <= {int}:
+            raise InvalidCertificate("certificate vertex ids must be integers")
         if len(self.base_clique) != k + 1 or len(set(self.base_clique)) != k + 1:
             raise InvalidCertificate("base clique must have k+1 distinct vertices")
         given, base = self.parents, frozenset(self.base_clique)

@@ -27,7 +27,7 @@ from bookembed import (
 from bookembed import cli
 from bookembed.bruteforce import random_connected_graph
 from bookembed.cli import main
-from util import cycle
+from util import cycle, without_edge
 
 
 def _run(capsys, *argv):
@@ -456,7 +456,7 @@ def test_embed_without_k_recognizes_once(capsys, monkeypatch, tmp_path):
             code, out, _ = _run(capsys, "embed", "--graph", str(gpath))
             assert (code, calls) == (0, [None])
             assert out == embed_ktree(g, is_k_tree(g, k)).to_json()
-            gpath.write_text(g.without_edge(*g.edges[0]).to_json())
+            gpath.write_text(without_edge(g, *g.edges[0]).to_json())
             calls.clear()
             _run(capsys, "embed", "--graph", str(gpath))
             assert calls == [None]

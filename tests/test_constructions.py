@@ -20,6 +20,7 @@ from bookembed import (
     random_ktree,
     validate_decomposition,
 )
+from util import is_clique, without_edge
 
 
 # ---- small families ----
@@ -31,7 +32,7 @@ def test_complete_split_counts_and_labels():
     assert g.m == 138  # C(4,2) + 4 * 33
     assert all(g.labels[v] == "K" for v in range(4))
     assert all(g.labels[v] == "S" for v in range(4, 37))
-    assert g.is_clique(range(4))
+    assert is_clique(g, range(4))
     # independent set really is independent
     assert not any(g.has_edge(a, b) for a in range(4, 37) for b in range(a + 1, 37))
     with pytest.raises(InvalidSize):
@@ -49,7 +50,7 @@ def test_complete_bipartite():
     assert g.n == 5 and g.m == 6
     assert not g.has_edge(0, 1) and not g.has_edge(2, 3)
     # the split graph is the bipartite graph plus the clique edge
-    assert complete_split(2, 3).without_edge(0, 1).edges == g.edges
+    assert without_edge(complete_split(2, 3), 0, 1).edges == g.edges
     with pytest.raises(InvalidSize):
         complete_bipartite(0, 2)
 

@@ -28,11 +28,13 @@ from bookembed.bruteforce import enumerate_graphs, is_k_tree_brute, random_conne
 from bookembed.constructions import build_q, complete_split, dujwoo_gadget, path_power, random_ktree
 from bookembed.graph import MAX_VERTICES
 from util import (
+    is_clique,
     ktree_cases,
     random_graph,
     reference_decomposition,
     reference_graph,
     relabelled_certificate,
+    without_edge,
 )
 
 
@@ -60,6 +62,28 @@ def test_graph_rejects_malformed_input():
         Graph(2, [], labels={5: "K"})
 
 
+@pytest.mark.parametrize("args, kwargs, text", [
+    ((True,), {}, '{"n": true, "edges": []}'),
+    ((3.0,), {}, '{"n": 3.0, "edges": []}'),
+    ((3, [(0, True)]), {}, '{"n": 3, "edges": [[0, true]]}'),
+    ((3, [(0, 1.0)]), {}, '{"n": 3, "edges": [[0, 1.0]]}'),
+    ((3, [("0", 1)]), {}, '{"n": 3, "edges": [["0", 1]]}'),
+    ((3,), {"labels": {1: 5}}, '{"n": 3, "edges": [], "labels": {"1": 5}}'),
+    ((3,), {"labels": {1: None}}, '{"n": 3, "edges": [], "labels": {"1": null}}'),
+    ((3,), {"labels": {True: "a"}}, None),  # a file's label keys are decimal text
+    ((3,), {"labels": {1.0: "a"}}, None),
+])
+def test_graph_refuses_what_the_reader_refuses(args, kwargs, text):
+    # each graph would be written to a file that the JSON reader refuses, so
+    # the constructor refuses it, with the message the reader prints
+    with pytest.raises((TypeError, ValueError)) as built:
+        Graph(*args, **kwargs)
+    if text is not None:
+        with pytest.raises(type(built.value)) as read:
+            Graph.from_json(text)
+        assert str(read.value) == str(built.value)
+
+
 def test_graph_equality_includes_labels():
     a = Graph(3, [(0, 1)], labels={0: "K"})
     b = Graph(3, [(0, 1)], labels={0: "K"})
@@ -81,17 +105,23 @@ def _edge_lists(draw):
         edges = draw(st.lists(pair, max_size=40))
         edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=5))] if edges else []
         edges = draw(st.permutations(edges))
-    bad = draw(st.sampled_from([None, None, None, "loop", "range"]))
+    bad = draw(st.sampled_from([None, None, None, "loop", "range", "type"]))
     if bad is not None:
         w = draw(st.integers(0, max(n - 1, 0)))
         e = (w, w) if bad == "loop" else draw(st.sampled_from([(w, n), (-1, w), (n + 3, w)]))
-        edges.insert(draw(st.integers(0, len(edges))), e)
+        if bad == "type":  # an end that equals an id but is no int
+            e = draw(st.permutations([w, draw(st.sampled_from([True, False, 1.0, 0.0, "1"]))]))
+        edges.insert(draw(st.integers(0, len(edges))), tuple(e))
     labels = {}
     if n >= 1:
         labels = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(["K", "S", "pad"]),
                                       max_size=3))
     if draw(st.sampled_from([False, False, False, True])):
-        labels[draw(st.sampled_from([-1, n, n + 5]))] = "stray"
+        labels[draw(st.sampled_from([-1, n, n + 5, True, 0.0]))] = "stray"
+    if labels and draw(st.sampled_from([False, False, False, True])):
+        labels[draw(st.sampled_from(sorted(labels, key=repr)))] = draw(st.sampled_from([5, None]))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        n = draw(st.sampled_from([True, False, float(n), str(n)]))
     form = draw(st.sampled_from([list, tuple, iter]))
     return n, form, edges, labels or draw(st.sampled_from([None, {}]))
 
@@ -126,25 +156,25 @@ def test_graph_parts_match_the_sorted_edge_set_construction(case):
 def test_complete_graph():
     g = complete_graph(5)
     assert g.n == 5 and g.m == 10
-    assert g.is_clique(range(5))
+    assert is_clique(g, range(5))
     with pytest.raises(ValueError):
         complete_graph(0)
 
 
 def test_is_clique_on_subsets():
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert g.is_clique([0, 1, 2])
-    assert g.is_clique([2, 3])
-    assert g.is_clique([1])
-    assert not g.is_clique([0, 1, 3])
+    assert is_clique(g, [0, 1, 2])
+    assert is_clique(g, [2, 3])
+    assert is_clique(g, [1])
+    assert not is_clique(g, [0, 1, 3])
 
 
 def test_without_edge():
     g = complete_graph(4)
-    h = g.without_edge(1, 2)
+    h = without_edge(g, 1, 2)
     assert h.m == 5 and not h.has_edge(1, 2)
     assert g.m == 6  # original untouched
-    assert h.without_edge(1, 2) == h
+    assert without_edge(h, 1, 2) == h
 
 
 def test_add_simplicial_extends_and_labels():
@@ -229,10 +259,23 @@ def test_certificate_rejects_malformed_steps():
         KTreeCertificate(2, base, ((3, frozenset({0})),)),  # clique too small
         KTreeCertificate(2, base, ((3, frozenset({0, 7})),)),  # unplaced vertex
         KTreeCertificate(2, (0, 1, 3), ()),  # ids not dense
+        # ids equal to 1 that are no int: they would be written as true or 1.0
+        KTreeCertificate(1, (0, True), ((2, frozenset({True})),)),
+        KTreeCertificate(1, (0, 1), ((2.0, frozenset({1})),)),
+        KTreeCertificate(1, (0, 1), ((2, frozenset({1.0})),)),
     ]
     for cert in bad:
         with pytest.raises(InvalidCertificate):
             cert.replay()
+    g = Graph(3, [(0, 1), (1, 2)])
+    for cert in bad[-3:]:
+        with pytest.raises(InvalidCertificate, match="vertex ids must be integers"):
+            cert.replay()
+        assert not cert.is_valid_for(g)
+        with pytest.raises(InvalidCertificate):
+            decomposition_from_certificate(cert)
+        with pytest.raises(InvalidCertificate):
+            embed_ktree(g, cert)
 
 
 def test_certificate_attachment_must_be_clique_so_far():
@@ -319,7 +362,7 @@ def test_clique_check_matches_the_pairwise_check():
 def test_is_valid_for_checks_exact_edges():
     g, cert = random_ktree(9, 2, seed=3)
     assert cert.is_valid_for(g)
-    assert not cert.is_valid_for(g.without_edge(*g.edges[0]))
+    assert not cert.is_valid_for(without_edge(g, *g.edges[0]))
     assert not cert.is_valid_for(complete_graph(9))
     # one edge moved to a non-edge keeps the edge count, so only the
     # containment of the base pairs or of an addition's edges can tell
@@ -353,13 +396,13 @@ def test_is_valid_for_agrees_with_replay_on_mutated_certificates():
             (KTreeCertificate(k, cert.base_clique, tuple(adds[:i] + adds[i + 1:])), g),
             (KTreeCertificate(k, cert.base_clique, tuple(swapped)), g),
             (cert, foreign),
-            (cert, g.without_edge(*g.edges[-1])),
+            (cert, without_edge(g, *g.edges[-1])),
             (cert, Graph(g.n + 1, g.edges)),  # one isolated vertex more
         ]
         for c, h in cases:
             assert c.is_valid_for(h) == _replays_to(c, h)
         assert cert.is_valid_for(g)
-        assert not cert.is_valid_for(g.without_edge(*g.edges[-1]))
+        assert not cert.is_valid_for(without_edge(g, *g.edges[-1]))
 
 
 @st.composite
@@ -440,7 +483,7 @@ def test_recognizer_on_fixed_examples():
     # without k, the edge count names the one width that can fit
     assert is_k_tree(Graph(0)) is None and is_k_tree(Graph(1)) is None
     assert is_k_tree(Graph(2, [(0, 1)])).k == 1 and is_k_tree(path_power(6, 4)).k == 4
-    assert is_k_tree(complete_graph(5).without_edge(0, 1)).k == 3
+    assert is_k_tree(without_edge(complete_graph(5), 0, 1)).k == 3
     assert is_k_tree(cyc) is None and is_k_tree(pendant) is None
 
 
@@ -527,7 +570,7 @@ def test_recognizer_rejects_one_edge_off():
     for _ in range(20):
         g, _ = random_ktree(rng.randint(6, 14), 2, seed=rng.randrange(10**6))
         u, v = g.edges[rng.randrange(g.m)]
-        assert is_k_tree(g.without_edge(u, v), 2) is None
+        assert is_k_tree(without_edge(g, u, v), 2) is None
 
 
 @st.composite
@@ -541,7 +584,7 @@ def _ktrees_and_neighbours(draw):
     g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges])
     change = draw(st.sampled_from(["none", "remove", "add"]))
     if change == "remove":
-        g = g.without_edge(*draw(st.sampled_from(g.edges)))
+        g = without_edge(g, *draw(st.sampled_from(g.edges)))
     elif change == "add" and g.m < n * (n - 1) // 2:
         missing = [e for e in combinations(range(n), 2) if not g.has_edge(*e)]
         g = Graph(n, g.edges + (draw(st.sampled_from(missing)),))
@@ -628,8 +671,8 @@ def test_json_label_keys_must_be_decimal_ids(key):
 def test_label_roles_must_be_strings(role):
     with pytest.raises(TypeError, match="is not a string"):
         Graph.from_json_dict({"n": 3, "edges": [], "labels": {"1": role}})
-    with pytest.raises(ValueError, match="cannot be written as text"):
-        Graph(3, labels={1: role}).to_text()
+    with pytest.raises(TypeError, match="is not a string"):
+        Graph(3, labels={1: role})
 
 
 @pytest.mark.parametrize("role", ["a b", " x", "x ", "", "a\nb", "a\x1cb", "a\u2028b"])
@@ -642,27 +685,66 @@ def test_text_refuses_labels_it_cannot_carry_back(role):
 
 @st.composite
 def _labelled_graphs(draw):
+    """(n, edges, labels) with roles that are strings or ints."""
     n = draw(st.integers(0, 8))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
     roles = st.text(max_size=4) | st.sampled_from(["K", "S", "#", "1", "é"]) | st.integers()
     labels = draw(st.dictionaries(st.integers(0, n - 1), roles, max_size=n)) if n else {}
-    return Graph(n, edges, labels)
+    return n, edges, labels
+
+
+def _round_trips(g):
+    """g comes back equal through JSON, and through text when each role is
+    one token; otherwise the text writer raises."""
+    assert Graph.from_json(g.to_json()) == g
+    if all(r.split() == [r] for r in g.labels.values()):
+        assert Graph.from_text(g.to_text()) == g
+    else:
+        with pytest.raises(ValueError, match="cannot be written as text"):
+            g.to_text()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(_labelled_graphs())
-def test_labels_round_trip_through_text_and_json_or_raise(g):
-    """Each writer and reader gives the graph back or raises; it never
-    hands back another graph.  String roles always survive JSON, and text
-    too when each is one token."""
-    strings = all(type(r) is str for r in g.labels.values())
-    for write, read, carried in ((Graph.to_text, Graph.from_text,
-                                  strings and all(r.split() == [r] for r in g.labels.values())),
-                                 (Graph.to_json, Graph.from_json, strings)):
-        try:
-            back = read(write(g))
-        except (ValueError, TypeError):
-            assert not carried
-            continue
-        assert back == g
+def test_labels_round_trip_through_text_and_json_or_raise(case):
+    """A role that is no string is refused when the graph is built; any
+    other graph comes back from its writers, never as another graph."""
+    n, edges, labels = case
+    if not all(type(r) is str for r in labels.values()):
+        with pytest.raises(TypeError, match="is not a string"):
+            Graph(n, edges, labels)
+        return
+    _round_trips(Graph(n, edges, labels))
+
+
+_LOOSE = st.sampled_from([0, 1, 2, 5, -1, True, False, 1.0, "1", None])
+
+
+@st.composite
+def _loose_graphs(draw):
+    """Constructor arguments in which each value is, one time in ten or so,
+    drawn from bools, floats, strings, None and ids out of range instead."""
+    def mostly(good):
+        return draw(st.integers(0, 9).flatmap(lambda i: good if i else _LOOSE))
+
+    n = mostly(st.integers(1, 6))
+    top = n - 1 if type(n) is int and n > 0 else 0
+    pairs = list(combinations(range(top + 1), 2))
+    edges = [tuple(mostly(st.just(x)) for x in e)
+             for e in (draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else [])]
+    roles = st.sampled_from(["K", "S", "a b", "", "é"])
+    labels = {mostly(st.integers(0, top)): mostly(roles) for _ in range(draw(st.integers(0, 3)))}
+    return n, edges, labels
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_loose_graphs())
+def test_every_graph_the_constructor_accepts_round_trips(case):
+    n, edges, labels = case
+    try:
+        g = Graph(n, edges, labels)
+    except (TypeError, ValueError):
+        return
+    assert type(g.n) is int and all(type(x) is int for e in g.edges for x in e)
+    _round_trips(g)

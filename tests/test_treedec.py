@@ -17,7 +17,12 @@ from bookembed import (
     validate_decomposition,
 )
 from bookembed.constructions import complete_split, random_ktree
-from util import ktree_cases, reference_decomposition, reference_validate_decomposition
+from util import (
+    ktree_cases,
+    reference_decomposition,
+    reference_validate_decomposition,
+    without_edge,
+)
 
 
 def _td(bags, tree_edges):
@@ -53,7 +58,7 @@ def test_uncovered_vertex_and_edge_are_reported():
     assert not rep.valid
     assert any("edge (0, 2)" in v for v in rep.violations)
 
-    rep = validate_decomposition(g.without_edge(0, 2), _td([{0, 1}], []))
+    rep = validate_decomposition(without_edge(g, 0, 2), _td([{0, 1}], []))
     assert not rep.valid
     assert any("vertex 2" in v for v in rep.violations)
 

@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -32,14 +33,28 @@ def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def is_clique(g: Graph, vertices) -> bool:
+    return all(g.has_edge(a, b) for a, b in combinations(sorted(set(vertices)), 2))
+
+
+def without_edge(g: Graph, u: int, v: int) -> Graph:
+    """Copy of g with one edge removed (no-op if the edge is absent)."""
+    e = (min(u, v), max(u, v))
+    return Graph(g.n, (f for f in g.edges if f != e), g.labels)
+
+
 def reference_graph(n, edges=(), labels=None):
     """`Graph.__init__` built the slow, literal way: a set of normalized
     edge tuples, sorted, then adjacency rebuilt from the sorted edges.
     Returns (edges, edge set, adjacency, labels); raises what it raises."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     seen = set()
     for u, v in edges:
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (u, v)):
+            raise TypeError("edge endpoints must be integers")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -49,8 +64,10 @@ def reference_graph(n, edges=(), labels=None):
     edge_set = frozenset(sorted_edges)
     lab = dict(labels) if labels else {}
     for v in lab:
-        if not (0 <= v < n):
-            raise ValueError(f"label on unknown vertex {v}")
+        if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
+            raise ValueError(f"label on unknown vertex {v!r}")
+        if not isinstance(lab[v], str):
+            raise TypeError(f"label role {lab[v]!r} is not a string")
     adj = [set() for _ in range(n)]
     for u, v in sorted_edges:
         adj[u].add(v)
