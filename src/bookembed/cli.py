@@ -1,7 +1,8 @@
 """Command line interface.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
-0 success, 1 validation failure or oracle mismatch, 2 usage errors.
+0 success, 1 validation failure or oracle mismatch, 2 usage or input errors,
+which a command raises before its output and `main` prints as one `error:` line.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ def _reading(what: str):
 
 
 def _load(what: str, path: str, parse):
-    """`parse` run on the file at `path`; what it rejects exits 2, named `what path`."""
-    text = Path(path).read_text()
-    with _reading(f"{what} {path}"):
-        return parse(text)
+    """`parse` run on the UTF-8 text at `path`; a file that is no such text,
+    or that `parse` rejects, exits 2, named `what path`."""
+    with _reading(f"{what} {path}"):  # UnicodeDecodeError is a ValueError
+        return parse(Path(path).read_text(encoding="utf-8"))
 
 
 def _parse_graph(text: str) -> Graph:
@@ -102,10 +103,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     for p in need:
         value = getattr(args, p)
         if value is None:
-            _say(f"gen --family {fam} requires --{p}")
-            return 2
+            raise InvalidInput(f"gen --family {fam} requires --{p}")
         if value < 0:  # the counts below would square it into a large one
             raise InvalidInput(f"gen --family {fam}: --{p} must be non-negative, got {value}")
+    if args.with_treedec and args.format == "text":
+        raise InvalidInput("--with-treedec requires JSON output")
     with _reading(f"--family {fam}"):
         n, m = size(args)
         _check_vertex_count(n)
@@ -113,19 +115,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError(f"edge count {m} is above the limit of {MAX_EDGES}")
         g, cert = build(args)
 
-    want_td = args.with_treedec
-    if want_td and cert is None:
-        cert = is_k_tree(g)
-        if cert is None:
-            _say(f"--with-treedec is not available for family {fam}")
-            return 2
-
     if args.format == "text":
-        if want_td:
-            _say("--with-treedec requires JSON output")
-            return 2
         sys.stdout.write(g.to_text())
-    elif want_td:
+    elif args.with_treedec:
+        cert = cert or is_k_tree(g)
+        if cert is None:
+            raise InvalidInput(f"--with-treedec is not available for family {fam}")
         td = decomposition_from_certificate(cert)
         _emit({"graph": g.to_json_dict(), "decomposition": td.to_json_dict()})
     else:
@@ -146,10 +141,10 @@ def _cmd_bt(args: argparse.Namespace) -> int:
         )
     g = _load("graph", args.graph, _parse_graph)
     report = book_thickness_exact(g, opts)
-    _emit(report.to_json_dict())
-    if args.witness and report.witness is not None:
+    if args.witness:  # written first, so a failed write leaves stdout empty
         Path(args.witness).write_text(report.witness.to_json())
         _say(f"witness written to {args.witness}")
+    _emit(report.to_json_dict())
     _say(
         f"status {report.status.value}: book thickness {report.book_thickness} "
         f"(lower bound {report.lower_bound}), {report.nodes_explored} nodes "

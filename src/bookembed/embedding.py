@@ -108,11 +108,17 @@ def _check_order(g: Graph, order: Sequence[int]) -> None:
         raise InvalidOrder(f"order is not a permutation of the {g.n} vertices")
 
 
-def _arcs(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[tuple[int, int]]:
-    """Each edge's (left, right) positions under `order`, left < right."""
+def _positions(order: Sequence[int]) -> list[int]:
+    """pos[v] is the index of v in `order`, for each v that it lists."""
     pos = [0] * (max(order) + 1 if order else 0)
     for i, v in enumerate(order):
         pos[v] = i
+    return pos
+
+
+def _arcs(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[tuple[int, int]]:
+    """Each edge's (left, right) positions under `order`, left < right."""
+    pos = _positions(order)
     return [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges]
 
 
@@ -194,14 +200,9 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
             False, used, finding=f"edge {e} on page {p!r}, outside 1..{page_count}"
         )
 
-    pos = dict(zip(order, range(g.n)))
-    arcs = []
-    for e, p in pages.items():
-        a, b = pos[e[0]], pos[e[1]]
-        if a > b:
-            a, b = b, a
-        arcs.append((p, a, -b, e))
-    arcs.sort()
+    pos = _positions(order)
+    arcs = sorted((p, a, -b, e) if (a := pos[e[0]]) < (b := pos[e[1]]) else (p, b, -a, e)
+                  for e, p in pages.items())
     page, stack = None, []
     for p, a, neg_b, e in arcs:
         if p != page:

@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import chain, combinations
 from math import isqrt
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidCertificate, InvalidSize, NotAClique
@@ -122,7 +123,7 @@ class Graph(_JSONFormat):
                 raise ValueError(f"label on unknown vertex {v!r}")
             if type(role) is not str:
                 raise TypeError(f"label role {role!r} is not a string")
-        self.labels: dict[int, str] = lab
+        self.labels = MappingProxyType(lab)  # read-only, so no write skips the checks
         self._adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
 
     # ---- basic queries ----
@@ -152,6 +153,9 @@ class Graph(_JSONFormat):
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
+
+    def __reduce__(self):  # pickle and deepcopy rebuild through the constructor
+        return Graph, (self.n, self.edges, dict(self.labels))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

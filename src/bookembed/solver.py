@@ -7,8 +7,8 @@ witnesses are spliced at the cut vertices.  And p pages hold at most
 n + p(n-3) edges, so a block's search starts from that edge bound
 (`density_lower_bound`), which already equals the answer on complete
 graphs.  When that bound is 1, an O(m log m) outerplanarity test
-(`_outerplanar_cycle`, checked by first-fit) decides whether one page
-suffices, so no block is ever searched for a one-page order.  When it is 2
+(`_outerplanar_cycle`, its own witness) decides whether one page suffices,
+so no block is ever searched for a one-page order.  When it is 2
 and first-fit needs more, a planarity test (`_planar`) raises a non-planar
 block to 3, since two pages are a plane drawing, so no search proves that a
 non-planar block misses two pages.
@@ -76,7 +76,7 @@ class SolverReport:
     status: SolverStatus
     book_thickness: int  # exact when status is EXACT, else best upper bound
     lower_bound: int  # always <= true book thickness
-    witness: BookEmbedding | None
+    witness: BookEmbedding
     nodes_explored: int
     elapsed: float
 
@@ -87,7 +87,7 @@ class SolverReport:
             "lower_bound": self.lower_bound,
             "nodes_explored": self.nodes_explored,
             "elapsed": self.elapsed,
-            "witness": self.witness.to_json_dict() if self.witness else None,
+            "witness": self.witness.to_json_dict(),
         }
 
 
@@ -532,23 +532,27 @@ def _blocks(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
 
 
 def _outerplanar_cycle(block: Graph) -> list[int] | None:
-    """A circular order that puts every edge of a block on one page if the
-    block is outerplanar, or None when the reduction shows it is not.  O(m),
-    unchecked.  A bridge (n < 3) gets the identity order.
+    """A circular order that puts every edge of a block on one page, or None
+    when the block is not outerplanar.  O(m).  A bridge (n < 3) gets the
+    identity order.
 
     Mitchell's reduction (IPL 9, 1979): while more than 3 vertices remain,
     remove a vertex v of degree 2, with neighbours a and b, and add ab if it
-    is missing; 3 vertices must be left, forming a triangle.  The removed
+    is missing.  This keeps a block biconnected (a cut vertex of G - v + ab
+    would cut G too), so the 3 vertices left form a triangle.  The removed
     vertices then go back in reverse, each between its a and b, which must
     be consecutive on the cycle built so far.
 
     A biconnected outerplanar block has a unique Hamiltonian cycle, its
     outer face, and has a vertex of degree 2.  Both edges of a degree-2
-    vertex v lie on that cycle, so G - v + ab is again biconnected and
-    outerplanar, with ab on its shortened cycle.  So on an outerplanar block
-    the reduction never gets stuck, the triangle is left, and by uniqueness
-    each reinsertion finds a and b adjacent on the cycle.  On any other
-    block it may still produce a cycle, so the caller checks the result.
+    vertex v lie on that cycle, so G - v + ab is again outerplanar, with ab
+    on its shortened cycle.  So on an outerplanar block the reduction never
+    gets stuck, and by uniqueness each reinsertion finds a and b adjacent.
+
+    A returned cycle needs no check: va and vb span no vertex, and no
+    earlier edge gains an endpoint inside another's span.  A step's edges
+    are among the previous step's and va, vb, so by induction the cycle puts
+    every edge of the block on one page.
     """
     n = block.n
     if n < 3:
@@ -572,8 +576,6 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
             if len(adj[x]) == 2:
                 low.append(x)
     x, y, z = (v for v in range(n) if not gone[v])
-    if not (y in adj[x] and z in adj[x] and z in adj[y]):
-        return None
     nxt = {x: y, y: z, z: x}
     for v, a, b in reversed(removed):
         if nxt[b] == a:
@@ -684,10 +686,7 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     One page holds exactly the outerplanar graphs (Bernhart and Kainen), so
     when the edge bound allows one page, `_outerplanar_cycle` settles it
     without search: an outerplanar block is EXACT 1 with the cycle as its
-    witness, and any other block needs at least 2 pages.  The cycle is
-    always checked: first-fit under it must use one page, and its first
-    page is the same stack sweep of the same arcs in (a, -b) order that
-    decides whether one page holds them all.
+    witness, and any other block needs at least 2 pages.
 
     Two pages hold only planar graphs (Bernhart and Kainen): with the spine
     drawn as a circle, one page's edges inside it and the other's outside,
@@ -704,7 +703,7 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     lb = density_lower_bound(sub)
     if lb <= 1:
         cycle = _outerplanar_cycle(sub)
-        if cycle is not None and first_fit_pages(sub, cycle).page_count == 1:
+        if cycle is not None:
             return 1, 1, [verts[v] for v in cycle], {_norm_edge(*e): 1 for e in edges}
         lb = 2
     incumbent = first_fit_pages(sub, range(sub.n))

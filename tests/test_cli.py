@@ -76,24 +76,33 @@ def test_gen_with_treedec(capsys):
 
 
 def test_gen_usage_errors(capsys):
-    code, _, err = _run(capsys, "gen", "--family", "q")  # missing --k
-    assert code == 2 and "requires --k" in err
-    code, _, err = _run(capsys, "gen", "--family", "q", "--k", "3")  # domain error
-    assert code == 2 and "error:" in err
+    code, out, err = _run(capsys, "gen", "--family", "q")  # missing --k
+    _assert_one_line_error(code, out, err)
+    assert err == "error: gen --family q requires --k\n"
+    _assert_one_line_error(*_run(capsys, "gen", "--family", "q", "--k", "3"))  # domain error
     # a negative size is refused as such, not squared into a count above the limit
     code, out, err = _run(capsys, "gen", "--family", "complete-bipartite", "--k", "-2000",
                           "--m", "-2000")
     _assert_one_line_error(code, out, err)
     assert "--k must be non-negative, got -2000" in err
-    code, _, err = _run(capsys, "gen", "--family", "complete", "--n", "4",
-                        "--with-treedec", "--format", "text")
-    assert code == 2
     code, out, err = _run(capsys, "gen", "--family", "complete-bipartite", "--k", "2", "--m", "2",
                           "--with-treedec")  # C4 is no k-tree
-    assert code == 2 and out == "" and "not available" in err
-    code, out, err = _run(capsys, "gen", "--family", "random-ktree", "--n", "9", "--k", "2",
-                          "--with-treedec", "--format", "text")
-    assert code == 2 and out == "" and "requires JSON output" in err
+    _assert_one_line_error(code, out, err)
+    assert err == "error: --with-treedec is not available for family complete-bipartite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete", "--n", "4"],  # K4, a 3-tree
+    ["complete", "--n", "5"],  # K5, a 4-tree
+    ["complete-bipartite", "--k", "2", "--m", "2"],  # C4, no k-tree
+    ["random-ktree", "--n", "9", "--k", "2"],  # a certificate of its own
+    ["q", "--k", "4"],
+])
+def test_gen_with_treedec_as_text_is_refused_before_a_build(capsys, monkeypatch, argv):
+    _unbuildable(monkeypatch, argv[0], sizable=False)
+    code, out, err = _run(capsys, "gen", "--family", *argv, "--with-treedec", "--format", "text")
+    _assert_one_line_error(code, out, err)
+    assert err == "error: --with-treedec requires JSON output\n"
 
 
 def test_gen_complete_bipartite_and_dujwoo(capsys):
@@ -115,7 +124,8 @@ def test_gen_families_keep_their_order_and_required_parameters(capsys):
     assert sorted(first_needed, key=listed.index) == list(first_needed)
     for fam, p in first_needed.items():
         code, out, err = _run(capsys, "gen", "--family", fam)
-        assert (code, out, err) == (2, "", f"gen --family {fam} requires --{p}\n")
+        _assert_one_line_error(code, out, err)
+        assert err == f"error: gen --family {fam} requires --{p}\n"
 
 
 def test_unknown_family_and_command_exit_2(capsys):
@@ -193,6 +203,32 @@ def test_bt_missing_file_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_bt_witness_into_a_missing_directory_prints_no_report(capsys, tmp_path):
+    gpath = tmp_path / "k33.json"
+    gpath.write_text(complete_bipartite(3, 3).to_json())
+    wpath = tmp_path / "nodir" / "w.json"
+    code, out, err = _run(capsys, "bt", "--graph", str(gpath), "--witness", str(wpath))
+    _assert_one_line_error(code, out, err)
+    assert str(wpath) in err
+
+
+@pytest.mark.parametrize("command", ["bt", "embed", "check", "treedec"])
+@pytest.mark.parametrize("raw", [
+    b"\xff\xfe{",  # a UTF-16 byte order mark
+    b'{"n": 3, "edges": [[0, 1]], "labels": {"1": "\xe9"}}',  # a Latin-1 role
+], ids=["utf16-bom", "latin1-role"])
+def test_graph_files_that_are_not_utf8_are_usage_errors(capsys, tmp_path, command, raw):
+    gpath = tmp_path / "bad.json"
+    gpath.write_bytes(raw)
+    other = tmp_path / "other.json"
+    other.write_text("{}")
+    extra = {"check": ["--embedding", str(other)], "treedec": ["--treedec", str(other)]}
+    argv = ["treedec", "validate"] if command == "treedec" else [command]
+    code, out, err = _run(capsys, *argv, "--graph", str(gpath), *extra.get(command, []))
+    _assert_one_line_error(code, out, err)
+    assert f"error: graph {gpath}: 'utf-8' codec can't decode byte" in err
+
+
 def _assert_one_line_error(code, out, err):
     assert code == 2
     assert out == ""
@@ -225,13 +261,17 @@ def test_graph_files_above_the_vertex_limit_are_usage_errors(capsys, tmp_path, m
     assert "is above the limit of 1000000" in err
 
 
-def _unbuildable(monkeypatch, fam):
+def _unbuildable(monkeypatch, fam, sizable=True):
+    """Make `fam`'s builder raise, and with sizable=False its size too."""
     need, size, _ = cli._FAMILIES[fam]
 
     def build(args):
         raise AssertionError("the family was built")
 
-    monkeypatch.setitem(cli._FAMILIES, fam, (need, size, build))
+    def sized(args):
+        raise AssertionError("the family was sized")
+
+    monkeypatch.setitem(cli._FAMILIES, fam, (need, size if sizable else sized, build))
 
 
 @pytest.mark.parametrize("argv", [
@@ -580,10 +620,10 @@ def _places(x, path=()):
 
 @st.composite
 def _mutated_files(draw):
-    """The texts of a graph, an embedding and a decomposition file for one
+    """The bytes of a graph, an embedding and a decomposition file for one
     small k-tree, after one to three mutations: a value replaced, dropped or
-    copied (a dict entry under another key), a graph written as text, or a
-    text cut short."""
+    copied (a dict entry under another key), a graph written as text, a
+    text cut short, or a byte that is no UTF-8 put in."""
     k = draw(st.integers(1, 3))
     g, cert = random_ktree(draw(st.integers(k + 1, 8)), k, draw(st.integers(0, 2**16)))
     data = {"graph": g.to_json_dict(), "embedding": embed_ktree(g, cert).to_json_dict(),
@@ -617,17 +657,22 @@ def _mutated_files(draw):
     if draw(st.booleans()):
         name = draw(st.sampled_from(sorted(texts)))
         texts[name] = texts[name][:draw(st.integers(0, len(texts[name])))]
-    return texts
+    files = {name: text.encode() for name, text in texts.items()}
+    if draw(st.integers(0, 3)) == 0:  # 0xff starts no UTF-8 character
+        name = draw(st.sampled_from(sorted(files)))
+        i = draw(st.integers(0, len(files[name])))
+        files[name] = files[name][:i] + b"\xff" + files[name][i:]
+    return files
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(_mutated_files())
-def test_mutated_files_exit_cleanly(texts):
+def test_mutated_files_exit_cleanly(files):
     """Every command ends in exit 0, 1 or 2, never a traceback, and an exit
-    2 prints exactly one line on stderr."""
+    2 prints exactly one `error:` line on stderr and nothing on stdout."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in texts.items():
-            Path(tmp, name).write_text(text)
+        for name, raw in files.items():
+            Path(tmp, name).write_bytes(raw)
         g, emb, td = (str(Path(tmp, name)) for name in ("graph", "embedding", "treedec"))
         for argv in (["bt", "--graph", g, "--node-limit", "50"], ["embed", "--graph", g],
                      ["embed", "--graph", g, "--method", "first-fit"],
@@ -638,4 +683,4 @@ def test_mutated_files_exit_cleanly(texts):
                 code = main(argv)
             assert code in (0, 1, 2), argv
             if code == 2:
-                assert err.getvalue().count("\n") == 1 and not out.getvalue(), argv
+                _assert_one_line_error(code, out.getvalue(), err.getvalue())

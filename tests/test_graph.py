@@ -1,7 +1,9 @@
 """Graph construction, k-tree certificates, recognition, and serialization."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import re
 from itertools import combinations
@@ -673,6 +675,21 @@ def test_label_roles_must_be_strings(role):
         Graph.from_json_dict({"n": 3, "edges": [], "labels": {"1": role}})
     with pytest.raises(TypeError, match="is not a string"):
         Graph(3, labels={1: role})
+
+
+def test_labels_are_read_only_and_survive_pickle_and_deepcopy():
+    # a write past the constructor could give a role that no reader accepts
+    source = {1: "a"}
+    g = Graph(3, [(0, 1)], source)
+    with pytest.raises(TypeError):
+        g.labels[2] = 5
+    source[2] = 5  # the graph keeps a copy of its own
+    assert dict(g.labels) == {1: "a"} and Graph.from_json(g.to_json()) == g
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert h == g and h.edges == g.edges and dict(h.labels) == {1: "a"}
+        assert h.neighbors(0) == {1}
+        with pytest.raises(TypeError):
+            h.labels[1] = "b"
 
 
 @pytest.mark.parametrize("role", ["a b", " x", "x ", "", "a\nb", "a\x1cb", "a\u2028b"])

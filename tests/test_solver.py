@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bookembed import (
+    BookEmbedding,
     Graph,
     SolverOptions,
     SolverStatus,
@@ -435,6 +436,43 @@ def test_outerplanar_blocks_are_decided_without_search(case):
         full = _bt(h)
         assert full.status is SolverStatus.EXACT
         assert full.book_thickness == book_thickness_brute(h) == 2
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(3, 8))
+    return Graph(n, draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(_small_graphs().map(lambda g: [g]),
+                 _outerplanar_and_crossed().map(lambda gh: [g for g in gh if g is not None])))
+def test_outerplanar_cycles_are_one_page_witnesses(graphs):
+    # the solver takes a returned cycle as EXACT 1 without checking it
+    for block in (b for g in graphs for b in _block_graphs(g)):
+        cycle = solver._outerplanar_cycle(block)
+        if cycle is not None:
+            emb = BookEmbedding(tuple(cycle), dict.fromkeys(block.edges, 1), 1)
+            res = validate_embedding(block, emb)
+            assert res.ok and res.pages_used == 1
+        if block.n <= 7:
+            try:
+                one_page = book_thickness_brute(block, page_cap=1) == 1
+            except ValueError:  # book thickness 2 or more
+                one_page = False
+            assert (cycle is not None) == one_page
+
+
+def test_outerplanar_graphs_make_no_first_fit_call(monkeypatch):
+    # first-fit only gives the incumbent of a block that needs two pages or more
+    calls = []
+    first_fit = solver.first_fit_pages
+    monkeypatch.setattr(solver, "first_fit_pages",
+                        lambda g, order: calls.append(g.n) or first_fit(g, order))
+    assert is_outerplanar(_shuffled_outerplanar())
+    assert calls == []
+    assert not is_outerplanar(complete_graph(4))
+    assert calls == [4]
 
 
 # ---- the planarity bound ----
