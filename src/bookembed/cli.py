@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit codes:
 0 success, 1 validation failure or oracle mismatch, 2 usage or input errors,
-which a command raises before its output and `main` prints as one `error:` line.
+which argparse or a command raises before any output and `main` prints as one
+`error:` line.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from contextlib import contextmanager
 from operator import attrgetter
 from pathlib import Path
+from typing import NoReturn
 
 from .bruteforce import oracle_suite
 from .constructions import (build_q, complete_bipartite, complete_split, dujwoo_gadget,
@@ -221,8 +223,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 # ---- parser ----
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own usage errors as InvalidInput, so that main
+    prints them as one `error:` line, like every other exit 2; the
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InvalidInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bookembed",
         description="Book embeddings of k-trees: generate, solve, embed, check.",
     )
@@ -275,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (BookEmbedError, OSError) as exc:
         _say(f"error: {exc}")

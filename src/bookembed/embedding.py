@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Sequence
 
 from .errors import InvalidOrder
@@ -124,19 +126,28 @@ def _arcs(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[tuple[
 
 def crossing_masks(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[int]:
     """Crossing graph over `edges` as adjacency bitmasks under `order`: bit j
-    of masks[i] says edges i and j cross.  This is the package's only
-    pairwise crossing test outside the brute-force reference; the solver
-    fills its orders left to right and reads each new arc's crossings off
-    the arcs that cover its left end."""
+    of masks[i] says edges i and j cross.  This is the package's one
+    crossing kernel outside the brute-force reference; the solver fills its
+    orders left to right and reads each new arc's crossings off the arcs
+    that cover its left end.
+
+    No pair is tested.  Bit j of lpre[x] (rpre[x]) says arc j's left (right)
+    end lies before position x.  Arc (c, d) crosses (a, b) iff
+    a < c < b < d or c < a < d < b: its left end in a+1..b-1 and its right
+    end past b, or its left end before a and its right end in a+1..b-1.
+    Each range is the difference of two prefixes, so the masks cost
+    O(n + m) big-int operations."""
     arcs = _arcs(edges, order)
-    masks = [0] * len(arcs)
+    n = len(order)
+    lat, rat = [0] * n, [0] * n  # the arcs whose left (right) end is at x
     for i, (a, b) in enumerate(arcs):
-        for j in range(i):
-            aj, bj = arcs[j]
-            if aj < a < bj < b or a < aj < b < bj:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+        lat[a] |= 1 << i
+        rat[b] |= 1 << i
+    lpre = [0, *accumulate(lat, or_)]
+    rpre = [0, *accumulate(rat, or_)]
+    every = (1 << len(arcs)) - 1
+    return [(lpre[b] ^ lpre[a + 1]) & (every ^ rpre[b + 1]) | lpre[a] & (rpre[b] ^ rpre[a + 1])
+            for a, b in arcs]
 
 
 def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:

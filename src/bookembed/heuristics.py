@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .embedding import BookEmbedding, _arcs, _check_order, _push_arc
+from .embedding import BookEmbedding, _check_order, _positions, _push_arc
 from .errors import InvalidCertificate
 from .graph import Graph, KTreeCertificate
 
@@ -22,7 +22,9 @@ def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
     when `order` is not a permutation of the vertices.
     """
     _check_order(g, order)
-    items = sorted((a, -b, e) for (a, b), e in zip(_arcs(g.edges, order), g.edges))
+    pos = _positions(order)
+    items = sorted((a, -b, e) if (a := pos[e[0]]) < (b := pos[e[1]]) else (b, -a, e)
+                   for e in g.edges)
 
     stacks: list[list[tuple[int, tuple[int, int]]]] = []
     assignment: dict[tuple[int, int], int] = {}

@@ -8,7 +8,9 @@ n + p(n-3) edges, so a block's search starts from that edge bound
 (`density_lower_bound`), which already equals the answer on complete
 graphs.  When that bound is 1, an O(m log m) outerplanarity test
 (`_outerplanar_cycle`, its own witness) decides whether one page suffices,
-so no block is ever searched for a one-page order.  When it is 2
+so no block is ever searched for a one-page order.  When the bound is
+ceil(n/2), their zigzag pages of K_n meet it, so a complete block, or one
+that misses few enough edges, is settled with no search.  When it is 2
 and first-fit needs more, a planarity test (`_planar`) raises a non-planar
 block to 3, since two pages are a plane drawing, so no search proves that a
 non-planar block misses two pages.
@@ -103,11 +105,18 @@ def _try_color(masks: list[int], p: int, seed: Sequence[int]) -> list[int] | Non
     on a stack of frames, one per coloured vertex past the seed: the vertex,
     the colours it has left to try, the `forb` it was chosen under, and the
     highest colour used before it.  Trying a colour copies that `forb`, so
-    backtracking restores it by dropping the copy."""
+    backtracking restores it by dropping the copy.
+
+    The next vertex has the largest (saturation, degree, -v), packed into one
+    int as sat << 2L | deg << L | (m - v) with L = m.bit_length(): deg < m
+    and 0 < m - v <= m both fit in L bits, so the int orders like the tuple,
+    and its low bits give v back."""
     m = len(masks)
     color = [-1] * m
     forb = [0] * m
-    deg = [mk.bit_count() for mk in masks]
+    low = m.bit_length()
+    rank = [mk.bit_count() << low | (m - v) for v, mk in enumerate(masks)]
+    low_bits, sat_shift = (1 << low) - 1, 2 * low
     full = (1 << p) - 1
 
     def paint(forb: list[int], v: int, c: int) -> None:
@@ -122,16 +131,15 @@ def _try_color(masks: list[int], p: int, seed: Sequence[int]) -> list[int] | Non
     used = len(seed) - 1
     stack: list[list] = []
     while len(seed) + len(stack) < m:
-        best_v = -1
-        best_key = (-1, -1, 0)
+        best = 0
         for v in range(m):
             if color[v] < 0:
-                key = (forb[v].bit_count(), deg[v], -v)
-                if key > best_key:
-                    best_key = key
-                    best_v = v
+                key = forb[v].bit_count() << sat_shift | rank[v]
+                if key > best:
+                    best = key
+        v = m - (best & low_bits)
         # no colour above used + 1: fresh colours open one at a time
-        stack.append([best_v, full & ~forb[best_v] & ((2 << (used + 1)) - 1), forb, used])
+        stack.append([v, full & ~forb[v] & ((2 << (used + 1)) - 1), forb, used])
         while not stack[-1][1]:  # out of colours: back up
             color[stack.pop()[0]] = -1
             if not stack:
@@ -688,6 +696,19 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     without search: an outerplanar block is EXACT 1 with the cycle as its
     witness, and any other block needs at least 2 pages.
 
+    K_n fits on ceil(n/2) pages (Bernhart and Kainen), so a block whose
+    bound lb is ceil(n/2) is EXACT lb with their zigzag witness: the
+    vertices in local id order, and local edge (u, v) on page
+    (u + v) % n // 2 + 1.  Page j + 1 holds the chords whose (u + v) % n
+    is 2j or 2j + 1, all of them edges of the path j, j+1, j-1, j+2, j-2,
+    ... (mod n), whose sums alternate 2j + 1 and 2j (mod n).  The path
+    visits each vertex once, and each step moves one end of the previous
+    chord one place outward, so the earlier chords lie within the arc that
+    a new chord spans, and no two cross.  The pages run to (n - 1) // 2 + 1,
+    which is ceil(n/2) for odd n as for even n, and a block that misses
+    edges of K_n only loses chords.  No block fits on fewer than lb pages,
+    so the witness uses all of 1..lb.
+
     Two pages hold only planar graphs (Bernhart and Kainen): with the spine
     drawn as a circle, one page's edges inside it and the other's outside,
     no two edges cross.  So when the edge bound is 2 and the incumbent and
@@ -706,6 +727,9 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
         if cycle is not None:
             return 1, 1, [verts[v] for v in cycle], {_norm_edge(*e): 1 for e in edges}
         lb = 2
+    if lb == (sub.n + 1) // 2:
+        return lb, lb, verts, {_norm_edge(u, v): (local[u] + local[v]) % sub.n // 2 + 1
+                               for u, v in edges}
     incumbent = first_fit_pages(sub, range(sub.n))
     search.reset(incumbent.page_count, incumbent, lb)
     if lb == 2 < search.cap() and not _planar(sub):

@@ -117,9 +117,8 @@ def test_gen_complete_bipartite_and_dujwoo(capsys):
 def test_gen_families_keep_their_order_and_required_parameters(capsys):
     first_needed = {"complete": "n", "split": "k", "q": "k", "path-power": "n",
                     "dujwoo": "k", "complete-bipartite": "k", "random-ktree": "n"}
-    with pytest.raises(SystemExit):
-        main(["gen", "--family", "nope"])
-    err = capsys.readouterr().err
+    code, out, err = _run(capsys, "gen", "--family", "nope")
+    _assert_one_line_error(code, out, err)
     listed = err[err.index("choose from"):]
     assert sorted(first_needed, key=listed.index) == list(first_needed)
     for fam, p in first_needed.items():
@@ -129,13 +128,18 @@ def test_gen_families_keep_their_order_and_required_parameters(capsys):
 
 
 def test_unknown_family_and_command_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--family", "nope"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # argparse's own errors are one `error:` line too, with no usage text
+    for argv, message in [
+        (["gen", "--family", "nope"], "argument --family: invalid choice: 'nope'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["bt"], "the following arguments are required: --graph"),
+        (["bt", "--graph", "g.json", "--frob"], "unrecognized arguments: --frob"),
+        (["bt", "--graph", "g.json", "--max-pages", "two"], "argument --max-pages: invalid int"),
+        (["treedec"], "the following arguments are required: treedec_command"),
+    ]:
+        code, out, err = _run(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert err.startswith(f"error: {message}"), argv
 
 
 # ---- bt / check ----

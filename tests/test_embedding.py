@@ -73,6 +73,28 @@ def test_crossing_masks_agree_with_crosses():
                     assert crosses(order, e, f) == expected
 
 
+@st.composite
+def _graphs_and_orders(draw):
+    n = draw(st.integers(1, 30))
+    pairs = list(combinations(range(n), 2))
+    m = draw(st.integers(0, min(len(pairs), 90)))
+    edges = random.Random(draw(st.integers(0, 2**32))).sample(pairs, m)
+    return Graph(n, edges), draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_graphs_and_orders())
+def test_crossing_masks_match_the_pairwise_test(case):
+    """The prefix masks against the literal test, on every pair."""
+    g, order = case
+    masks = crossing_masks(g.edges, order)
+    assert len(masks) == g.m
+    for (i, e), (j, f) in combinations(enumerate(g.edges), 2):
+        expected = _arc_crossing(tuple(order), e, f)
+        assert bool(masks[i] >> j & 1) == bool(masks[j] >> i & 1) == expected, (e, f)
+    assert all(mk >> i & 1 == 0 and mk >> g.m == 0 for i, mk in enumerate(masks))
+
+
 # ---- validation ----
 
 

@@ -17,6 +17,7 @@ from bookembed import (
     book_thickness_exact,
     complete_bipartite,
     complete_graph,
+    density_lower_bound,
     embed_ktree,
     is_outerplanar,
     min_pages_for_order,
@@ -179,6 +180,47 @@ def test_root_bound_closes_complete_graphs():
         assert rep.book_thickness == rep.lower_bound == 4
         assert rep.nodes_explored <= 10
         assert validate_embedding(complete_graph(n), rep.witness).ok
+
+
+def test_complete_graphs_take_their_zigzag_pages_at_the_root():
+    """bt(K_n) = ceil(n/2) for n >= 4 (Bernhart and Kainen); K_2 and K_3 take
+    one page.  The edge bound meets the zigzag witness, so no node is
+    searched, up to n = 60, where an order search would never end."""
+    for n in range(1, 61):
+        g = complete_graph(n)
+        rep = _bt(g)
+        want = 0 if n == 1 else 1 if n <= 3 else (n + 1) // 2
+        assert rep.status is SolverStatus.EXACT and rep.nodes_explored == 0, n
+        assert rep.book_thickness == rep.lower_bound == want, n
+        res = validate_embedding(g, rep.witness)
+        assert res.ok and res.pages_used == want == rep.witness.page_count, n
+
+
+@st.composite
+def _near_complete_graphs(draw):
+    """K_n, 4 <= n <= 12, less up to the most edges that keep the edge bound
+    at ceil(n/2), relabelled: m - n > (ceil(n/2) - 1)(n - 3) must hold."""
+    n = draw(st.integers(4, 12))
+    pairs = list(combinations(range(n), 2))
+    spare = len(pairs) - n - ((n + 1) // 2 - 1) * (n - 3) - 1
+    dropped = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=spare))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in pairs if (u, v) not in dropped])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_near_complete_graphs())
+def test_near_complete_graphs_take_their_zigzag_pages_at_the_root(g):
+    """Brute force agrees for n <= 6; on K_7 it takes minutes."""
+    want = (g.n + 1) // 2
+    assert density_lower_bound(g) == want
+    rep = _bt(g)
+    assert rep.status is SolverStatus.EXACT and rep.nodes_explored == 0
+    assert rep.book_thickness == rep.lower_bound == want
+    res = validate_embedding(g, rep.witness)
+    assert res.ok and res.pages_used == want
+    if g.n <= 6:
+        assert book_thickness_brute(g) == want
 
 
 @pytest.mark.parametrize("kw", [{"max_pages": -1}, {"node_limit": -5}, {"time_budget": -1.0},
@@ -471,8 +513,10 @@ def test_outerplanar_graphs_make_no_first_fit_call(monkeypatch):
                         lambda g, order: calls.append(g.n) or first_fit(g, order))
     assert is_outerplanar(_shuffled_outerplanar())
     assert calls == []
-    assert not is_outerplanar(complete_graph(4))
-    assert calls == [4]
+    assert not is_outerplanar(complete_graph(4))  # zigzag pages settle K4
+    assert calls == []
+    assert not is_outerplanar(complete_bipartite(2, 3))
+    assert calls == [5]
 
 
 # ---- the planarity bound ----
