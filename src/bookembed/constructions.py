@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import InvalidSize, SizeTooSmall
 from .graph import Graph, KTreeCertificate
@@ -176,13 +176,17 @@ def random_ktree(n: int, k: int, seed: int = 0) -> tuple[Graph, KTreeCertificate
         raise InvalidSize(f"a {k}-tree needs at least {k + 1} vertices")
     rng = random.Random(seed)
     base = tuple(range(k + 1))
-    # k-cliques as sorted tuples: v is the largest id so far, so dropping
-    # one member and appending v keeps a clique sorted
-    pool: list[tuple[int, ...]] = list(combinations(base, k))
+    # the k-cliques, sorted, flat with stride k: v is the largest id so far,
+    # so dropping one member and appending v keeps a clique sorted
+    pool: list[int] = list(chain.from_iterable(combinations(base, k)))
     additions: list[tuple[int, frozenset[int]]] = []
     for v in range(k + 1, n):
-        clique = pool[rng.randrange(len(pool))]
+        j = rng.randrange(len(pool) // k) * k
+        clique = pool[j:j + k]
         additions.append((v, frozenset(clique)))
-        pool.extend(clique[:i] + clique[i + 1:] + (v,) for i in range(k))
+        for i in range(k):
+            pool += clique[:i]
+            pool += clique[i + 1:]
+            pool.append(v)
     cert = KTreeCertificate(k=k, base_clique=base, additions=tuple(additions))
     return Graph(n, cert._edges()), cert

@@ -6,6 +6,11 @@ other edge's endpoints.  Cutting the circle anywhere turns that into a plain
 interval-interleaving test (`crossing_masks`), and a page is non-crossing iff
 its intervals nest like parentheses, which one stack sweep decides
 (`_push_arc`).
+
+The sweeps are the hot path of every embedder and of validation, so they
+hold no per-edge tuples: each arc is one packed int key, sorted as ints, and
+each page's stack holds plain right ends.  Ints are not tracked by the
+cyclic garbage collector, so long sweeps do not set off its collections.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidOrder
 from .graph import Graph, _JSONFormat, _norm_edge, _require_ints
@@ -76,25 +81,30 @@ class ValidationResult:
 
 def crosses(order: Sequence[int], e: tuple[int, int], f: tuple[int, int]) -> bool:
     """True iff chords e and f cross when the vertices sit on a circle in
-    this order.  Edges sharing an endpoint never cross."""
+    this order.  Edges sharing an endpoint never cross.  Raises
+    InvalidOrder when an endpoint is not in `order`."""
+    listed = set(order)
+    for v in (*e, *f):
+        if v not in listed:
+            raise InvalidOrder(f"vertex {v!r} is not in the order")
     return crossing_masks([e, f], order)[0] != 0
 
 
-def _push_arc(stack: list[tuple[int, tuple[int, int]]], a: int, b: int,
-              e: tuple[int, int]) -> bool:
-    """Push arc a < b, labelled e, onto one page's stack of open arcs.
+def _push_arc(stack: list[int], a: int, b: int) -> bool:
+    """Push arc a < b onto one page's stack of open arcs.
 
     Arcs must arrive sorted by (a, -b).  A page is non-crossing iff its arcs
     nest like parentheses, so arcs still open at a are nested and only the
     innermost one can cross the new arc.  Pops arcs closed by a, then fails,
     leaving the crossing arc on top, iff the top's right end lies strictly
-    inside (a, b).  Stack entries are (right end, label).
+    inside (a, b).  Stack entries are right ends alone, plain ints; a caller
+    that must name the crossing arc recovers it from its own input.
     """
-    while stack and stack[-1][0] <= a:
+    while stack and stack[-1] <= a:
         stack.pop()
-    if stack and stack[-1][0] < b:
+    if stack and stack[-1] < b:
         return False
-    stack.append((b, e))
+    stack.append(b)
     return True
 
 
@@ -122,6 +132,16 @@ def _arcs(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[tuple[
     """Each edge's (left, right) positions under `order`, left < right."""
     pos = _positions(order)
     return [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges]
+
+
+def _arc_keys(edges: Iterable[tuple[int, int]], order: Sequence[int]) -> list[int]:
+    """Each edge's arc a < b under `order` as one int, a*n + (n-1-b), so that
+    sorting the keys sorts the arcs by (a, -b), the order `_push_arc` needs;
+    divmod(key, n) gives back (a, n-1-b)."""
+    n = len(order)
+    pos = _positions(order)
+    return [a * n + (n - 1 - b) if (a := pos[u]) < (b := pos[v]) else b * n + (n - 1 - a)
+            for u, v in edges]
 
 
 def crossing_masks(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[int]:
@@ -159,6 +179,11 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
     `finding`.  Otherwise each page's arcs are swept left to right with a
     stack of open arcs, and the first crossing pair met, if any, is
     reported as (open arc's edge, new arc's edge).
+
+    The sweep order is (page, left end, -right end); each arc is one int
+    key, p*n*n + a*n + (n-1-b) for an arc a < b on page p, so the sort
+    compares ints and the sweep makes no per-edge objects.  The failing
+    pair's edges are read back off the keys and `order` only on failure.
 
     Linear apart from sorting the arcs.  The keys must be the graph's m
     edges as they are, pairs (u, v) of ints with u < v, and are normalized
@@ -211,16 +236,43 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
             False, used, finding=f"edge {e} on page {p!r}, outside 1..{page_count}"
         )
 
-    pos = _positions(order)
-    arcs = sorted((p, a, -b, e) if (a := pos[e[0]]) < (b := pos[e[1]]) else (p, b, -a, e)
-                  for e, p in pages.items())
+    # page p's arcs key p*n*n + `_arc_keys`, so one sort orders by (p, a, -b)
+    n = g.n
+    nn = n * n
+    keys = sorted([p * nn + x for x, p in zip(_arc_keys(pages, order), pages.values())])
     page, stack = None, []
-    for p, a, neg_b, e in arcs:
+    for key in keys:
+        p, ab = divmod(key, nn)
         if p != page:
             page, stack = p, []
-        if not _push_arc(stack, a, -neg_b, e):
-            return ValidationResult(False, used, first_conflict=(stack[-1][1], e))
+        a, rb = divmod(ab, n)
+        if not _push_arc(stack, a, n - 1 - rb):
+            return ValidationResult(False, used, first_conflict=_open_and_new(
+                keys, key, stack[-1], order))
     return ValidationResult(True, used)
+
+
+def _open_and_new(keys: list[int], key: int, d: int,
+                  order: Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The failing pair of `validate_embedding`'s sweep as (open arc's edge,
+    new arc's edge), read back off the sorted keys.  The new arc is `key`'s,
+    and the open arc is the stack's top, which ends at d.  Only an arc with
+    a left end at or past d pops an arc ending at d, and every arc swept so
+    far starts before d, so each earlier arc on this page that ends at d is
+    still stacked, and the top is the last of them: the nearest key before
+    `key` on the same page with right end d."""
+    n = len(order)
+    nn = n * n
+
+    def edge(x: int) -> tuple[int, int]:
+        a, rb = divmod(x % nn, n)
+        return _norm_edge(order[a], order[n - 1 - rb])
+
+    page = key // nn
+    i = keys.index(key) - 1
+    while not (keys[i] // nn == page and n - 1 - keys[i] % n == d):
+        i -= 1
+    return edge(keys[i]), edge(key)
 
 
 def _distinct(values) -> set | list:

@@ -398,6 +398,9 @@ def is_k_tree(g: Graph, k: int | None = None) -> KTreeCertificate | None:
     every k-tree gets through.  The removals take k edges each, which leaves
     k(k+1)/2 edges on the k+1 vertices left, so a certificate that passes
     the walk replays to g, and a graph that is not a k-tree fails the walk.
+    Elimination keeps one int array of live degrees over g's own adjacency,
+    with -1 marking a removed vertex, so no neighbour set is copied; a
+    removed vertex's live neighbours are read off its adjacency once.
     """
     n = g.n
     if k is None:
@@ -407,25 +410,25 @@ def is_k_tree(g: Graph, k: int | None = None) -> KTreeCertificate | None:
         raise ValueError("k must be positive")
     if n < k + 1 or g.m != ktree_edge_count(n, k):
         return None
-    adj: list[set[int]] = [set(g.neighbors(v)) for v in range(n)]
-    heap = [v for v in range(n) if len(adj[v]) == k]
+    adj = g._adj
+    deg = [len(nb) for nb in adj]  # live neighbours; -1 once removed
+    heap = [v for v in range(n) if deg[v] == k]
     heapq.heapify(heap)
     removals: list[tuple[int, frozenset[int]]] = []
     while len(removals) < n - k - 1:
-        # a removed vertex has an empty adjacency, so it never has degree k
-        while heap and len(adj[heap[0]]) != k:
+        while heap and deg[heap[0]] != k:
             heapq.heappop(heap)
         if not heap:
             return None
         v = heapq.heappop(heap)
-        nbrs = frozenset(adj[v])
+        nbrs = frozenset([u for u in adj[v] if deg[u] >= 0])
         removals.append((v, nbrs))
-        adj[v] = set()
+        deg[v] = -1
         for u in nbrs:
-            adj[u].discard(v)
-            if len(adj[u]) == k:
+            deg[u] -= 1
+            if deg[u] == k:
                 heapq.heappush(heap, u)
-    rest = tuple(v for v in range(n) if adj[v])  # short only if g is no k-tree
+    rest = tuple(v for v in range(n) if deg[v] > 0)  # short only if g is no k-tree
     cert = KTreeCertificate(k=k, base_clique=rest, additions=tuple(reversed(removals)))
     try:
         cert._parent_bags

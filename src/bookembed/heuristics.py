@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .embedding import BookEmbedding, _check_order, _positions, _push_arc
+from .embedding import BookEmbedding, _arc_keys, _check_order, _push_arc
 from .errors import InvalidCertificate
 from .graph import Graph, KTreeCertificate
 
@@ -18,26 +18,28 @@ def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
     Edges are taken sorted by (left endpoint position, longest arc first) and
     each goes to the lowest-numbered page where it crosses nothing already
     placed, opening a new page when none fits; that order lets one stack of
-    open arcs per page decide each fit.  Always valid.  Raises InvalidOrder
-    when `order` is not a permutation of the vertices.
+    open arcs per page decide each fit.  The sort runs over one packed int
+    per edge, and the page map is keyed by the graph's own edge tuples.
+    Always valid.  Raises InvalidOrder when `order` is not a permutation of
+    the vertices.
     """
     _check_order(g, order)
-    pos = _positions(order)
-    items = sorted((a, -b, e) if (a := pos[e[0]]) < (b := pos[e[1]]) else (b, -a, e)
-                   for e in g.edges)
-
-    stacks: list[list[tuple[int, tuple[int, int]]]] = []
-    assignment: dict[tuple[int, int], int] = {}
-    for a, neg_b, e in items:
-        b = -neg_b
+    n = g.n
+    keys = _arc_keys(g.edges, order)
+    stacks: list[list[int]] = []
+    page_of: dict[int, int] = {}
+    for key in sorted(keys):
+        a, rb = divmod(key, n)
+        b = n - 1 - rb
         for p, stack in enumerate(stacks, 1):
-            if _push_arc(stack, a, b, e):
-                assignment[e] = p
+            if _push_arc(stack, a, b):
                 break
         else:
-            stacks.append([(b, e)])
-            assignment[e] = len(stacks)
-    return BookEmbedding(tuple(order), assignment, len(stacks))
+            stacks.append([b])
+            p = len(stacks)
+        page_of[key] = p
+    return BookEmbedding(tuple(order), dict(zip(g.edges, map(page_of.__getitem__, keys))),
+                         len(stacks))
 
 
 def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
@@ -57,8 +59,11 @@ def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
     Pages: the base vertices get colours 0..k in id order, and each added
     vertex the one colour its clique lacks, a proper (k+1)-colouring.  Each
     edge goes on page 1 + the colour of its older endpoint (the base is aged
-    in id order), so colour c's page holds the edges from colour-c vertices
-    to their younger neighbours.
+    in id order, each added vertex by when the walk places it), so colour
+    c's page holds the edges from colour-c vertices to their younger
+    neighbours.  The walk records only each vertex's colour and age; the
+    page map is built after it over `g.edges`, so its keys are the graph's
+    own tuples, and bags are kept as tuples of ints.
 
     Why no page has a crossing, on any valid tree: the argument uses only
     that each clique lies in its parent bag.  Inserting never reorders
@@ -96,27 +101,29 @@ def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
 
     nxt = [-1] * g.n
     colour = [0] * g.n
-    pages: dict[tuple[int, int], int] = {}
+    age = [0] * g.n  # when each vertex was placed: base in id order, then the walk
     for c, u in enumerate(base):
-        colour[u] = c
+        colour[u] = age[u] = c
         if c:
             nxt[base[c - 1]] = u
-        for w in base[c + 1:]:
-            pages[(u, w)] = c + 1
-    members: list[list[int]] = [base] + [[]] * len(parents)
+    members: list[tuple[int, ...]] = [tuple(base)] + [()] * len(parents)
     all_colours = k * (k + 1) // 2
+    placed = k + 1
     stack = children[0][::-1]
     while stack:
         b = stack.pop()
         v, clique = cert.additions[b - 1]
         u0, *rest = (u for u in members[parents[b - 1]] if u in clique)
         nxt[v], nxt[u0] = nxt[u0], v
-        members[b] = [u0, v, *rest]
+        members[b] = (u0, v, *rest)
         colour[v] = all_colours - sum(colour[u] for u in clique)
-        for u in clique:
-            pages[(u, v) if u < v else (v, u)] = colour[u] + 1
+        age[v] = placed
+        placed += 1
         stack.extend(children[b][::-1])
 
+    # each edge on page 1 + the colour of its older end, keyed by g's own tuples
+    pages = dict(zip(g.edges, [colour[u] + 1 if age[u] < age[v] else colour[v] + 1
+                               for u, v in g.edges]))
     order = []
     v = base[0]
     while v >= 0:

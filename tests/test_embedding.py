@@ -58,6 +58,18 @@ def test_crosses_symmetry_and_rotation_invariance():
         assert base == crosses(list(reversed(order)), e, f)
 
 
+@pytest.mark.parametrize("order, e, f", [
+    ([3, 1, 2], (0, 2), (1, 3)),  # 0 is missing, and max(order) would index it
+    ([0, 1, 2], (0, 2), (1, 7)),  # 7 lies past the end of the order
+    ([0, 1, 2, 3], (-1, 2), (1, 3)),
+])
+def test_crosses_refuses_endpoints_outside_the_order(order, e, f):
+    with pytest.raises(InvalidOrder):
+        crosses(order, e, f)
+    with pytest.raises(InvalidOrder):
+        crosses(order, f, e)
+
+
 def test_crossing_masks_agree_with_crosses():
     rng = random.Random(19)
     for _ in range(15):
@@ -301,6 +313,33 @@ def test_validation_sweep_matches_pairwise_crossings(case):
     if res.first_conflict is not None:
         e, f = res.first_conflict
         assert pages[e] == pages[f] and _arc_crossing(order, e, f)
+
+
+@_PROFILE
+@given(_paged_graphs(), st.randoms(use_true_random=False))
+def test_first_conflict_is_the_first_crossing_of_a_literal_sweep(case, rng):
+    # arcs in (page, left, -right) order, each tested against every earlier
+    # arc on its page; the first arc that crosses one is the new arc, and
+    # the last earlier arc it crosses is the innermost open one
+    g, order, pages = case
+    keys = list(pages)
+    rng.shuffle(keys)
+    shuffled = {e: pages[e] for e in keys}
+    pos = {v: i for i, v in enumerate(order)}
+    arcs = []
+    for e in keys:
+        a, b = sorted((pos[e[0]], pos[e[1]]))
+        arcs.append((pages[e], a, -b, e))
+    arcs.sort()
+    expected = None
+    for i, (p, _, _, e) in enumerate(arcs):
+        hits = [f for q, _, _, f in arcs[:i] if q == p and _arc_crossing(order, f, e)]
+        if hits:
+            expected = (hits[-1], e)
+            break
+    res = validate_embedding(g, _emb(g, order, shuffled, page_count=3))
+    assert res.first_conflict == expected
+    assert res.ok == (expected is None)
 
 
 @_PROFILE

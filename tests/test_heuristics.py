@@ -1,6 +1,8 @@
 """Heuristic embedders: always valid, never promised optimal."""
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -124,6 +126,41 @@ def test_embed_ktree_handles_wide_two_trees():
 def test_embed_ktree_is_deterministic():
     g, cert = random_ktree(25, 3, seed=9)
     assert embed_ktree(g, cert) == embed_ktree(g, cert)
+
+
+def _embedding_digest(emb):
+    blob = json.dumps([list(emb.order), sorted(emb.pages.items())]).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("source, digest", [
+    ((4,), "1489a13a60f8621bd666ba617e68d6d6513af12aa8c7f71eec71c94c40d6e6a5"),
+    ((5,), "def3698c9b49a792836d0cd16e7ade3c3c0b0245ce656c5099e8251a751fdfb9"),
+    ((6,), "d6d9fc3385d44891e280853ffaf4899f9ebb387cdc71a560b21f3c9da8f136f8"),
+    ((1000, 3, 1), "13203e09b6b56894c5c1e91f420af62feb942857accb7607eb24a815a530cb18"),
+    ((2000, 5, 7), "2c2db701a83402703e2034ba924d0e2b6fc655b4bb5b01a88c7d14699516fe79"),
+])
+def test_embed_ktree_output_is_pinned(source, digest):
+    # spine order and every edge's page, byte for byte, on Q(k) under its
+    # own certificate and on seeded random k-trees
+    if len(source) == 1:
+        art = build_q(*source)
+        g, cert = art.graph, art.certificate
+    else:
+        n, k, seed = source
+        g, cert = random_ktree(n, k, seed=seed)
+    assert _embedding_digest(embed_ktree(g, cert)) == digest
+
+
+def test_first_fit_output_is_pinned_under_a_shuffled_order():
+    # the many-short-pages regime: about 50 pages on 300 vertices
+    g, _ = random_ktree(300, 3, seed=0)
+    order = list(range(300))
+    random.Random(5).shuffle(order)
+    emb = first_fit_pages(g, order)
+    assert emb.page_count == 50
+    assert (_embedding_digest(emb)
+            == "8135200280c95425d71658297d3cdc68cd1590a773d7ab440384a908a55ace08")
 
 
 def test_embed_ktree_rejects_foreign_certificates():
