@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from .errors import InvalidSize, SizeTooSmall
 from .graph import Graph, KTreeCertificate
@@ -47,11 +47,8 @@ def complete_split(k: int, m: int) -> Graph:
     """
     if k < 1 or m < 0:
         raise InvalidSize("complete split graph needs k >= 1 and m >= 0")
-    if m == 0:  # K_k, which has no (k+1)-vertex base clique
-        return Graph(k, combinations(range(k), 2), dict.fromkeys(range(k), "K"))
-    steps, labels = _lower_layers(k, m)
-    edges = _certificate(k, steps[:m - 1])._edges()  # the S-layer's steps
-    return Graph(k + m, edges, {v: labels[v] for v in range(k + m)})
+    labels = dict.fromkeys(range(k), "K") | dict.fromkeys(range(k, k + m), "S")
+    return Graph(k + m, chain(combinations(range(k), 2), product(range(k), range(k, k + m))), labels)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -137,12 +134,7 @@ def build_q(k: int, n: int | None = None) -> QArtifacts:
         raise SizeTooSmall(f"needs at least {base_n} vertices for k={k}, got {n}")
 
     steps, labels = _lower_layers(k, s)
-    roles: dict[str, frozenset[int]] = {
-        "K": frozenset(range(k)),
-        "S": frozenset(range(k, k + s)),
-        "T": frozenset(range(k + s, k + 2 * s)),
-        "pad": frozenset(range(base_n, n)),
-    }
+    chains: dict[str, frozenset[int]] = {}
     # vertex k + i sits in bag i, so the next step's vertex and bag are
     # k + len(steps) + 1 and len(steps) + 1
     for j in range(s):
@@ -155,12 +147,14 @@ def build_q(k: int, n: int | None = None) -> QArtifacts:
                 steps.append((x, attach, parent))
                 labels[x] = f"T{i}"
                 parent = len(steps)
-            roles[f"T{i}({w})"] = frozenset(range(x - 2, x + 1))
-    parent = s - 1  # the far end of the S-path
+            chains[f"T{i}({w})"] = frozenset(range(x - 2, x + 1))
+    parent, hub = s - 1, frozenset(range(k))  # the S-path's far end, and K
     for x in range(base_n, n):
-        steps.append((x, roles["K"], parent))
+        steps.append((x, hub, parent))
         labels[x] = "pad"
         parent = len(steps)
+    roles = {role: frozenset(v for v, r in labels.items() if r == role)
+             for role in ("K", "S", "T", "pad")} | chains
 
     certificate = _certificate(k, steps)
     return QArtifacts(graph=Graph(n, certificate._edges(), labels), certificate=certificate,
@@ -176,17 +170,18 @@ def random_ktree(n: int, k: int, seed: int = 0) -> tuple[Graph, KTreeCertificate
         raise InvalidSize(f"a {k}-tree needs at least {k + 1} vertices")
     rng = random.Random(seed)
     base = tuple(range(k + 1))
-    # the k-cliques, sorted, flat with stride k: v is the largest id so far,
-    # so dropping one member and appending v keeps a clique sorted
-    pool: list[int] = list(chain.from_iterable(combinations(base, k)))
-    additions: list[tuple[int, frozenset[int]]] = []
+    # the k-cliques are numbered in the order they are made: clique j <= k
+    # is the base without base[k - j], and addition i makes k more, its
+    # sorted clique without each member in turn plus its vertex k + 1 + i,
+    # the largest id so far, so each stays sorted
+    cliques: list[tuple[int, ...]] = []  # addition i's clique, sorted
     for v in range(k + 1, n):
-        j = rng.randrange(len(pool) // k) * k
-        clique = pool[j:j + k]
-        additions.append((v, frozenset(clique)))
-        for i in range(k):
-            pool += clique[:i]
-            pool += clique[i + 1:]
-            pool.append(v)
-    cert = KTreeCertificate(k=k, base_clique=base, additions=tuple(additions))
+        j = rng.randrange(k + 1 + (v - k - 1) * k)
+        if j <= k:
+            cliques.append(base[:k - j] + base[k - j + 1:])
+        else:
+            i, r = divmod(j - k - 1, k)
+            clique = cliques[i]
+            cliques.append(clique[:r] + clique[r + 1:] + (k + 1 + i,))
+    cert = KTreeCertificate(k, base, tuple(zip(range(k + 1, n), map(frozenset, cliques))))
     return Graph(n, cert._edges()), cert

@@ -3,6 +3,7 @@
 import json
 import random
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -330,6 +331,36 @@ def test_gen_vertex_counts_match_the_families():
         assert size(args) == (g.n, g.m), argv
 
 
+# each family at about 10^5 edges; a family added to gen needs a row here
+_AT_1E5_EDGES = {
+    "complete": ["--n", "448"],
+    "split": ["--k", "50", "--m", "2000"],
+    "q": ["--k", "16"],
+    "path-power": ["--n", "25000", "--k", "4"],
+    "dujwoo": ["--k", "4", "--m", "12500"],
+    "complete-bipartite": ["--k", "100", "--m", "1000"],
+    "random-ktree": ["--n", "600", "--k", "200"],
+}
+
+
+@pytest.mark.parametrize("family", list(cli._FAMILIES))
+def test_gen_families_build_in_memory_linear_in_their_size(family):
+    # the gen limits bound n + m, so a family must build in O(n + m) memory
+    # to stay within them; a k-tree that kept every k-clique it made would
+    # hold O(nk^2) ints, about 1,600 bytes per vertex plus edge here
+    args = cli.build_parser().parse_args(["gen", "--family", family, *_AT_1E5_EDGES[family]])
+    _, size, build = cli._FAMILIES[family]
+    n, m = size(args)
+    assert 5 * 10**4 <= m <= 2 * 10**5
+    tracemalloc.start()
+    try:
+        build(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 800 * (n + m), f"{peak / (n + m):.0f} bytes per vertex plus edge"
+
+
 @pytest.mark.parametrize("command", ["bt", "embed"])
 def test_out_of_range_edge_is_a_usage_error(capsys, tmp_path, command):
     gpath = tmp_path / "bad.json"
@@ -455,6 +486,14 @@ def test_embed_infers_k_when_omitted(capsys, tmp_path):
     assert code == 0
     emb = BookEmbedding.from_json_dict(json.loads(out))
     assert validate_embedding(Graph.from_json(gpath.read_text()), emb).ok
+
+
+def test_embed_with_k_zero_is_a_usage_error(capsys, tmp_path):
+    gpath = tmp_path / "p3.json"
+    gpath.write_text(Graph(3, [(0, 1), (1, 2)]).to_json())
+    code, out, err = _run(capsys, "embed", "--graph", str(gpath), "--method", "ktree", "--k", "0")
+    _assert_one_line_error(code, out, err)
+    assert err == "error: --k: k must be positive\n"
 
 
 def test_embed_rejects_non_ktrees(capsys, tmp_path):

@@ -51,6 +51,7 @@ def test_graph_normalizes_and_dedupes_edges():
     assert not g.has_edge(0, 1)
     assert g.degree(0) == 1
     assert g.neighbors(3) == frozenset({1})
+    assert repr(g) == "Graph(n=4, m=2)"
 
 
 def test_graph_rejects_malformed_input():
@@ -93,6 +94,7 @@ def test_graph_equality_includes_labels():
     assert a == b
     assert a != c
     assert hash(a) == hash(c)  # labels stay out of the hash
+    assert (c == 3) is False  # NotImplemented, and then int's own answer
 
 
 @st.composite
@@ -487,6 +489,8 @@ def test_recognizer_on_fixed_examples():
     assert is_k_tree(Graph(2, [(0, 1)])).k == 1 and is_k_tree(path_power(6, 4)).k == 4
     assert is_k_tree(without_edge(complete_graph(5), 0, 1)).k == 3
     assert is_k_tree(cyc) is None and is_k_tree(pendant) is None
+    with pytest.raises(ValueError, match="k must be positive"):
+        is_k_tree(star, 0)
 
 
 def _recognizer_cases(family):
