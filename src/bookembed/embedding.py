@@ -16,7 +16,7 @@ cyclic garbage collector, so long sweeps do not set off its collections.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Sequence
@@ -69,14 +69,7 @@ class ValidationResult:
     finding: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "pages_used": self.pages_used,
-            "first_conflict": [list(e) for e in self.first_conflict]
-            if self.first_conflict
-            else None,
-            "finding": self.finding,
-        }
+        return asdict(self)
 
 
 def crosses(order: Sequence[int], e: tuple[int, int], f: tuple[int, int]) -> bool:

@@ -83,75 +83,10 @@ class SolverReport:
     elapsed: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "book_thickness": self.book_thickness,
-            "lower_bound": self.lower_bound,
-            "nodes_explored": self.nodes_explored,
-            "elapsed": self.elapsed,
-            "witness": self.witness.to_json_dict(),
-        }
+        return dict(vars(self), status=self.status.value, witness=self.witness.to_json_dict())
 
 
 # ---- coloring engine ----
-
-
-def _try_color(masks: list[int], p: int, seed: Sequence[int]) -> list[int] | None:
-    """Proper p-coloring of the conflict graph, or None.  Backtracking with
-    most-saturated-first selection; `seed` (a clique) gets colors 0,1,2,...
-    fixed up front, and fresh colors are only opened one at a time.
-
-    `forb[v]` holds the colours v's coloured neighbours use.  The search runs
-    on a stack of frames, one per coloured vertex past the seed: the vertex,
-    the colours it has left to try, the `forb` it was chosen under, and the
-    highest colour used before it.  Trying a colour copies that `forb`, so
-    backtracking restores it by dropping the copy.
-
-    The next vertex has the largest (saturation, degree, -v), packed into one
-    int as sat << 2L | deg << L | (m - v) with L = m.bit_length(): deg < m
-    and 0 < m - v <= m both fit in L bits, so the int orders like the tuple,
-    and its low bits give v back."""
-    m = len(masks)
-    color = [-1] * m
-    forb = [0] * m
-    low = m.bit_length()
-    rank = [mk.bit_count() << low | (m - v) for v, mk in enumerate(masks)]
-    low_bits, sat_shift = (1 << low) - 1, 2 * low
-    full = (1 << p) - 1
-
-    def paint(forb: list[int], v: int, c: int) -> None:
-        color[v] = c
-        mk = masks[v]
-        while mk:
-            forb[(mk & -mk).bit_length() - 1] |= 1 << c
-            mk &= mk - 1
-
-    for c, v in enumerate(seed):
-        paint(forb, v, c)
-    used = len(seed) - 1
-    stack: list[list] = []
-    while len(seed) + len(stack) < m:
-        best = 0
-        for v in range(m):
-            if color[v] < 0:
-                key = forb[v].bit_count() << sat_shift | rank[v]
-                if key > best:
-                    best = key
-        v = m - (best & low_bits)
-        # no colour above used + 1: fresh colours open one at a time
-        stack.append([v, full & ~forb[v] & ((2 << (used + 1)) - 1), forb, used])
-        while not stack[-1][1]:  # out of colours: back up
-            color[stack.pop()[0]] = -1
-            if not stack:
-                return None
-        frame = stack[-1]
-        v, left, saved, used = frame
-        c = (left & -left).bit_length() - 1
-        frame[1] = left & (left - 1)
-        forb = saved[:]
-        paint(forb, v, c)
-        used = max(used, c)
-    return color
 
 
 def _greedy_clique_mask(masks: list[int], universe: int) -> int:
@@ -173,17 +108,75 @@ def _greedy_clique_mask(masks: list[int], universe: int) -> int:
     return clique
 
 
-def _fewest_colours(masks: list[int], cap: int | None = None) -> tuple[int, list[int]] | None:
+def _fewest_colours(masks: list[int], cap: int | None = None,
+                    deadline: float | None = None) -> tuple[int, list[int]] | None:
     """Fewest colours p < cap (no cap when None) that properly colour the
-    conflict graph, with such a colouring; None if it needs cap or more.
-    A greedy clique seeds `_try_color` and sets the first p tried."""
-    clique = _greedy_clique_mask(masks, (1 << len(masks)) - 1)
-    seed = [v for v in range(len(masks)) if clique >> v & 1]
+    conflict graph, with such a colouring; None if it needs cap or more, or
+    once the clock, read every 1024 frames, passes `deadline`.
+
+    For each p from the size of a greedy clique, the seed, which keeps
+    colours 0,1,2,..., a backtracking search colours the most saturated
+    vertex next and opens fresh colours one at a time.  `forb[v]` holds the
+    colours v's coloured neighbours use.  The search runs on a stack of
+    frames, one per coloured vertex past the seed: the vertex, the colours
+    it has left to try, the `forb` it was chosen under, and the highest
+    colour used before it.  Trying a colour copies that `forb`, so
+    backtracking restores it by dropping the copy, and a failed p leaves
+    only the seed coloured.
+
+    The next vertex has the largest (saturation, degree, -v), packed into one
+    int as sat << 2L | deg << L | (m - v) with L = m.bit_length(): deg < m
+    and 0 < m - v <= m both fit in L bits, so the int orders like the tuple,
+    and its low bits give v back."""
+    m = len(masks)
+    clique = _greedy_clique_mask(masks, (1 << m) - 1)
+    seed = [v for v in range(m) if clique >> v & 1]
+    color = [-1] * m
+    low = m.bit_length()
+    rank = [mk.bit_count() << low | (m - v) for v, mk in enumerate(masks)]
+    low_bits, sat_shift = (1 << low) - 1, 2 * low
+
+    def paint(forb: list[int], v: int, c: int) -> None:
+        color[v] = c
+        mk = masks[v]
+        while mk:
+            forb[(mk & -mk).bit_length() - 1] |= 1 << c
+            mk &= mk - 1
+
+    seeded = [0] * m
+    for c, v in enumerate(seed):
+        paint(seeded, v, c)
+    frames = 0
     p = len(seed)  # 0 only when there is nothing to colour
     while cap is None or p < cap:
-        colors = _try_color(masks, p, seed)
-        if colors is not None:
-            return p, colors
+        full = (1 << p) - 1
+        forb, used, stack = seeded, len(seed) - 1, []
+        while len(seed) + len(stack) < m:
+            frames += 1
+            if deadline is not None and frames & 1023 == 1 and time.monotonic() >= deadline:
+                return None
+            best = 0
+            for v in range(m):
+                if color[v] < 0:
+                    key = forb[v].bit_count() << sat_shift | rank[v]
+                    if key > best:
+                        best = key
+            v = m - (best & low_bits)
+            # no colour above used + 1: fresh colours open one at a time
+            stack.append([v, full & ~forb[v] & ((2 << (used + 1)) - 1), forb, used])
+            while stack and not stack[-1][1]:  # out of colours: back up
+                color[stack.pop()[0]] = -1
+            if not stack:
+                break
+            frame = stack[-1]
+            v, left, saved, used = frame
+            c = (left & -left).bit_length() - 1
+            frame[1] = left & (left - 1)
+            forb = saved[:]
+            paint(forb, v, c)
+            used = max(used, c)
+        else:
+            return p, color
         p += 1
     return None
 
@@ -462,8 +455,10 @@ def _search_orders(g: Graph, search: _Search) -> None:
     x, y = [v for v in range(n) if v != root][:2]
 
     def leaf() -> None:
-        found = _fewest_colours(masks, search.cap())
-        if found is not None:
+        found = _fewest_colours(masks, search.cap(), search.deadline)
+        if found is None:
+            search.check_budget()  # marks a colouring the deadline cut off
+        else:
             p, colors = found
             pages = {_norm_edge(order[a], order[b]): colors[i] + 1
                      for i, (a, b) in enumerate(arcs)}
@@ -597,7 +592,7 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
     return order
 
 
-def _planar(block: Graph) -> bool:
+def _planar(block: Graph, deadline: float | None = None) -> bool:
     """Whether a biconnected block is planar, by the face-splitting test of
     Demoucron, Malgrange and Pertuiset (1964).  A non-planar graph contains
     a subdivision of K5 or K3,3 (Kuratowski), so fewer than 5 vertices or 9
@@ -615,6 +610,9 @@ def _planar(block: Graph) -> bool:
     is not planar.  The theorem of Demoucron et al. is the converse: if G is
     planar, every drawing the rule reaches extends to a drawing of G, so
     the test ends with all of G drawn exactly when G is planar.
+
+    Each step reads the clock against `deadline`, if any, and a test cut off
+    by it returns True, which claims nothing.
     """
     n, edges = block.n, block.edges
     if n < 5 or len(edges) < 9:
@@ -635,6 +633,8 @@ def _planar(block: Graph) -> bool:
     on = set(cycle)
     done = {_norm_edge(u, v) for u, v in zip(cycle, cycle[1:] + [0])}
     while len(done) < len(edges):
+        if deadline is not None and time.monotonic() >= deadline:
+            return True
         frags = [({u, v}, [u, v]) for u, v in edges
                  if u in on and v in on and (u, v) not in done]
         seen = set(on)
@@ -732,11 +732,11 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
                                for u, v in edges}
     incumbent = first_fit_pages(sub, range(sub.n))
     search.reset(incumbent.page_count, incumbent, lb)
-    if lb == 2 < search.cap() and not _planar(sub):
+    if lb == 2 < search.cap() and not _planar(sub, search.deadline):
         lb = 3
         search.reset(incumbent.page_count, incumbent, lb)
     if lb < search.cap():
-        search.check_budget()  # an earlier block may have spent it
+        search.check_budget()  # an earlier block or a cut `_planar` may have spent it
         _search_orders(sub, search)
     w = search.witness
     # verts is sorted, so local edges (u < v) map to normalized edges

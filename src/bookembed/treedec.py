@@ -9,7 +9,7 @@ bag has exactly w+1 vertices and adjacent bags share exactly w.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Collection
 
@@ -47,13 +47,7 @@ class DecompositionReport:
     violations: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "width": self.width,
-            "smooth": self.smooth,
-            "max_degree": self.max_degree,
-            "violations": list(self.violations),
-        }
+        return asdict(self)
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionReport:

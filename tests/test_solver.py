@@ -3,7 +3,11 @@
 import hashlib
 import json
 import random
-from itertools import combinations, permutations
+import signal
+import time
+from contextlib import contextmanager
+from itertools import combinations, count, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +38,8 @@ from bookembed.bruteforce import (
 )
 from bookembed.embedding import crossing_masks
 from bookembed.graph import _norm_edge
-from bookembed.solver import _blocks, _fewest_colours, _planar, _Prefix, _try_color
+from bookembed.heuristics import first_fit_pages
+from bookembed.solver import _blocks, _fewest_colours, _planar, _Prefix, _search_orders
 from util import (
     cycle,
     degree3_ktree,
@@ -171,6 +176,111 @@ def test_time_budget_times_out():
     rep = _bt(_needs_search(), time_budget=0.005)
     assert rep.status is SolverStatus.TIMEOUT
     assert rep.lower_bound <= rep.book_thickness
+
+
+class _Overran(Exception):
+    pass
+
+
+@contextmanager
+def _alarm(seconds):
+    """Fail, rather than hang, once `seconds` of wall clock pass.  The
+    alarm's handler raises inside whatever loop overran, and the failure is
+    raised afresh here, without that frame, whose traceback pytest cannot
+    always print."""
+    def overran(signum, frame):
+        raise _Overran
+
+    old = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(seconds)
+    try:
+        yield
+    except _Overran:
+        raise AssertionError(f"still running after {seconds} s") from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@pytest.mark.parametrize("g", [random_ktree(40, 3, 1)[0], _relabelled(random_ktree(60, 2, 1)[0], 1)],
+                         ids=["ktree40-3", "relabelled-ktree60-2"])
+def test_time_budget_bounds_the_leaf_colouring(g):
+    """Under a 100-node limit these searches reach leaves whose colouring
+    must prove that too few colours fail, a proof that takes minutes unless
+    the clock is read inside it.  The deadline cuts such a colouring off,
+    and the report keeps the incumbent as its witness."""
+    start = time.monotonic()
+    with _alarm(10):
+        rep = _bt(g, time_budget=1, node_limit=100)
+    assert time.monotonic() - start < 3
+    assert rep.status is SolverStatus.TIMEOUT
+    assert rep.lower_bound <= rep.book_thickness
+    assert validate_embedding(g, rep.witness).ok
+
+
+def test_time_budget_bounds_the_planarity_test():
+    """The face-splitting test takes seconds on an 800-vertex 2-tree.  Cut
+    off, it claims nothing, so the block keeps its root bound of 2."""
+    g = _relabelled(random_ktree(800, 2, 1)[0], 1)
+    start = time.monotonic()
+    with _alarm(10):
+        rep = _bt(g, time_budget=0.5)
+    assert time.monotonic() - start < 1.5
+    assert rep.status is SolverStatus.TIMEOUT and rep.lower_bound == 2
+    assert validate_embedding(g, rep.witness).ok
+
+
+def _ticking(monkeypatch):
+    """A clock for the solver that reads 0, 1, 2, ...: under it, time_budget
+    b runs out at the solve's b-th read after the start."""
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=count().__next__))
+
+
+@pytest.mark.parametrize("g", [
+    stacked_triangulation(7, 0),  # planar: the planarity test runs to the end
+    random_connected_graph(7, random.Random(6), 0.6),  # two leaf colourings
+    random_connected_graph(7, random.Random(9), 0.6),  # non-planar, bt 3
+], ids=["stacked7", "gnp7-6", "gnp7-9"])
+def test_a_deadline_at_any_clock_read_leaves_the_report_sound(g, monkeypatch):
+    """Cut the solve at each of its clock reads in turn: in the order search,
+    in a leaf colouring and in the planarity test.  Whatever was cut, the
+    bounds must hold the true value, and an EXACT report must be it."""
+    truth = book_thickness_brute(g)
+    _ticking(monkeypatch)
+    full = _bt(g, time_budget=10**9)
+    assert full.status is SolverStatus.EXACT and full.nodes_explored > 0
+    reads = int(full.elapsed)  # the index of the solve's last read
+    for budget in range(reads + 1):
+        _ticking(monkeypatch)
+        rep = _bt(g, time_budget=budget)
+        assert rep.lower_bound <= truth <= rep.book_thickness, budget
+        assert rep.status is not SolverStatus.EXACT or rep.book_thickness == truth, budget
+        assert validate_embedding(g, rep.witness).ok, budget
+
+
+def test_a_colouring_cut_in_the_last_leaf_leaves_the_budget_spent(monkeypatch):
+    """Under this 4-cycle's two-page incumbent, the one leaf the search
+    reaches is its last, the order 0, 3, 1, 2: every other order crosses,
+    and is pruned before its leaf.  (A solve settles the cycle at the root;
+    its order search is run here alone.)  When the deadline cuts that
+    leaf's colouring, nothing after it reads the clock, so the leaf itself
+    must mark the budget spent, or the unproven incumbent would come back
+    as the block's lower bound."""
+    g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    incumbent = first_fit_pages(g, range(4))
+    assert incumbent.page_count == 2
+    for budget in range(10):  # the leaf's one read is the solve's 7th
+        _ticking(monkeypatch)
+        search = solver._Search(SolverOptions(time_budget=budget), solver.time.monotonic())
+        search.reset(2, incumbent, 1)
+        _search_orders(g, search)
+        assert search.lower() == 1 <= search.best, budget
 
 
 def test_root_bound_closes_complete_graphs():
@@ -711,7 +821,7 @@ def test_prefix_bound_never_exceeds_the_full_order(case):
     edges = list(g.edges)
     crossed = {e: {f for f in edges if _arc_crossing(tuple(order), e, f)} for e in edges}
     pages = min_pages_for_order(g, order)
-    page = dict(zip(edges, _try_color(crossing_masks(edges, order), pages, [])))
+    page = dict(zip(edges, _fewest_colours(crossing_masks(edges, order))[1]))
     assert all(page[e] != page[f] for e in edges for f in crossed[e])
     prefix = _Prefix(g)
     placed = []
