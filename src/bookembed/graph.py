@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -33,9 +34,9 @@ def _json_text(obj: object) -> str:
 
 
 # The most vertices a graph read from a file or made by `bookembed gen` may
-# have.  A graph holds two sets per vertex (building an edgeless one on 10^5
-# vertices peaks at about 45 MB), so the count is checked before anything
-# is allocated for it.
+# have.  A graph keeps one tuple per vertex but is built through one set per
+# vertex (building an edgeless one on 10^5 vertices peaks at about 22 MB),
+# so the count is checked before anything is allocated for it.
 MAX_VERTICES = 10**6
 
 
@@ -88,7 +89,8 @@ class _JSONFormat:
 class Graph(_JSONFormat):
     """Immutable simple graph on vertices 0..n-1 with optional string labels.
     The constructor checks every value, with the readers' messages, so a
-    graph it builds is written as its readers accept."""
+    graph it builds is written as its readers accept.  Each neighbourhood is
+    kept as one sorted tuple of ints, which `edges` is read off."""
 
     __slots__ = ("n", "edges", "labels", "_adj")
 
@@ -102,7 +104,7 @@ class Graph(_JSONFormat):
             raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list = [set() for _ in range(n)]  # each set, then its sorted tuple
         for u, v in edges:
             # one test per edge (a bool is no int here), then the fault named
             if type(u) is not int or type(v) is not int or not (0 <= u < v < n or 0 <= v < u < n):
@@ -113,9 +115,11 @@ class Graph(_JSONFormat):
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        # sorted by (u, v) with u < v, read off the sorted neighbour sets
+        for v, nb in enumerate(adj):  # in place, so each set is freed as it goes
+            adj[v] = tuple(sorted(nb))
+        # sorted by (u, v) with u < v, read off the sorted neighbourhoods
         self.edges: tuple[tuple[int, int], ...] = tuple(
-            [(u, v) for u, nb in enumerate(adj) for v in sorted(nb) if v > u]
+            [(u, v) for u, nb in enumerate(adj) for v in nb if v > u]
         )
         lab = dict(labels) if labels else {}
         for v, role in lab.items():
@@ -124,7 +128,7 @@ class Graph(_JSONFormat):
             if type(role) is not str:
                 raise TypeError(f"label role {role!r} is not a string")
         self.labels = MappingProxyType(lab)  # read-only, so no write skips the checks
-        self._adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        self._adj: tuple[tuple[int, ...], ...] = tuple(adj)
 
     # ---- basic queries ----
 
@@ -133,14 +137,20 @@ class Graph(_JSONFormat):
         """Number of edges."""
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """v's neighbours as the graph's own sorted tuple, not a copy."""
         return self._adj[v]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._adj[u]
+        """By bisection in u's sorted tuple: O(log deg u)."""
+        if not 0 <= u < self.n:
+            return False
+        nb = self._adj[u]
+        i = bisect_left(nb, v)
+        return i < len(nb) and nb[i] == v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -357,19 +367,23 @@ class KTreeCertificate:
         the base pairs, and for each addition its k edges from a new vertex
         to older ones.  So they number exactly ktree_edge_count(n, k).  If
         each of them is an edge of g and g has that many edges, the two
-        edge sets are equal.
+        edge sets are equal.  Each check intersects a clique of k with a
+        neighbourhood tuple in O(k + deg v), and the degrees sum to 2m; this
+        beat both a bisection per edge and `issubset`, which builds a set.
+        A base vertex u is no neighbour of itself, so it sees the rest of
+        the base iff k base vertices are its neighbours.
         """
         try:
             self._parent_bags
         except InvalidCertificate:
             return False
-        n = self.vertex_count()
-        if n != g.n or g.m != ktree_edge_count(n, self.k):
+        n, k = self.vertex_count(), self.k
+        if n != g.n or g.m != ktree_edge_count(n, k):
             return False
         adj = g._adj
         base = frozenset(self.base_clique)
-        return all(base - {u} <= adj[u] for u in base) and all(
-            clique <= adj[v] for v, clique in self.additions
+        return all(len(base.intersection(adj[u])) == k for u in base) and all(
+            len(clique.intersection(adj[v])) == k for v, clique in self.additions
         )
 
 
@@ -399,7 +413,7 @@ def is_k_tree(g: Graph, k: int | None = None) -> KTreeCertificate | None:
     k(k+1)/2 edges on the k+1 vertices left, so a certificate that passes
     the walk replays to g, and a graph that is not a k-tree fails the walk.
     Elimination keeps one int array of live degrees over g's own adjacency,
-    with -1 marking a removed vertex, so no neighbour set is copied; a
+    with -1 marking a removed vertex, so no neighbourhood is copied; a
     removed vertex's live neighbours are read off its adjacency once.
     """
     n = g.n

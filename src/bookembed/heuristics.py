@@ -5,6 +5,7 @@ that Q(k) meets exactly."""
 
 from __future__ import annotations
 
+import time
 from typing import Sequence
 
 from .embedding import BookEmbedding, _arc_keys, _check_order, _push_arc
@@ -12,7 +13,8 @@ from .errors import InvalidCertificate
 from .graph import Graph, KTreeCertificate
 
 
-def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
+def first_fit_pages(g: Graph, order: Sequence[int], *,
+                    deadline: float | None = None) -> BookEmbedding:
     """Assign pages greedily under a fixed order.
 
     Edges are taken sorted by (left endpoint position, longest arc first) and
@@ -22,22 +24,29 @@ def first_fit_pages(g: Graph, order: Sequence[int]) -> BookEmbedding:
     per edge, and the page map is keyed by the graph's own edge tuples.
     Always valid.  Raises InvalidOrder when `order` is not a permutation of
     the vertices.
+
+    With a `deadline` (a `time.monotonic()` reading), the clock is read
+    after every 1024 arcs, and once it has passed each arc still unplaced
+    opens a page of its own, so the result stays valid.
     """
     _check_order(g, order)
     n = g.n
     keys = _arc_keys(g.edges, order)
     stacks: list[list[int]] = []
     page_of: dict[int, int] = {}
-    for key in sorted(keys):
+    late = False
+    for i, key in enumerate(sorted(keys), 1):
         a, rb = divmod(key, n)
         b = n - 1 - rb
-        for p, stack in enumerate(stacks, 1):
+        for p, stack in enumerate(() if late else stacks, 1):
             if _push_arc(stack, a, b):
                 break
         else:
             stacks.append([b])
             p = len(stacks)
         page_of[key] = p
+        if not i & 1023 and deadline is not None and not late:
+            late = time.monotonic() >= deadline
     return BookEmbedding(tuple(order), dict(zip(g.edges, map(page_of.__getitem__, keys))),
                          len(stacks))
 

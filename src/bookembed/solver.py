@@ -267,7 +267,7 @@ class _Prefix:
 
     def __init__(self, g: Graph) -> None:
         n = g.n
-        self.nbr = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
+        self.nbr = [sum(1 << u for u in nb) for nb in g._adj]
         self.order = [-1] * n
         self.pos = [-1] * n
         self.arcs: list[tuple[int, int]] = []
@@ -499,7 +499,7 @@ def _blocks(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
     n = g.n
     disc = [-1] * n
     low = [0] * n
-    neigh = [sorted(g.neighbors(v)) for v in range(n)]
+    neigh = g._adj  # sorted, so the search visits neighbours in id order
     edge_stack: list[tuple[int, int]] = []
     blocks: list[tuple[int, list[tuple[int, int]]]] = []
     clock = 0
@@ -560,7 +560,7 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
     n = block.n
     if n < 3:
         return list(range(n))
-    adj = [set(block.neighbors(v)) for v in range(n)]
+    adj = [set(nb) for nb in block._adj]
     gone = [False] * n
     low = [v for v in range(n) if len(adj[v]) == 2]
     removed: list[tuple[int, int, int]] = []
@@ -617,8 +617,8 @@ def _planar(block: Graph, deadline: float | None = None) -> bool:
     n, edges = block.n, block.edges
     if n < 5 or len(edges) < 9:
         return True
-    adj = [block.neighbors(v) for v in range(n)]
-    w = min(adj[0])  # the cycle: edge (0, w) and a path from w to 0 without it
+    adj = block._adj
+    w = adj[0][0]  # the cycle: edge (0, w) and a path from w to 0 without it
     prev = {w: w}
     queue = [w]
     for u in queue:
@@ -691,6 +691,8 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     `search`.  Returns (upper, lower, circular order, page map), with the
     order and pages in the edges' vertex ids.
 
+    A bridge is EXACT 1 at once, with its two ends in id order as its
+    order, as `_outerplanar_cycle` would give; no sub-graph is built for it.
     One page holds exactly the outerplanar graphs (Bernhart and Kainen), so
     when the edge bound allows one page, `_outerplanar_cycle` settles it
     without search: an outerplanar block is EXACT 1 with the cycle as its
@@ -717,7 +719,14 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     one page, and has m <= 3n - 6 edges, since the edge bound 2 means
     m <= n + 2(n - 3).  Under a one-page cap the test never runs, so
     `is_outerplanar` keeps its cost.
+
+    First-fit gives the incumbent under the solve's deadline, and an order
+    search starts only while the budget lasts, so a block whose first-fit
+    the deadline cut short builds no search state.
     """
+    if len(edges) == 1:
+        u, v = _norm_edge(*edges[0])
+        return 1, 1, [u, v], {(u, v): 1}
     verts = sorted({v for e in edges for v in e})
     local = {v: i for i, v in enumerate(verts)}
     sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
@@ -730,14 +739,15 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     if lb == (sub.n + 1) // 2:
         return lb, lb, verts, {_norm_edge(u, v): (local[u] + local[v]) % sub.n // 2 + 1
                                for u, v in edges}
-    incumbent = first_fit_pages(sub, range(sub.n))
+    incumbent = first_fit_pages(sub, range(sub.n), deadline=search.deadline)
     search.reset(incumbent.page_count, incumbent, lb)
     if lb == 2 < search.cap() and not _planar(sub, search.deadline):
         lb = 3
         search.reset(incumbent.page_count, incumbent, lb)
     if lb < search.cap():
-        search.check_budget()  # an earlier block or a cut `_planar` may have spent it
-        _search_orders(sub, search)
+        search.check_budget()  # an earlier block, first-fit or `_planar` may have spent it
+        if not search.stop:
+            _search_orders(sub, search)
     w = search.witness
     # verts is sorted, so local edges (u < v) map to normalized edges
     pages = {(verts[u], verts[v]): p for (u, v), p in w.pages.items()}

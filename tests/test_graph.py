@@ -1,11 +1,13 @@
 """Graph construction, k-tree certificates, recognition, and serialization."""
 
 import copy
+import gc
 import hashlib
 import json
 import pickle
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -50,7 +52,7 @@ def test_graph_normalizes_and_dedupes_edges():
     assert g.has_edge(2, 0) and g.has_edge(0, 2)
     assert not g.has_edge(0, 1)
     assert g.degree(0) == 1
-    assert g.neighbors(3) == frozenset({1})
+    assert g.neighbors(3) == (1,)
     assert repr(g) == "Graph(n=4, m=2)"
 
 
@@ -157,6 +159,22 @@ def test_graph_parts_match_the_sorted_edge_set_construction(case):
         assert g != fewer and g != Graph(n + 1, edge_set, lab)
 
 
+def test_a_graph_keeps_under_120_bytes_per_vertex_and_edge():
+    """Each neighbourhood is one sorted tuple of ints.  Under tracemalloc a
+    graph keeps about 80 B per vertex plus edge on these three, where a
+    frozenset per neighbourhood kept about 171 B (Python 3.11)."""
+    for g in (build_q(6).graph, random_ktree(2000, 5, 1)[0], complete_graph(300)):
+        edges, labels = list(g.edges), dict(g.labels)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            h = Graph(g.n, edges, labels)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h == g and kept / (g.n + g.m) < 120, (g, kept)
+
+
 def test_complete_graph():
     g = complete_graph(5)
     assert g.n == 5 and g.m == 10
@@ -186,7 +204,7 @@ def test_add_simplicial_extends_and_labels():
     h, v = add_simplicial(g, [0, 2], label="new")
     assert v == 3
     assert h.n == 4 and h.m == 5
-    assert h.neighbors(3) == frozenset({0, 2})
+    assert h.neighbors(3) == (0, 2)
     assert h.labels[3] == "new"
 
 
@@ -691,7 +709,7 @@ def test_labels_are_read_only_and_survive_pickle_and_deepcopy():
     assert dict(g.labels) == {1: "a"} and Graph.from_json(g.to_json()) == g
     for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
         assert h == g and h.edges == g.edges and dict(h.labels) == {1: "a"}
-        assert h.neighbors(0) == {1}
+        assert h.neighbors(0) == (1,)
         with pytest.raises(TypeError):
             h.labels[1] = "b"
 

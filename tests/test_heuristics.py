@@ -74,6 +74,25 @@ def test_first_fit_never_beats_the_exact_solver():
         assert first_fit_pages(g, order).page_count >= exact
 
 
+def test_first_fit_past_its_deadline_opens_a_page_per_arc():
+    """The clock is read after every 1024 arcs.  Under a deadline already
+    passed, the first 1024 arcs take the pages they take without one, and
+    each later arc opens a page of its own."""
+    g, _ = random_ktree(600, 3, 2)
+    order = list(range(g.n))
+    random.Random(5).shuffle(order)
+    full = first_fit_pages(g, order)
+    assert first_fit_pages(g, order, deadline=None) == full
+    cut = first_fit_pages(g, order, deadline=float("-inf"))
+    assert validate_embedding(g, cut).ok and cut.order == full.order
+    late = g.m - 1024
+    first = cut.page_count - late  # the pages of the first 1024 arcs
+    kept = {e: p for e, p in cut.pages.items() if p <= first}
+    assert len(kept) == 1024 and all(full.pages[e] == p for e, p in kept.items())
+    assert sorted(p for p in cut.pages.values() if p > first) == list(
+        range(first + 1, cut.page_count + 1))
+
+
 def test_first_fit_rejects_orders_that_are_not_permutations():
     k5 = complete_graph(5)
     for bad in ([0, 1, 2, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 9]):

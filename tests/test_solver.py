@@ -236,6 +236,19 @@ def test_time_budget_bounds_the_planarity_test():
     assert validate_embedding(g, rep.witness).ok
 
 
+def test_time_budget_bounds_the_first_fit_incumbent():
+    """First-fit alone takes about 7 s on this 50,000-vertex 2-tree when it
+    reads no clock (Python 3.11, 2 cores).  Past the deadline each arc left
+    opens a page of its own, so the incumbent, and the witness, stay valid."""
+    g = _relabelled(random_ktree(50000, 2, 1)[0], 1)
+    start = time.monotonic()
+    with _alarm(10):
+        rep = _bt(g, time_budget=0.5)
+    assert time.monotonic() - start < 3
+    assert rep.status is SolverStatus.TIMEOUT and rep.lower_bound == 2
+    assert validate_embedding(g, rep.witness).ok
+
+
 def _ticking(monkeypatch):
     """A clock for the solver that reads 0, 1, 2, ...: under it, time_budget
     b runs out at the solve's b-th read after the start."""
@@ -620,13 +633,31 @@ def test_outerplanar_graphs_make_no_first_fit_call(monkeypatch):
     calls = []
     first_fit = solver.first_fit_pages
     monkeypatch.setattr(solver, "first_fit_pages",
-                        lambda g, order: calls.append(g.n) or first_fit(g, order))
+                        lambda g, order, **kw: calls.append(g.n) or first_fit(g, order, **kw))
     assert is_outerplanar(_shuffled_outerplanar())
     assert calls == []
     assert not is_outerplanar(complete_graph(4))  # zigzag pages settle K4
     assert calls == []
     assert not is_outerplanar(complete_bipartite(2, 3))
     assert calls == [5]
+
+
+def test_bridges_build_no_block_graph(monkeypatch):
+    """A bridge is one page with its ends in id order, settled before any
+    block graph is built, so a solve on a forest builds none."""
+    built = []
+    block_graph = solver.Graph
+    monkeypatch.setattr(solver, "Graph", lambda *args: built.append(args) or block_graph(*args))
+    rep = _bt(path(10))
+    assert built == []
+    assert (rep.status, rep.book_thickness, rep.lower_bound, rep.nodes_explored) == (
+        SolverStatus.EXACT, 1, 1, 0)
+    assert rep.witness.order == tuple(range(10))
+    assert rep.witness.pages == {(i, i + 1): 1 for i in range(9)}
+    tree = random_tree(30, random.Random(4))
+    rep = _bt(tree)
+    assert built == [] and rep.book_thickness == 1
+    assert validate_embedding(tree, rep.witness).ok
 
 
 # ---- the planarity bound ----

@@ -45,8 +45,9 @@ def without_edge(g: Graph, u: int, v: int) -> Graph:
 
 def reference_graph(n, edges=(), labels=None):
     """`Graph.__init__` built the slow, literal way: a set of normalized
-    edge tuples, sorted, then adjacency rebuilt from the sorted edges.
-    Returns (edges, edge set, adjacency, labels); raises what it raises."""
+    edge tuples, sorted, then adjacency rebuilt from the sorted edges, each
+    neighbourhood a sorted tuple.  Returns (edges, edge set, adjacency,
+    labels); raises what it raises."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 0:
@@ -72,7 +73,7 @@ def reference_graph(n, edges=(), labels=None):
     for u, v in sorted_edges:
         adj[u].add(v)
         adj[v].add(u)
-    return sorted_edges, edge_set, tuple(frozenset(s) for s in adj), lab
+    return sorted_edges, edge_set, tuple(tuple(sorted(s)) for s in adj), lab
 
 
 def reference_decomposition(cert):
