@@ -74,11 +74,13 @@ class ValidationResult:
 
 def crosses(order: Sequence[int], e: tuple[int, int], f: tuple[int, int]) -> bool:
     """True iff chords e and f cross when the vertices sit on a circle in
-    this order.  Edges sharing an endpoint never cross.  Raises
-    InvalidOrder when an endpoint is not in `order`."""
+    this order (edges sharing an endpoint never cross).  Raises InvalidOrder
+    unless `order` lists distinct non-negative ints, the four ends included."""
     listed = set(order)
+    if len(listed) < len(order) or not all(type(v) is int and v >= 0 for v in order):
+        raise InvalidOrder("order must list distinct non-negative int vertex ids")
     for v in (*e, *f):
-        if v not in listed:
+        if type(v) is not int or v not in listed:
             raise InvalidOrder(f"vertex {v!r} is not in the order")
     return crossing_masks([e, f], order)[0] != 0
 

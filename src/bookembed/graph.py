@@ -138,11 +138,13 @@ class Graph(_JSONFormat):
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        """v's neighbours as the graph's own sorted tuple, not a copy."""
+        """v's neighbours as the graph's own sorted tuple; IndexError unless 0 <= v < n."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v!r} outside 0..{self.n - 1}")
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         """By bisection in u's sorted tuple: O(log deg u)."""

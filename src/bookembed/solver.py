@@ -1,19 +1,17 @@
 """Exact book thickness for small graphs.
 
-Two facts of Bernhart and Kainen (JCTB 1979) come before any search.  The
+Facts of Bernhart and Kainen (JCTB 1979) come before any search.  The
 book thickness of a graph is the maximum over its blocks (biconnected
 components and bridges), so each block is solved on its own and the
-witnesses are spliced at the cut vertices.  And p pages hold at most
-n + p(n-3) edges, so a block's search starts from that edge bound
-(`density_lower_bound`), which already equals the answer on complete
-graphs.  When that bound is 1, an O(m log m) outerplanarity test
-(`_outerplanar_cycle`, its own witness) decides whether one page suffices,
-so no block is ever searched for a one-page order.  When the bound is
-ceil(n/2), their zigzag pages of K_n meet it, so a complete block, or one
-that misses few enough edges, is settled with no search.  When it is 2
+witnesses are spliced at the cut vertices.  One page holds exactly the
+outerplanar graphs, so every block first meets an O(m log m) test on its
+own edges (`_outerplanar_cycle`) that returns its one-page witness or shows
+it needs more.  p pages hold at most n + p(n-3) edges, so such a block
+starts from that edge bound (`density_lower_bound`) or 2.  When the bound
+is ceil(n/2), their zigzag pages of K_n meet it, so a complete block, or
+one that misses few enough edges, is settled with no search.  When it is 2
 and first-fit needs more, a planarity test (`_planar`) raises a non-planar
-block to 3, since two pages are a plane drawing, so no search proves that a
-non-planar block misses two pages.
+block to 3 with no search, since two pages are a plane drawing.
 
 Each remaining block's circular orders are searched depth-first, filling
 positions 1..n-1 left to right with a maximum-degree vertex pinned at
@@ -66,9 +64,11 @@ class SolverOptions:
     node_limit: int | None = None  # search nodes (placements)
 
     def __post_init__(self) -> None:
-        # zero is legal (a zero budget stops at once); negative or NaN is not
+        # zero is legal (a zero budget stops at once); negative, NaN or a non-int cap is not
         for name in ("max_pages", "time_budget", "node_limit"):
             value = getattr(self, name)
+            if value is not None and name != "time_budget" and type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be at least 0, got {value}")
 
@@ -534,17 +534,19 @@ def _blocks(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
     return blocks
 
 
-def _outerplanar_cycle(block: Graph) -> list[int] | None:
-    """A circular order that puts every edge of a block on one page, or None
-    when the block is not outerplanar.  O(m).  A bridge (n < 3) gets the
-    identity order.
+def _outerplanar_cycle(edges: list[tuple[int, int]]) -> list[int] | None:
+    """A circular order of the block's own vertex ids that puts all its
+    `edges` on one page, or None when the block is not outerplanar, at once
+    if it has more than the 2n - 3 edges one page holds.  O(m log m).  A
+    bridge gets its two ends in id order.
 
     Mitchell's reduction (IPL 9, 1979): while more than 3 vertices remain,
     remove a vertex v of degree 2, with neighbours a and b, and add ab if it
     is missing.  This keeps a block biconnected (a cut vertex of G - v + ab
     would cut G too), so the 3 vertices left form a triangle.  The removed
     vertices then go back in reverse, each between its a and b, which must
-    be consecutive on the cycle built so far.
+    be consecutive on the cycle built so far.  Each choice follows the ids,
+    not a set's layout, so the cycle depends on the block alone.
 
     A biconnected outerplanar block has a unique Hamiltonian cycle, its
     outer face, and has a vertex of degree 2.  Both edges of a degree-2
@@ -557,28 +559,30 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
     are among the previous step's and va, vb, so by induction the cycle puts
     every edge of the block on one page.
     """
-    n = block.n
-    if n < 3:
-        return list(range(n))
-    adj = [set(nb) for nb in block._adj]
-    gone = [False] * n
-    low = [v for v in range(n) if len(adj[v]) == 2]
+    if len(edges) == 1:
+        return sorted(edges[0])
+    adj: dict[int, set[int]] = {v: set() for e in edges for v in e}
+    if len(edges) > 2 * len(adj) - 3:
+        return None
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    low = sorted(v for v, nb in adj.items() if len(nb) == 2)
     removed: list[tuple[int, int, int]] = []
-    while len(removed) < n - 3:
-        while low and (gone[low[-1]] or len(adj[low[-1]]) != 2):
+    while len(adj) > 3:
+        while low and (low[-1] not in adj or len(adj[low[-1]]) != 2):
             low.pop()  # degrees never grow, so a stale entry stays stale
         if not low:
             return None
         v = low.pop()
-        a, b = adj[v]
-        gone[v] = True
+        a, b = sorted(adj.pop(v))
         removed.append((v, a, b))
         for x, y in ((a, b), (b, a)):
             adj[x].discard(v)
             adj[x].add(y)
             if len(adj[x]) == 2:
                 low.append(x)
-    x, y, z = (v for v in range(n) if not gone[v])
+    x, y, z = sorted(adj)
     nxt = {x: y, y: z, z: x}
     for v, a, b in reversed(removed):
         if nxt[b] == a:
@@ -587,7 +591,7 @@ def _outerplanar_cycle(block: Graph) -> list[int] | None:
             return None
         nxt[a], nxt[v] = v, b
     order = [x]
-    while len(order) < n:
+    while len(order) < len(nxt):
         order.append(nxt[order[-1]])
     return order
 
@@ -691,12 +695,11 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     `search`.  Returns (upper, lower, circular order, page map), with the
     order and pages in the edges' vertex ids.
 
-    A bridge is EXACT 1 at once, with its two ends in id order as its
-    order, as `_outerplanar_cycle` would give; no sub-graph is built for it.
-    One page holds exactly the outerplanar graphs (Bernhart and Kainen), so
-    when the edge bound allows one page, `_outerplanar_cycle` settles it
-    without search: an outerplanar block is EXACT 1 with the cycle as its
-    witness, and any other block needs at least 2 pages.
+    Every block first meets `_outerplanar_cycle` on its own edges: a cycle
+    makes it EXACT 1 with the cycle as its witness, and None means it needs
+    2 pages or more, since one page holds exactly the outerplanar graphs
+    (Bernhart and Kainen).  Only such a block is renumbered into a graph of
+    its own, and its bound lb is the larger of 2 and its edge bound.
 
     K_n fits on ceil(n/2) pages (Bernhart and Kainen), so a block whose
     bound lb is ceil(n/2) is EXACT lb with their zigzag witness: the
@@ -717,25 +720,18 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     cap leave 3 or more pages open, a block that `_planar` finds non-planar
     starts from 3.  Such a block is biconnected, since a bridge settles at
     one page, and has m <= 3n - 6 edges, since the edge bound 2 means
-    m <= n + 2(n - 3).  Under a one-page cap the test never runs, so
-    `is_outerplanar` keeps its cost.
+    m <= n + 2(n - 3).  Under a one-page cap the test never runs.
 
     First-fit gives the incumbent under the solve's deadline, and an order
     search starts only while the budget lasts, so a block whose first-fit
     the deadline cut short builds no search state.
     """
-    if len(edges) == 1:
-        u, v = _norm_edge(*edges[0])
-        return 1, 1, [u, v], {(u, v): 1}
+    if (cycle := _outerplanar_cycle(edges)) is not None:
+        return 1, 1, cycle, {_norm_edge(*e): 1 for e in edges}
     verts = sorted({v for e in edges for v in e})
     local = {v: i for i, v in enumerate(verts)}
     sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
-    lb = density_lower_bound(sub)
-    if lb <= 1:
-        cycle = _outerplanar_cycle(sub)
-        if cycle is not None:
-            return 1, 1, [verts[v] for v in cycle], {_norm_edge(*e): 1 for e in edges}
-        lb = 2
+    lb = max(2, density_lower_bound(sub))
     if lb == (sub.n + 1) // 2:
         return lb, lb, verts, {_norm_edge(u, v): (local[u] + local[v]) % sub.n // 2 + 1
                                for u, v in edges}
@@ -815,7 +811,6 @@ def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverR
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """True iff the graph fits on one page (edgeless graphs count).  With
-    the cap at one page no block is searched: each is settled by
-    `_outerplanar_cycle` or needs two pages, so this costs O(m log m)."""
-    return book_thickness_exact(g, SolverOptions(max_pages=1)).book_thickness <= 1
+    """True iff the graph fits on one page (edgeless graphs count): iff
+    `_outerplanar_cycle` finds each block's cycle, in O(m log m)."""
+    return all(_outerplanar_cycle(edges) is not None for _, edges in _blocks(g))

@@ -70,6 +70,18 @@ def test_crosses_refuses_endpoints_outside_the_order(order, e, f):
         crosses(order, f, e)
 
 
+@pytest.mark.parametrize("order, e, f", [
+    ([-1, 0, 1, 2], (-1, 1), (0, 2)),  # -1 would index position lists from the end
+    ([1, 0, 2, 0, 3], (0, 2), (1, 3)),  # 0 sits at two positions
+    ([0, 1.0, 2, 3], (0, 2), (1, 3)),  # 1.0 is no index
+])
+def test_crosses_refuses_orders_it_cannot_index(order, e, f):
+    with pytest.raises(InvalidOrder):
+        crosses(order, e, f)
+    with pytest.raises(InvalidOrder):
+        crosses(order, f, e)
+
+
 def test_crossing_masks_agree_with_crosses():
     rng = random.Random(19)
     for _ in range(15):

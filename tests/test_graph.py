@@ -56,6 +56,16 @@ def test_graph_normalizes_and_dedupes_edges():
     assert repr(g) == "Graph(n=4, m=2)"
 
 
+@pytest.mark.parametrize("v", [-1, 3])
+def test_neighbors_and_degree_refuse_ids_outside_the_graph(v):
+    # -1 would index vertex 2's tuple from the end
+    g = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(IndexError):
+        g.neighbors(v)
+    with pytest.raises(IndexError):
+        g.degree(v)
+
+
 def test_graph_rejects_malformed_input():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])

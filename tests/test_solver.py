@@ -353,6 +353,15 @@ def test_negative_budgets_and_caps_are_rejected(kw):
         SolverOptions(**kw)
 
 
+@pytest.mark.parametrize("kw", [{"max_pages": 2.5}, {"max_pages": 1.5}, {"max_pages": True},
+                                {"node_limit": 7.0}, {"node_limit": False}])
+def test_fractional_and_bool_caps_are_rejected(kw):
+    # max_pages=2.5 once reported lower bound 3.5 on a graph of book thickness
+    # 3, max_pages=1.5 lower bound 2.5 on K2,3, and True was read as 1
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        SolverOptions(**kw)
+
+
 def test_zero_budgets_and_caps_are_legal():
     rep = _bt(_needs_search(), time_budget=0.0)
     assert rep.status is SolverStatus.TIMEOUT and rep.nodes_explored == 0
@@ -611,11 +620,21 @@ def _small_graphs(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.one_of(_small_graphs().map(lambda g: [g]),
-                 _outerplanar_and_crossed().map(lambda gh: [g for g in gh if g is not None])))
-def test_outerplanar_cycles_are_one_page_witnesses(graphs):
+                 _outerplanar_and_crossed().map(lambda gh: [g for g in gh if g is not None])),
+       st.randoms(use_true_random=False))
+def test_outerplanar_cycles_are_one_page_witnesses(graphs, rng):
     # the solver takes a returned cycle as EXACT 1 without checking it
+    for g in graphs:
+        assert is_outerplanar(g) == (_bt(g, max_pages=1).book_thickness <= 1)
     for block in (b for g in graphs for b in _block_graphs(g)):
-        cycle = solver._outerplanar_cycle(block)
+        edges = list(block.edges)
+        cycle = solver._outerplanar_cycle(edges)
+        # the cycle depends on the block alone, in its ids' order: not on the
+        # order the edges come in, their ends' order, or the ids' values
+        moved = [(3 * v + 5, 3 * u + 5) for u, v in reversed(edges)]
+        rng.shuffle(moved)
+        assert solver._outerplanar_cycle(moved) == (
+            None if cycle is None else [3 * v + 5 for v in cycle])
         if cycle is not None:
             emb = BookEmbedding(tuple(cycle), dict.fromkeys(block.edges, 1), 1)
             res = validate_embedding(block, emb)
@@ -629,22 +648,24 @@ def test_outerplanar_cycles_are_one_page_witnesses(graphs):
 
 
 def test_outerplanar_graphs_make_no_first_fit_call(monkeypatch):
-    # first-fit only gives the incumbent of a block that needs two pages or more
+    # `is_outerplanar` runs no solve, so no block gets a first-fit incumbent
     calls = []
     first_fit = solver.first_fit_pages
     monkeypatch.setattr(solver, "first_fit_pages",
                         lambda g, order, **kw: calls.append(g.n) or first_fit(g, order, **kw))
     assert is_outerplanar(_shuffled_outerplanar())
     assert calls == []
-    assert not is_outerplanar(complete_graph(4))  # zigzag pages settle K4
-    assert calls == []
+    assert not is_outerplanar(complete_graph(4))
     assert not is_outerplanar(complete_bipartite(2, 3))
-    assert calls == [5]
+    assert calls == []
+    _bt(complete_graph(4))  # a solve settles K4 with zigzag pages at the root
+    assert calls == []
 
 
 def test_bridges_build_no_block_graph(monkeypatch):
-    """A bridge is one page with its ends in id order, settled before any
-    block graph is built, so a solve on a forest builds none."""
+    """A bridge is one page with its ends in id order, and an outerplanar
+    block one page along its cycle, both settled from the block's own edges
+    before any block graph is built, so a solve on either builds none."""
     built = []
     block_graph = solver.Graph
     monkeypatch.setattr(solver, "Graph", lambda *args: built.append(args) or block_graph(*args))
@@ -658,6 +679,10 @@ def test_bridges_build_no_block_graph(monkeypatch):
     rep = _bt(tree)
     assert built == [] and rep.book_thickness == 1
     assert validate_embedding(tree, rep.witness).ok
+    g = _shuffled_outerplanar()
+    rep = _bt(g)
+    assert built == [] and rep.book_thickness == 1
+    assert validate_embedding(g, rep.witness).ok
 
 
 # ---- the planarity bound ----
@@ -713,7 +738,7 @@ def test_non_planar_blocks_start_at_three_pages():
 
 def test_one_page_caps_never_test_planarity(monkeypatch):
     """Under a one-page cap a block the edge bound puts at 2 is already
-    decided, so `is_outerplanar` keeps its O(m log m) cost."""
+    decided, so the capped solve tests no planarity."""
     def boom(block):
         raise AssertionError("planarity tested")
 
