@@ -163,7 +163,8 @@ def build_q(k: int, n: int | None = None) -> QArtifacts:
 
 def random_ktree(n: int, k: int, seed: int = 0) -> tuple[Graph, KTreeCertificate]:
     """Uniformly grown random k-tree: each new vertex lands on a k-clique
-    picked uniformly from all k-cliques created so far."""
+    picked uniformly from all k-cliques created so far.  The certificate's
+    attachment cliques are sorted int tuples."""
     if k < 1:
         raise InvalidSize("random k-tree needs k >= 1")
     if n < k + 1:
@@ -183,5 +184,5 @@ def random_ktree(n: int, k: int, seed: int = 0) -> tuple[Graph, KTreeCertificate
             i, r = divmod(j - k - 1, k)
             clique = cliques[i]
             cliques.append(clique[:r] + clique[r + 1:] + (k + 1 + i,))
-    cert = KTreeCertificate(k, base, tuple(zip(range(k + 1, n), map(frozenset, cliques))))
+    cert = KTreeCertificate(k, base, tuple(zip(range(k + 1, n), cliques)))
     return Graph(n, cert._edges()), cert

@@ -75,14 +75,16 @@ class ValidationResult:
 def crosses(order: Sequence[int], e: tuple[int, int], f: tuple[int, int]) -> bool:
     """True iff chords e and f cross when the vertices sit on a circle in
     this order (edges sharing an endpoint never cross).  Raises InvalidOrder
-    unless `order` lists distinct non-negative ints, the four ends included."""
-    listed = set(order)
-    if len(listed) < len(order) or not all(type(v) is int and v >= 0 for v in order):
+    unless `order` lists distinct non-negative ints, the four ends included.
+    The ends are mapped to their positions, so the cost is the order's
+    length, whatever its largest id."""
+    pos = {v: i for i, v in enumerate(order)}
+    if len(pos) < len(order) or not all(type(v) is int and v >= 0 for v in order):
         raise InvalidOrder("order must list distinct non-negative int vertex ids")
     for v in (*e, *f):
-        if type(v) is not int or v not in listed:
+        if type(v) is not int or v not in pos:
             raise InvalidOrder(f"vertex {v!r} is not in the order")
-    return crossing_masks([e, f], order)[0] != 0
+    return crossing_masks([(pos[u], pos[v]) for u, v in (e, f)], range(len(order)))[0] != 0
 
 
 def _push_arc(stack: list[int], a: int, b: int) -> bool:

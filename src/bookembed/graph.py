@@ -268,8 +268,10 @@ class KTreeCertificate:
     """Witness that a graph is a k-tree, and its bag tree.
 
     `base_clique` lists the k+1 starting vertices; each entry of `additions`
-    is (vertex, attachment clique) in construction order.  Replaying the
-    certificate rebuilds the graph edge for edge.  `parents` names each
+    is (vertex, attachment clique) in construction order.  A clique is a
+    tuple or a frozenset of k ids; `random_ktree` and `is_k_tree` hand out
+    sorted int tuples, at about a tenth of a frozenset's memory.  Replaying
+    the certificate rebuilds the graph edge for edge.  `parents` names each
     addition's parent bag; None keeps `_parent_bags`'s default tree.
 
     Certificates are immutable values, so the checked walk behind `replay`,
@@ -280,7 +282,7 @@ class KTreeCertificate:
 
     k: int
     base_clique: tuple[int, ...]
-    additions: tuple[tuple[int, frozenset[int]], ...]
+    additions: tuple[tuple[int, tuple[int, ...] | frozenset[int]], ...]
     parents: tuple[int, ...] | None = None
 
     def vertex_count(self) -> int:
@@ -301,46 +303,65 @@ class KTreeCertificate:
         default parent the check is exact: w's older neighbours are w's own
         attachment clique (the whole base, for a base vertex), so C is a
         clique iff it lies in w's bag, and a member outside names a missing
-        pair.  O(k) per addition.  Every vertex named is an int, not a bool,
+        pair.  O(k) per addition, with no set built: the parent bag's
+        members are stamped with i in one dict, and each member of C must
+        bear the stamp, which it then turns to -i, so a tuple that repeats
+        a member is refused too.  Every vertex named is an int, not a bool,
         so what is built from the certificate is written as readers accept.
         """
-        k, adds = self.k, self.additions
+        k, adds, base = self.k, self.additions, self.base_clique
         if k < 1:
             raise InvalidCertificate("k must be positive")
-        named = chain(self.base_clique, map(itemgetter(0), adds),
+        named = chain(base, map(itemgetter(0), adds),
                       chain.from_iterable(map(itemgetter(1), adds)))
         if not set(map(type, named)) <= {int}:
             raise InvalidCertificate("certificate vertex ids must be integers")
-        if len(self.base_clique) != k + 1 or len(set(self.base_clique)) != k + 1:
+        if len(base) != k + 1 or len(set(base)) != k + 1:
             raise InvalidCertificate("base clique must have k+1 distinct vertices")
-        given, base = self.parents, frozenset(self.base_clique)
-        if given is not None and len(given) != len(self.additions):
-            raise InvalidCertificate(f"{len(given)} parents for {len(self.additions)} additions")
+        given = self.parents
+        if given is not None and len(given) != len(adds):
+            raise InvalidCertificate(f"{len(given)} parents for {len(adds)} additions")
         bag_of = dict.fromkeys(base, 0)
+        stamp = dict.fromkeys(base, 0)
         parents: list[int] = []
-        for i, (v, clique) in enumerate(self.additions, 1):
+        for i, (v, clique) in enumerate(adds, 1):
             if v in bag_of:
                 raise InvalidCertificate(f"vertex {v} added twice")
             if len(clique) != k:
                 raise InvalidCertificate(f"attachment clique for {v} must have size {k}")
-            if not clique <= bag_of.keys():
-                raise InvalidCertificate(f"attachment clique for {v} uses unplaced vertices")
-            parent = max(map(bag_of.__getitem__, clique)) if given is None else given[i - 1]
+            try:
+                newest = max(map(bag_of.__getitem__, clique))
+            except KeyError:
+                raise InvalidCertificate(
+                    f"attachment clique for {v} uses unplaced vertices") from None
+            parent = newest if given is None else given[i - 1]
             if type(parent) is not int or not 0 <= parent < i:
                 raise InvalidCertificate(f"parent of {v} is {parent!r}, not a bag in 0..{i - 1}")
-            w, below = self.additions[parent - 1] if parent else (None, base)
-            stray = clique - below - {w}
-            if stray and given is not None:
-                raise InvalidCertificate(f"attachment clique for {v} is outside bag {parent}")
-            if stray:
-                a, b = _norm_edge(min(stray), w)
-                raise InvalidCertificate(
-                    f"attachment set for {v} is not a clique: missing ({a}, {b})")
+            w, below = adds[parent - 1] if parent else (base[0], base)  # bag 0 is the base
+            for u in below:
+                stamp[u] = i
+            stamp[w] = i
+            for u in clique:
+                if stamp[u] != i:
+                    raise self._misfit(v, clique, parent)
+                stamp[u] = -i
             bag_of[v] = i
+            stamp[v] = 0
             parents.append(parent)
         if bag_of.keys() != set(range(len(bag_of))):
             raise InvalidCertificate("certificate vertex ids are not dense 0..n-1")
         return tuple(parents)
+
+    def _misfit(self, v: int, clique, parent: int) -> InvalidCertificate:
+        """The refusal of addition v, whose clique repeats a member or has
+        one outside its parent bag."""
+        if len(set(clique)) < len(clique):
+            return InvalidCertificate(f"attachment clique for {v} repeats a vertex")
+        if self.parents is not None:
+            return InvalidCertificate(f"attachment clique for {v} is outside bag {parent}")
+        w, below = self.additions[parent - 1]  # a default parent 0 holds every member
+        a, b = _norm_edge(min(set(clique).difference(below, (w,))), w)
+        return InvalidCertificate(f"attachment set for {v} is not a clique: missing ({a}, {b})")
 
     def _edges(self) -> Iterator[tuple[int, int]]:
         """The edges the certificate replays to, unchecked and unnormalized:
@@ -369,11 +390,13 @@ class KTreeCertificate:
         the base pairs, and for each addition its k edges from a new vertex
         to older ones.  So they number exactly ktree_edge_count(n, k).  If
         each of them is an edge of g and g has that many edges, the two
-        edge sets are equal.  Each check intersects a clique of k with a
-        neighbourhood tuple in O(k + deg v), and the degrees sum to 2m; this
-        beat both a bisection per edge and `issubset`, which builds a set.
-        A base vertex u is no neighbour of itself, so it sees the rest of
-        the base iff k base vertices are its neighbours.
+        edge sets are equal.  For each addition v, one mark array over the
+        vertices takes v on each of v's neighbours, and each of the k
+        members of its clique must bear it: O(k + deg v), and the degrees
+        sum to 2m; this beat a bisection per edge, a set per addition and
+        a frozenset intersection.  A base vertex u is no neighbour of
+        itself, so it sees the rest of the base iff k base vertices are its
+        neighbours.
         """
         try:
             self._parent_bags
@@ -384,9 +407,16 @@ class KTreeCertificate:
             return False
         adj = g._adj
         base = frozenset(self.base_clique)
-        return all(len(base.intersection(adj[u])) == k for u in base) and all(
-            len(clique.intersection(adj[v])) == k for v, clique in self.additions
-        )
+        if not all(len(base.intersection(adj[u])) == k for u in base):
+            return False
+        mark = [-1] * n
+        for v, clique in self.additions:
+            for u in adj[v]:
+                mark[u] = v
+            for u in clique:
+                if mark[u] != v:
+                    return False
+        return True
 
 
 def ktree_edge_count(n: int, k: int) -> int:
@@ -416,7 +446,8 @@ def is_k_tree(g: Graph, k: int | None = None) -> KTreeCertificate | None:
     the walk replays to g, and a graph that is not a k-tree fails the walk.
     Elimination keeps one int array of live degrees over g's own adjacency,
     with -1 marking a removed vertex, so no neighbourhood is copied; a
-    removed vertex's live neighbours are read off its adjacency once.
+    removed vertex's live neighbours are read off its sorted adjacency once,
+    and that sorted int tuple is its attachment clique.
     """
     n = g.n
     if k is None:
@@ -430,14 +461,14 @@ def is_k_tree(g: Graph, k: int | None = None) -> KTreeCertificate | None:
     deg = [len(nb) for nb in adj]  # live neighbours; -1 once removed
     heap = [v for v in range(n) if deg[v] == k]
     heapq.heapify(heap)
-    removals: list[tuple[int, frozenset[int]]] = []
+    removals: list[tuple[int, tuple[int, ...]]] = []
     while len(removals) < n - k - 1:
         while heap and deg[heap[0]] != k:
             heapq.heappop(heap)
         if not heap:
             return None
         v = heapq.heappop(heap)
-        nbrs = frozenset([u for u in adj[v] if deg[u] >= 0])
+        nbrs = tuple([u for u in adj[v] if deg[u] >= 0])
         removals.append((v, nbrs))
         deg[v] = -1
         for u in nbrs:

@@ -72,7 +72,8 @@ def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
     c's page holds the edges from colour-c vertices to their younger
     neighbours.  The walk records only each vertex's colour and age; the
     page map is built after it over `g.edges`, so its keys are the graph's
-    own tuples, and bags are kept as tuples of ints.
+    own tuples, and bags are kept as tuples of ints.  C is its parent bag
+    less one member, which the sums name, as they name v's colour.
 
     Why no page has a crossing, on any valid tree: the argument uses only
     that each clique lies in its parent bag.  Inserting never reorders
@@ -122,7 +123,9 @@ def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:
     while stack:
         b = stack.pop()
         v, clique = cert.additions[b - 1]
-        u0, *rest = (u for u in members[parents[b - 1]] if u in clique)
+        up = members[parents[b - 1]]
+        gone = up.index(sum(up) - sum(clique))  # the one parent member C lacks
+        u0, *rest = up[:gone] + up[gone + 1:]
         nxt[v], nxt[u0] = nxt[u0], v
         members[b] = (u0, v, *rest)
         colour[v] = all_colours - sum(colour[u] for u in clique)

@@ -8,9 +8,8 @@ bag has exactly w+1 vertices and adjacent bags share exactly w.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import Collection
 
 from .graph import Graph, KTreeCertificate, _JSONFormat, _require_ints
@@ -58,12 +57,13 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     Each check is a set operation or a count, not a rescan.  An edge is
     covered iff the sets of bags holding its two ends intersect, which costs
     the smaller of the two.  Each tree edge's bag intersection is taken once
-    and serves both the subtree check and smoothness.  In a tree, the bags
-    holding v induce a forest whose edges are exactly the tree edges whose
-    intersection holds v; a forest is connected iff it has one edge fewer
-    than nodes, so v's bags form a subtree iff v lies in exactly
-    |bags of v| - 1 intersections.  When the host is not a tree the identity
-    does not apply, and each vertex's bags are searched instead.
+    and read into two counts, then dropped: its size, for smoothness, and
+    one hit for each vertex it holds, for the subtree check.  In a tree,
+    the bags holding v induce a forest whose edges are exactly the tree
+    edges whose intersection holds v; a forest is connected iff it has one
+    edge fewer than nodes, so v's bags form a subtree iff v has exactly
+    |bags of v| - 1 hits.  When the host is not a tree the identity does
+    not apply, and each vertex's bags are searched instead.
     """
     parts = _containers(td)
     if isinstance(parts, str):
@@ -78,7 +78,8 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
 
     # host tree shape
     adj: list[list[int]] = [[] for _ in range(nb)]
-    shared: dict[tuple[int, int], frozenset[int]] = {}
+    shared: dict[tuple[int, int], int] = {}  # each tree edge's shared count
+    hits: dict[int, int] = {}  # per vertex, the tree edges whose bags share it
     edges_ok = True
     for e in tree_edges:
         if not (isinstance(e, tuple) and len(e) == 2):
@@ -87,7 +88,10 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
             continue
         i, j = e
         if type(i) is int and type(j) is int and 0 <= i < nb and 0 <= j < nb:
-            shared[e] = sets[i] & sets[j]
+            common = sets[i] & sets[j]
+            shared[e] = len(common)
+            for v in common:
+                hits[v] = hits.get(v, 0) + 1
             if i != j:
                 adj[i].append(j)
                 adj[j].append(i)
@@ -119,8 +123,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
 
     # connected subtree per vertex
     if is_tree:
-        hits = Counter(chain.from_iterable(shared.values()))
-        split = [v for v, own in where.items() if own and hits[v] != len(own) - 1]
+        split = [v for v, own in where.items() if own and hits.get(v, 0) != len(own) - 1]
     else:
         split = [v for v, own in where.items() if not _connected(own, adj)]
     axiom.extend(f"bags containing vertex {v} are disconnected in the host tree" for v in split)
@@ -129,7 +132,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     for idx, b in enumerate(sets):
         if len(b) != width + 1:
             smoothness.append(f"bag {idx} has size {len(b)}, expected {width + 1}")
-    off = sorted((e, len(s)) for e, s in shared.items() if len(s) != width)
+    off = sorted((e, share) for e, share in shared.items() if share != width)
     smoothness.extend(
         f"bags {i} and {j} share {share} vertices, expected {width}" for (i, j), share in off
     )

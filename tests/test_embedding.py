@@ -1,6 +1,7 @@
 """Crossing tests, embedding validation, and page lower bounds."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -80,6 +81,19 @@ def test_crosses_refuses_orders_it_cannot_index(order, e, f):
         crosses(order, e, f)
     with pytest.raises(InvalidOrder):
         crosses(order, f, e)
+
+
+def test_crosses_costs_the_order_not_its_largest_id():
+    """The four ends are mapped to their positions, so the memory follows
+    the order's length: an id of 10**9 stays under 1 MB."""
+    tracemalloc.start()
+    try:
+        crossed = crosses([10**9, 0, 1, 2], (10**9, 1), (0, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert crossed and peak < 2**20, peak
+    assert not crosses([10**9, 0, 1, 2], (10**9, 0), (1, 2))
 
 
 def test_crossing_masks_agree_with_crosses():

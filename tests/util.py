@@ -84,6 +84,7 @@ def reference_decomposition(cert):
     bags = [frozenset(cert.base_clique)]
     tree_edges = set()
     for step, (v, clique) in enumerate(cert.additions):
+        clique = frozenset(clique)
         if cert.parents is None:
             parent = next(i for i, b in enumerate(bags) if clique <= b)
         else:
