@@ -8,7 +8,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-from .embedding import BookEmbedding, _arc_keys, _check_order, _push_arc
+from .embedding import BookEmbedding, _arc_keys, _check_order
 from .errors import InvalidCertificate
 from .graph import Graph, KTreeCertificate
 
@@ -19,11 +19,23 @@ def first_fit_pages(g: Graph, order: Sequence[int], *,
 
     Edges are taken sorted by (left endpoint position, longest arc first) and
     each goes to the lowest-numbered page where it crosses nothing already
-    placed, opening a new page when none fits; that order lets one stack of
-    open arcs per page decide each fit.  The sort runs over one packed int
-    per edge, and the page map is keyed by the graph's own edge tuples.
-    Always valid.  Raises InvalidOrder when `order` is not a permutation of
-    the vertices.
+    placed, opening a new page when none fits.  Always valid.  Raises
+    InvalidOrder when `order` is not a permutation of the vertices.
+
+    In that order the arcs open on a page nest, so only the innermost one,
+    the page's *top*, can cross a new arc (a, b), and it does iff its right
+    end lies strictly inside (a, b) (`_push_arc`'s rule).  Arcs are closed
+    eagerly: each placed arc is bucketed by its right end, and before the
+    arcs with left end a are placed, every arc ending at or before a is
+    popped.  A closing arc is the innermost open arc on its page, so it is
+    that page's top.  A flat max-tree over the page slots holds each top's
+    right end, n for an empty page, so arc (a, b) goes on the leftmost slot
+    whose top is >= b, found in one descent; a push or pop sets one leaf and
+    climbs.  That is O(m log m) for the sort plus O(m log P) for P pages,
+    where scanning the pages costs O(m P).  Page 1 is tried before the
+    descent, and the tree starts at 16 slots and doubles when full, so tiny
+    graphs pay little for it.  The buckets are int arrays, and the page map
+    is keyed by the graph's own edge tuples.
 
     With a `deadline` (a `time.monotonic()` reading), the clock is read
     after every 1024 arcs, and once it has passed each arc still unplaced
@@ -32,23 +44,73 @@ def first_fit_pages(g: Graph, order: Sequence[int], *,
     _check_order(g, order)
     n = g.n
     keys = _arc_keys(g.edges, order)
-    stacks: list[list[int]] = []
-    page_of: dict[int, int] = {}
-    late = False
-    for i, key in enumerate(sorted(keys), 1):
+    arcs = sorted(keys)
+    cap = 16
+    tops = [n] * (2 * cap)  # max-tree: leaf cap + p - 1 is page p's top
+    stacks: list[list[int]] = []  # each page's open right ends
+    page_of = [0]  # per placed arc, numbered 1.. in sorted order, its page
+    head = [0] * n  # per right end, the last placed arc ending there, 0 for none
+    below = [0]  # per placed arc, the previous arc in its bucket
+    closed = 0  # the arcs ending at or before this position are popped
+    placed = len(arcs)
+    for i, key in enumerate(arcs, 1):
         a, rb = divmod(key, n)
         b = n - 1 - rb
-        for p, stack in enumerate(() if late else stacks, 1):
-            if _push_arc(stack, a, b):
-                break
+        while closed < a:
+            closed += 1
+            j = head[closed]
+            while j:
+                p = page_of[j]
+                stack = stacks[p - 1]
+                stack.pop()
+                _set_top(tops, cap + p - 1, stack[-1] if stack else n)
+                j = below[j]
+        if tops[cap] >= b:
+            x = cap
         else:
+            if tops[1] < b:  # every slot holds a page and none fits: double
+                leaves = tops[cap:]
+                cap *= 2
+                tops = [n] * (2 * cap)
+                tops[cap:cap + len(leaves)] = leaves
+                for x in range(cap - 1, 0, -1):
+                    tops[x] = max(tops[2 * x], tops[2 * x + 1])
+            x = 1
+            while x < cap:  # the leftmost slot whose top is >= b
+                x *= 2
+                if tops[x] < b:
+                    x += 1
+        p = x - cap + 1
+        if p > len(stacks):
             stacks.append([b])
-            p = len(stacks)
-        page_of[key] = p
-        if not i & 1023 and deadline is not None and not late:
-            late = time.monotonic() >= deadline
-    return BookEmbedding(tuple(order), dict(zip(g.edges, map(page_of.__getitem__, keys))),
-                         len(stacks))
+        else:
+            stacks[p - 1].append(b)
+        page_of.append(p)
+        below.append(head[b])
+        head[b] = i
+        _set_top(tops, x, b)
+        if not i & 1023 and deadline is not None and time.monotonic() >= deadline:
+            placed = i
+            break
+    count = len(stacks)
+    late = len(arcs) - placed
+    pages = dict(zip(arcs, page_of[1:]))
+    pages.update(zip(arcs[placed:], range(count + 1, count + late + 1)))
+    return BookEmbedding(tuple(order), dict(zip(g.edges, map(pages.__getitem__, keys))),
+                         count + late)
+
+
+def _set_top(tops: list[int], x: int, top: int) -> None:
+    """Set leaf x of the max-tree `tops` to `top`, and climb while the
+    maximum changes."""
+    tops[x] = top
+    while x > 1:
+        if tops[x ^ 1] > top:
+            top = tops[x ^ 1]
+        x >>= 1
+        if tops[x] == top:
+            return
+        tops[x] = top
 
 
 def embed_ktree(g: Graph, cert: KTreeCertificate) -> BookEmbedding:

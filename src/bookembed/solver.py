@@ -654,8 +654,9 @@ def _planar(block: Graph, deadline: float | None = None) -> bool:
                         comp.append(x)
             frags.append(({x for u in comp for x in adj[u] if x in on}, comp))
         best = None
+        face_sets = [set(f) for f in faces]
         for contacts, part in frags:
-            fits = [f for f in faces if contacts <= set(f)]
+            fits = [f for f, fs in zip(faces, face_sets) if contacts <= fs]
             if not fits:
                 return False
             if best is None or len(fits) < len(best[0]):

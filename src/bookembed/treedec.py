@@ -54,16 +54,22 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     Bags or tree edges that are no collection at all, or a bag that is not a
     set of ids, come back as the one violation.
 
-    Each check is a set operation or a count, not a rescan.  An edge is
-    covered iff the sets of bags holding its two ends intersect, which costs
-    the smaller of the two.  Each tree edge's bag intersection is taken once
-    and read into two counts, then dropped: its size, for smoothness, and
-    one hit for each vertex it holds, for the subtree check.  In a tree,
-    the bags holding v induce a forest whose edges are exactly the tree
-    edges whose intersection holds v; a forest is connected iff it has one
-    edge fewer than nodes, so v's bags form a subtree iff v has exactly
-    |bags of v| - 1 hits.  When the host is not a tree the identity does
-    not apply, and each vertex's bags are searched instead.
+    When the host is a tree, one BFS roots it at bag 0 (and decides that it
+    is connected), and one pass over the bags in BFS order gives each member
+    that is not in its parent bag that bag as its *top*.  The bags holding v
+    induce a forest, and each of its components has exactly one top, its
+    bag nearest the root, so v's bags form a subtree iff v has exactly one
+    top.  A tree edge joins a bag to its parent and shares the bag's size
+    less its new members.  Two subtrees of a rooted tree that meet, meet at
+    the deeper of their two tops, so when u and v each have one top, the
+    edge uv is covered iff v is in u's top bag or u is in v's top bag.  Only
+    the edges at a vertex whose bags are split scan that vertex's bags.
+    Every member of a bag is new in the bag of it nearest the root, so the
+    pass also sees whether any bag holds an unknown vertex.
+
+    When the host is not a tree, the tops mean nothing: each vertex's set of
+    bags is built, an edge is covered iff its ends' sets meet, and each
+    vertex's bags are searched for connectivity.
     """
     parts = _containers(td)
     if isinstance(parts, str):
@@ -73,13 +79,12 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     bags, sets, tree_edges = parts
     axiom: list[str] = []
     smoothness: list[str] = []
-    nb = len(bags)
+    n, nb = g.n, len(bags)
     width = max(map(len, sets), default=0) - 1
 
     # host tree shape
     adj: list[list[int]] = [[] for _ in range(nb)]
-    shared: dict[tuple[int, int], int] = {}  # each tree edge's shared count
-    hits: dict[int, int] = {}  # per vertex, the tree edges whose bags share it
+    pairs: list[tuple[int, int]] = []  # the tree edges that name two bags
     edges_ok = True
     for e in tree_edges:
         if not (isinstance(e, tuple) and len(e) == 2):
@@ -88,43 +93,75 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
             continue
         i, j = e
         if type(i) is int and type(j) is int and 0 <= i < nb and 0 <= j < nb:
-            common = sets[i] & sets[j]
-            shared[e] = len(common)
-            for v in common:
-                hits[v] = hits.get(v, 0) + 1
+            pairs.append(e)
             if i != j:
                 adj[i].append(j)
                 adj[j].append(i)
                 continue
         axiom.append(f"tree edge ({i!r}, {j!r}) references a missing bag")
         edges_ok = False
-    is_tree = False
+    parent: list[int] = []
     if edges_ok and nb > 0:
         if len(tree_edges) != nb - 1:
             axiom.append(f"host tree has {len(tree_edges)} edges, needs {nb - 1}")
-        elif _connected(range(nb), adj):
-            is_tree = True
         else:
-            axiom.append("host tree is disconnected")
+            parent = [-2] * nb  # -2 unreached, -1 the root
+            parent[0] = -1
+            bfs = [0]
+            for x in bfs:
+                for y in adj[x]:
+                    if parent[y] == -2:
+                        parent[y] = x
+                        bfs.append(y)
+            if len(bfs) < nb:
+                axiom.append("host tree is disconnected")
+                parent = []
 
-    # vertex and edge coverage: an edge is covered iff its ends share a bag
-    where: dict[int, set[int]] = {v: set() for v in range(g.n)}
-    for idx, b in enumerate(bags):
-        for v in b:
-            own = where.get(v) if type(v) is int else None
-            if own is None:
-                axiom.append(f"bag {idx} contains unknown vertex {v!r}")
-            else:
-                own.add(idx)
-    axiom.extend(f"vertex {v} is in no bag" for v, own in where.items() if not own)
-    axiom.extend(
-        f"edge ({u}, {v}) is in no bag" for u, v in g.edges if where[u].isdisjoint(where[v])
-    )
-
-    # connected subtree per vertex
-    if is_tree:
-        split = [v for v, own in where.items() if own and hits.get(v, 0) != len(own) - 1]
+    if parent:
+        # top[v]: v's one top bag, -1 if v is in no bag, -2 if it has two or more
+        top = [-1] * n
+        share = [0] * nb  # per bag, the members its parent bag also holds
+        strangers = False
+        for x in bfs:
+            fresh = sets[x] - sets[parent[x]] if x else sets[x]
+            share[x] = len(sets[x]) - len(fresh)
+            for v in fresh:
+                if type(v) is int and 0 <= v < n:
+                    top[v] = x if top[v] == -1 else -2
+                else:
+                    strangers = True
+        shared = {(i, j): share[j] if parent[j] == i else share[i] for i, j in pairs}
+        if strangers:
+            axiom.extend(_unknown_members(bags, n))
+        axiom.extend(f"vertex {v} is in no bag" for v in range(n) if top[v] == -1)
+        split = [v for v in range(n) if top[v] == -2]
+        bags_of: dict[int, list[int]] = {v: [] for v in split}
+        if split:
+            splits = set(split)
+            for idx, b in enumerate(sets):
+                for v in b & splits:
+                    bags_of[v].append(idx)
+        for u, v in g.edges:
+            tu, tv = top[u], top[v]
+            if tu >= 0 and tv >= 0:
+                if v in sets[tu] or u in sets[tv]:
+                    continue
+            elif tu != -1 and tv != -1:  # one end's bags are split: scan them
+                x, y = (u, v) if tu == -2 else (v, u)
+                if any(y in sets[idx] for idx in bags_of[x]):
+                    continue
+            axiom.append(f"edge ({u}, {v}) is in no bag")
     else:
+        shared = {(i, j): len(sets[i] & sets[j]) for i, j in pairs}
+        axiom.extend(_unknown_members(bags, n))
+        where: dict[int, set[int]] = {v: set() for v in range(n)}
+        for idx, b in enumerate(sets):
+            for v in b:
+                if type(v) is int and 0 <= v < n:
+                    where[v].add(idx)
+        axiom.extend(f"vertex {v} is in no bag" for v, own in where.items() if not own)
+        axiom.extend(f"edge ({u}, {v}) is in no bag" for u, v in g.edges
+                     if where[u].isdisjoint(where[v]))
         split = [v for v, own in where.items() if not _connected(own, adj)]
     axiom.extend(f"bags containing vertex {v} are disconnected in the host tree" for v in split)
 
@@ -147,6 +184,13 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
         max_degree=max_degree,
         violations=tuple(axiom + smoothness),
     )
+
+
+def _unknown_members(bags: tuple, n: int) -> list[str]:
+    """One violation per bag member, as the bag lists it, that is no vertex
+    id 0..n-1 (an int, not a bool)."""
+    return [f"bag {idx} contains unknown vertex {v!r}" for idx, b in enumerate(bags)
+            for v in b if not (type(v) is int and 0 <= v < n)]
 
 
 def _containers(td: TreeDecomposition) -> tuple[tuple, list[frozenset], tuple] | str:

@@ -31,6 +31,7 @@ from util import (
     degree3_ktree,
     ktree_cases,
     random_graph,
+    reference_first_fit,
     reference_spine,
     relabelled_certificate,
 )
@@ -91,6 +92,39 @@ def test_first_fit_past_its_deadline_opens_a_page_per_arc():
     assert len(kept) == 1024 and all(full.pages[e] == p for e, p in kept.items())
     assert sorted(p for p in cut.pages.values() if p > first) == list(
         range(first + 1, cut.page_count + 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32), st.randoms())
+def test_first_fit_matches_the_page_scan(n, p, seed, rng):
+    g = random_graph(n, random.Random(seed), p)
+    order = list(range(n))
+    rng.shuffle(order)
+    assert first_fit_pages(g, order) == reference_first_fit(g, order)
+
+
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.integers(0, 2**32))
+def test_first_fit_matches_the_page_scan_past_a_hundred_pages(seed, relabel):
+    # the page tree starts at 16 slots, so it doubles at least three times
+    g, _ = random_ktree(160, 60, seed)
+    perm = list(range(g.n))
+    random.Random(relabel).shuffle(perm)
+    g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    emb = first_fit_pages(g, range(g.n))
+    assert emb.page_count >= 100
+    assert emb == reference_first_fit(g, range(g.n))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.integers(200, 300), st.integers(6, 10), st.integers(0, 2**32), st.randoms())
+def test_first_fit_matches_the_page_scan_past_its_deadline(n, k, seed, rng):
+    g, _ = random_ktree(n, k, seed)
+    assert g.m > 1024
+    order = list(range(n))
+    rng.shuffle(order)
+    cut = first_fit_pages(g, order, deadline=float("-inf"))
+    assert cut == reference_first_fit(g, order, deadline=float("-inf"))
 
 
 def test_first_fit_rejects_orders_that_are_not_permutations():

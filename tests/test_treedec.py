@@ -127,9 +127,10 @@ def test_certificate_decomposition_on_random_ktrees():
 
 
 def test_validation_peaks_under_1100_bytes_per_bag():
-    """Each tree edge's intersection is read into counts and dropped.  Under
-    tracemalloc validating this decomposition peaks at about 760 B per bag,
-    where keeping the intersections peaked at about 1,500 B (Python 3.11)."""
+    """The host is rooted, and each vertex keeps one top bag, not a set of
+    bags.  Under tracemalloc validating this decomposition peaks at about
+    250 B per bag, where a set of bags per vertex peaked at about 760 B and
+    keeping each tree edge's intersection at about 1,500 B (Python 3.11)."""
     g, cert = random_ktree(2000, 5, 1)
     td = decomposition_from_certificate(cert)
     gc.collect()
@@ -191,13 +192,15 @@ def _corrupted_decompositions(draw):
     a dropped bag member, a dropped or added tree edge (an added one closes
     a cycle or loops on one bag), a tree edge moved across the cut it
     leaves, an out-of-range member, a tree edge to a missing bag, an extra
-    singleton bag."""
+    singleton bag, the bag indices permuted (so bag 0, where the validator
+    roots the host, may be a leaf or an inner bag), every tree edge written
+    as (j, i)."""
     k = draw(st.integers(1, 5))
     n = draw(st.integers(k + 1, 30))
     g, cert = random_ktree(n, k, seed=draw(st.integers(0, 2**32)))
     td = decomposition_from_certificate(cert)
     bags, tree_edges = list(td.bags), set(td.tree_edges)
-    for kind in draw(st.lists(st.integers(0, 6), max_size=3)):
+    for kind in draw(st.lists(st.integers(0, 8), max_size=3)):
         nb = len(bags)
         if kind == 0:
             idx = draw(st.integers(0, nb - 1))
@@ -223,6 +226,15 @@ def _corrupted_decompositions(draw):
             rest = [x for x in range(nb) if x not in side]
             if b not in side and rest:
                 tree_edges.add((draw(st.sampled_from(sorted(side))), draw(st.sampled_from(rest))))
+        elif kind == 7:
+            perm = draw(st.permutations(range(nb)))
+            moved = [None] * nb
+            for idx, b in enumerate(bags):
+                moved[perm[idx]] = b
+            bags = moved
+            tree_edges = {tuple(perm[x] if x < nb else x for x in e) for e in tree_edges}
+        elif kind == 8:
+            tree_edges = {(j, i) for i, j in tree_edges}
     return g, TreeDecomposition(tuple(bags), frozenset(tree_edges))
 
 
@@ -243,6 +255,16 @@ def _reachable(start, edges):
 def test_validation_matches_the_per_edge_scan(case):
     g, td = case
     assert validate_decomposition(g, td) == reference_validate_decomposition(g, td)
+
+
+def test_an_edge_in_a_non_top_bag_of_a_split_vertex_is_covered():
+    # rooted at bag 0, vertex 0 lies in bags 0, 2 and 3: two subtrees, with
+    # tops 0 and 2; edge (0, 3) lies only in bag 3, below bag 2
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    td = _td([{0, 1}, {1, 2}, {0, 2}, {0, 3}], [(0, 1), (1, 2), (2, 3)])
+    rep = validate_decomposition(g, td)
+    assert rep == reference_validate_decomposition(g, td)
+    assert rep.violations == ("bags containing vertex 0 are disconnected in the host tree",)
 
 
 @pytest.mark.parametrize("bags, tree_edges, violation", [

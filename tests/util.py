@@ -1,12 +1,14 @@
 """Small helpers shared across test modules."""
 
 import random
+import time
 from collections import deque
 from itertools import combinations
 
 from hypothesis import strategies as st
 
 from bookembed import (
+    BookEmbedding,
     DecompositionReport,
     Graph,
     KTreeCertificate,
@@ -257,6 +259,35 @@ def reference_validate_decomposition(g, td):
         max_degree=max((len(a) for a in adj), default=0),
         violations=tuple(axiom + smoothness),
     )
+
+
+def reference_first_fit(g, order, deadline=None):
+    """`first_fit_pages` the slow, literal way: arcs sorted by (left end,
+    longest first), each tried on every page from page 1 up, where a page
+    is a stack of open right ends that drops the arcs closed by the new
+    one's left end and takes the new arc iff its top does not end strictly
+    inside it.  With a deadline, the clock is read after every 1024 arcs,
+    and once it has passed each later arc opens a page of its own."""
+    pos = {v: i for i, v in enumerate(order)}
+    arcs = sorted((min(pos[u], pos[v]), -max(pos[u], pos[v]), (u, v)) for u, v in g.edges)
+    stacks = []
+    pages = {}
+    late = False
+    for i, (a, neg_b, e) in enumerate(arcs, 1):
+        b = -neg_b
+        for p, stack in enumerate([] if late else stacks, 1):
+            while stack and stack[-1] <= a:
+                stack.pop()
+            if not stack or stack[-1] >= b:
+                stack.append(b)
+                break
+        else:
+            stacks.append([b])
+            p = len(stacks)
+        pages[e] = p
+        if i % 1024 == 0 and deadline is not None and time.monotonic() >= deadline:
+            late = True
+    return BookEmbedding(tuple(order), {e: pages[e] for e in g.edges}, len(stacks))
 
 
 def reference_validate_embedding(g, emb):
