@@ -5,11 +5,11 @@ exactly one endpoint of one edge lies on the open arc strictly between the
 other edge's endpoints.  Cutting the circle anywhere turns that into a plain
 interval-interleaving test (`crossing_masks`), and a page is non-crossing iff
 its intervals nest like parentheses, which one stack sweep decides
-(`_push_arc`).
+(`validate_embedding`).
 
-The sweeps are the hot path of every embedder and of validation, so they
-hold no per-edge tuples: each arc is one packed int key, sorted as ints, and
-each page's stack holds plain right ends.  Ints are not tracked by the
+The sweeps are the hot path of first-fit and of validation, so they hold
+no per-edge tuples: each arc is one packed int key, sorted as ints, and an
+open arc is kept as its plain right end.  Ints are not tracked by the
 cyclic garbage collector, so long sweeps do not set off its collections.
 """
 
@@ -87,24 +87,6 @@ def crosses(order: Sequence[int], e: tuple[int, int], f: tuple[int, int]) -> boo
     return crossing_masks([(pos[u], pos[v]) for u, v in (e, f)], range(len(order)))[0] != 0
 
 
-def _push_arc(stack: list[int], a: int, b: int) -> bool:
-    """Push arc a < b onto one page's stack of open arcs.
-
-    Arcs must arrive sorted by (a, -b).  A page is non-crossing iff its arcs
-    nest like parentheses, so arcs still open at a are nested and only the
-    innermost one can cross the new arc.  Pops arcs closed by a, then fails,
-    leaving the crossing arc on top, iff the top's right end lies strictly
-    inside (a, b).  Stack entries are right ends alone, plain ints; a caller
-    that must name the crossing arc recovers it from its own input.
-    """
-    while stack and stack[-1] <= a:
-        stack.pop()
-    if stack and stack[-1] < b:
-        return False
-    stack.append(b)
-    return True
-
-
 def _is_permutation(order: Sequence, n: int) -> bool:
     """Whether `order` lists 0..n-1, each once, as ints."""
     # ints first: sorted() raises on mixed types, and 0.0 == 0 is no index
@@ -133,7 +115,7 @@ def _arcs(edges: Sequence[tuple[int, int]], order: Sequence[int]) -> list[tuple[
 
 def _arc_keys(edges: Iterable[tuple[int, int]], order: Sequence[int]) -> list[int]:
     """Each edge's arc a < b under `order` as one int, a*n + (n-1-b), so that
-    sorting the keys sorts the arcs by (a, -b), the order `_push_arc` needs;
+    sorting the keys sorts the arcs by (a, -b), the order the sweeps need;
     divmod(key, n) gives back (a, n-1-b)."""
     n = len(order)
     pos = _positions(order)
@@ -237,15 +219,20 @@ def validate_embedding(g: Graph, emb: BookEmbedding) -> ValidationResult:
     n = g.n
     nn = n * n
     keys = sorted([p * nn + x for x, p in zip(_arc_keys(pages, order), pages.values())])
-    page, stack = None, []
+    # arcs still open at a are nested, so only the innermost can cross (a, b)
+    page, stack = None, []  # the page's open right ends, innermost last
     for key in keys:
         p, ab = divmod(key, nn)
         if p != page:
             page, stack = p, []
         a, rb = divmod(ab, n)
-        if not _push_arc(stack, a, n - 1 - rb):
+        while stack and stack[-1] <= a:
+            stack.pop()
+        b = n - 1 - rb
+        if stack and stack[-1] < b:
             return ValidationResult(False, used, first_conflict=_open_and_new(
                 keys, key, stack[-1], order))
+        stack.append(b)
     return ValidationResult(True, used)
 
 

@@ -24,46 +24,43 @@ def first_fit_pages(g: Graph, order: Sequence[int], *,
 
     In that order the arcs open on a page nest, so only the innermost one,
     the page's *top*, can cross a new arc (a, b), and it does iff its right
-    end lies strictly inside (a, b) (`_push_arc`'s rule).  Arcs are closed
-    eagerly: each placed arc is bucketed by its right end, and before the
-    arcs with left end a are placed, every arc ending at or before a is
-    popped.  A closing arc is the innermost open arc on its page, so it is
-    that page's top.  A flat max-tree over the page slots holds each top's
-    right end, n for an empty page, so arc (a, b) goes on the leftmost slot
-    whose top is >= b, found in one descent; a push or pop sets one leaf and
-    climbs.  That is O(m log m) for the sort plus O(m log P) for P pages,
-    where scanning the pages costs O(m P).  Page 1 is tried before the
-    descent, and the tree starts at 16 slots and doubles when full, so tiny
-    graphs pay little for it.  The buckets are int arrays, and the page map
-    is keyed by the graph's own edge tuples.
+    end lies strictly inside (a, b).  A flat max-tree over the page slots
+    holds each top's right end, n for an empty page, and is the only record
+    of the open arcs: arc (a, b) goes on the leftmost slot whose top is
+    >= b, found in one descent, and a push sets one leaf and climbs.  Each
+    placed edge keeps its page and the leaf it covered (`under`), and is
+    bucketed by its right end in int arrays (`head`, `below`).  Arcs are
+    closed eagerly: before the arcs with left end a are placed, every arc
+    ending at or before a is closed, latest placed first.  A closing arc is
+    always its page's top, so closing it puts back the leaf it covered.
+    That is O(m log m) for the sort plus O(m log P) for P pages, where
+    scanning the pages costs O(m P).  Page 1 is tried before the descent,
+    and the tree starts at 16 slots and doubles when full, so tiny graphs
+    pay little for it.
 
     With a `deadline` (a `time.monotonic()` reading), the clock is read
     after every 1024 arcs, and once it has passed each arc still unplaced
     opens a page of its own, so the result stays valid.
     """
     _check_order(g, order)
-    n = g.n
+    n, m = g.n, g.m
     keys = _arc_keys(g.edges, order)
-    arcs = sorted(keys)
+    arcs = sorted(range(m), key=keys.__getitem__)  # edge indices in arc order
     cap = 16
     tops = [n] * (2 * cap)  # max-tree: leaf cap + p - 1 is page p's top
-    stacks: list[list[int]] = []  # each page's open right ends
-    page_of = [0]  # per placed arc, numbered 1.. in sorted order, its page
-    head = [0] * n  # per right end, the last placed arc ending there, 0 for none
-    below = [0]  # per placed arc, the previous arc in its bucket
-    closed = 0  # the arcs ending at or before this position are popped
-    placed = len(arcs)
-    for i, key in enumerate(arcs, 1):
-        a, rb = divmod(key, n)
+    page = [0] * m  # per edge, its page
+    under = [0] * m  # per placed edge, its page's leaf before it was pushed
+    below = [0] * m  # per placed edge, the edge placed before it with its right end
+    head = [-1] * n  # per right end, the last placed edge ending there, -1 for none
+    closed = 0  # the arcs ending at or before this position are closed
+    for i, e in enumerate(arcs, 1):
+        a, rb = divmod(keys[e], n)
         b = n - 1 - rb
         while closed < a:
             closed += 1
             j = head[closed]
-            while j:
-                p = page_of[j]
-                stack = stacks[p - 1]
-                stack.pop()
-                _set_top(tops, cap + p - 1, stack[-1] if stack else n)
+            while j >= 0:
+                _set_top(tops, cap + page[j] - 1, under[j])
                 j = below[j]
         if tops[cap] >= b:
             x = cap
@@ -80,24 +77,16 @@ def first_fit_pages(g: Graph, order: Sequence[int], *,
                 x *= 2
                 if tops[x] < b:
                     x += 1
-        p = x - cap + 1
-        if p > len(stacks):
-            stacks.append([b])
-        else:
-            stacks[p - 1].append(b)
-        page_of.append(p)
-        below.append(head[b])
-        head[b] = i
+        page[e] = x - cap + 1
+        under[e] = tops[x]
+        below[e] = head[b]
+        head[b] = e
         _set_top(tops, x, b)
         if not i & 1023 and deadline is not None and time.monotonic() >= deadline:
-            placed = i
+            for p, e in enumerate(arcs[i:], max(page) + 1):
+                page[e] = p
             break
-    count = len(stacks)
-    late = len(arcs) - placed
-    pages = dict(zip(arcs, page_of[1:]))
-    pages.update(zip(arcs[placed:], range(count + 1, count + late + 1)))
-    return BookEmbedding(tuple(order), dict(zip(g.edges, map(pages.__getitem__, keys))),
-                         count + late)
+    return BookEmbedding(tuple(order), dict(zip(g.edges, page)), max(page, default=0))
 
 
 def _set_top(tops: list[int], x: int, top: int) -> None:

@@ -8,9 +8,7 @@ bag has exactly w+1 vertices and adjacent bags share exactly w.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Collection
 
 from .graph import Graph, KTreeCertificate, _JSONFormat, _require_ints
 
@@ -31,10 +29,10 @@ class TreeDecomposition(_JSONFormat):
         bags, tree_edges = data["bags"], data["tree_edges"]
         _require_ints([v for b in bags for v in b], "bag members")
         _require_ints([x for e in tree_edges for x in e], "tree edge ends")
-        return cls(
-            bags=tuple(frozenset(b) for b in bags),
-            tree_edges=frozenset((min(i, j), max(i, j)) for i, j in tree_edges),
-        )
+        pairs = frozenset((min(i, j), max(i, j)) for i, j in tree_edges)
+        if len(pairs) < len(tree_edges):
+            raise ValueError("two tree edge rows name the same pair of bags")
+        return cls(bags=tuple(frozenset(b) for b in bags), tree_edges=pairs)
 
 
 @dataclass(frozen=True)
@@ -54,22 +52,23 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     Bags or tree edges that are no collection at all, or a bag that is not a
     set of ids, come back as the one violation.
 
-    When the host is a tree, one BFS roots it at bag 0 (and decides that it
-    is connected), and one pass over the bags in BFS order gives each member
-    that is not in its parent bag that bag as its *top*.  The bags holding v
-    induce a forest, and each of its components has exactly one top, its
-    bag nearest the root, so v's bags form a subtree iff v has exactly one
-    top.  A tree edge joins a bag to its parent and shares the bag's size
-    less its new members.  Two subtrees of a rooted tree that meet, meet at
-    the deeper of their two tops, so when u and v each have one top, the
-    edge uv is covered iff v is in u's top bag or u is in v's top bag.  Only
-    the edges at a vertex whose bags are split scan that vertex's bags.
-    Every member of a bag is new in the bag of it nearest the root, so the
-    pass also sees whether any bag holds an unknown vertex.
-
-    When the host is not a tree, the tops mean nothing: each vertex's set of
-    bags is built, an edge is covered iff its ends' sets meet, and each
-    vertex's bags are searched for connectivity.
+    One BFS forest spans the host, whatever its shape: each component is
+    rooted at its lowest bag not yet reached, so a tree is rooted at bag 0.
+    One pass over the bags in BFS order gives each member that is not in
+    its parent bag that bag as a *top*.  The bags holding v induce a
+    subforest, each of whose components has one top, its bag nearest the
+    root: `top[v]` is v's first top and `more[v]` lists the others.  A
+    forest edge shares the child bag's size less its new members, and any
+    other tree edge (a cycle edge, a loop, a repeat) intersects its bags.
+    Two subtrees of a rooted forest that meet, meet at the deeper of their
+    tops, so the edge uv is covered iff some top of u holds v or some top
+    of v holds u.  Only a host edge off the forest can join two of v's
+    forest components, so only a vertex with two tops or more has its bags
+    searched for connectivity in the whole host.  Every member of a bag is
+    new in the bag of it nearest the root, so the pass also sees whether
+    any bag holds an unknown vertex.  A tree edge that loops on one bag, or
+    that names a pair already listed, in either orientation, is named as
+    such, and a repeated pair's share is read once.
     """
     parts = _containers(td)
     if isinstance(parts, str):
@@ -82,9 +81,9 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
     n, nb = g.n, len(bags)
     width = max(map(len, sets), default=0) - 1
 
-    # host tree shape
+    # host shape
     adj: list[list[int]] = [[] for _ in range(nb)]
-    pairs: list[tuple[int, int]] = []  # the tree edges that name two bags
+    pairs: list[tuple[int, int]] = []  # the tree edges that name bags, loops included
     edges_ok = True
     for e in tree_edges:
         if not (isinstance(e, tuple) and len(e) == 2):
@@ -98,80 +97,82 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionRepo
                 adj[i].append(j)
                 adj[j].append(i)
                 continue
-        axiom.append(f"tree edge ({i!r}, {j!r}) references a missing bag")
-        edges_ok = False
-    parent: list[int] = []
-    if edges_ok and nb > 0:
-        if len(tree_edges) != nb - 1:
-            axiom.append(f"host tree has {len(tree_edges)} edges, needs {nb - 1}")
+            axiom.append(f"tree edge ({i}, {j}) joins bag {i} to itself")
         else:
-            parent = [-2] * nb  # -2 unreached, -1 the root
-            parent[0] = -1
-            bfs = [0]
-            for x in bfs:
+            axiom.append(f"tree edge ({i!r}, {j!r}) references a missing bag")
+        edges_ok = False
+    # one BFS forest, each component rooted at its lowest unreached bag
+    parent = [-2] * nb  # -2 unreached, -1 a root
+    bfs: list[int] = []
+    for r in range(nb):
+        if parent[r] == -2:
+            parent[r] = -1
+            reach = [r]
+            for x in reach:
                 for y in adj[x]:
                     if parent[y] == -2:
                         parent[y] = x
-                        bfs.append(y)
-            if len(bfs) < nb:
-                axiom.append("host tree is disconnected")
-                parent = []
+                        reach.append(y)
+            bfs += reach
 
-    if parent:
-        # top[v]: v's one top bag, -1 if v is in no bag, -2 if it has two or more
-        top = [-1] * n
-        share = [0] * nb  # per bag, the members its parent bag also holds
-        strangers = False
-        for x in bfs:
-            fresh = sets[x] - sets[parent[x]] if x else sets[x]
-            share[x] = len(sets[x]) - len(fresh)
-            for v in fresh:
-                if type(v) is int and 0 <= v < n:
-                    top[v] = x if top[v] == -1 else -2
+    top = [-1] * n  # v's first top bag, -1 if v is in no bag
+    more: dict[int, list[int]] = {}  # v's other top bags
+    share = [0] * nb  # per bag, the members its parent bag also holds
+    strangers = False
+    for x in bfs:
+        fresh = sets[x] - sets[parent[x]] if parent[x] >= 0 else sets[x]
+        share[x] = len(sets[x]) - len(fresh)
+        for v in fresh:
+            if type(v) is int and 0 <= v < n:
+                if top[v] == -1:
+                    top[v] = x
                 else:
-                    strangers = True
-        shared = {(i, j): share[j] if parent[j] == i else share[i] for i, j in pairs}
-        if strangers:
-            axiom.extend(_unknown_members(bags, n))
-        axiom.extend(f"vertex {v} is in no bag" for v in range(n) if top[v] == -1)
-        split = [v for v in range(n) if top[v] == -2]
-        bags_of: dict[int, list[int]] = {v: [] for v in split}
-        if split:
-            splits = set(split)
-            for idx, b in enumerate(sets):
-                for v in b & splits:
-                    bags_of[v].append(idx)
-        for u, v in g.edges:
-            tu, tv = top[u], top[v]
-            if tu >= 0 and tv >= 0:
-                if v in sets[tu] or u in sets[tv]:
-                    continue
-            elif tu != -1 and tv != -1:  # one end's bags are split: scan them
-                x, y = (u, v) if tu == -2 else (v, u)
-                if any(y in sets[idx] for idx in bags_of[x]):
-                    continue
-            axiom.append(f"edge ({u}, {v}) is in no bag")
-    else:
-        shared = {(i, j): len(sets[i] & sets[j]) for i, j in pairs}
+                    more.setdefault(v, []).append(x)
+            else:
+                strangers = True
+
+    # each pair's share, read once: a forest edge's is spent by its first listing
+    off: list[tuple[tuple[int, int], int]] = []
+    met: set[tuple[int, int]] = set()  # the pairs off the forest, i <= j
+    for e in pairs:
+        i, j = e
+        x = j if parent[j] == i else i if parent[i] == j else -1
+        if x >= 0:
+            s, share[x] = share[x], -1
+        else:
+            key = e if i <= j else (j, i)
+            s = -1 if key in met else len(sets[i] & sets[j])
+            met.add(key)
+        if s < 0:
+            axiom.append(f"tree edge ({i}, {j}) is listed twice")
+        elif s != width:
+            off.append((e, s))
+    if edges_ok and nb > 0:
+        if len(tree_edges) != nb - 1:
+            axiom.append(f"host tree has {len(tree_edges)} edges, needs {nb - 1}")
+        elif parent.count(-1) > 1:
+            axiom.append("host tree is disconnected")
+
+    if strangers:
         axiom.extend(_unknown_members(bags, n))
-        where: dict[int, set[int]] = {v: set() for v in range(n)}
-        for idx, b in enumerate(sets):
-            for v in b:
-                if type(v) is int and 0 <= v < n:
-                    where[v].add(idx)
-        axiom.extend(f"vertex {v} is in no bag" for v, own in where.items() if not own)
-        axiom.extend(f"edge ({u}, {v}) is in no bag" for u, v in g.edges
-                     if where[u].isdisjoint(where[v]))
-        split = [v for v, own in where.items() if not _connected(own, adj)]
-    axiom.extend(f"bags containing vertex {v} are disconnected in the host tree" for v in split)
+    axiom.extend(f"vertex {v} is in no bag" for v in range(n) if top[v] == -1)
+    for u, v in g.edges:
+        tu, tv = top[u], top[v]
+        if tu >= 0 and tv >= 0 and (
+                v in sets[tu] or u in sets[tv]
+                or any(v in sets[t] for t in more.get(u, ()))
+                or any(u in sets[t] for t in more.get(v, ()))):
+            continue
+        axiom.append(f"edge ({u}, {v}) is in no bag")
+    axiom.extend(f"bags containing vertex {v} are disconnected in the host tree"
+                 for v in sorted(more) if not _connected(v, [top[v], *more[v]], sets, adj))
 
     # smoothness: uniform bag size width+1, adjacent bags share exactly width
     for idx, b in enumerate(sets):
         if len(b) != width + 1:
             smoothness.append(f"bag {idx} has size {len(b)}, expected {width + 1}")
-    off = sorted((e, share) for e, share in shared.items() if share != width)
     smoothness.extend(
-        f"bags {i} and {j} share {share} vertices, expected {width}" for (i, j), share in off
+        f"bags {i} and {j} share {s} vertices, expected {width}" for (i, j), s in sorted(off)
     )
 
     valid = not axiom
@@ -216,19 +217,19 @@ def _containers(td: TreeDecomposition) -> tuple[tuple, list[frozenset], tuple] |
     return bags, sets, tree_edges
 
 
-def _connected(nodes: Collection[int], adj: list[list[int]]) -> bool:
-    """Whether the host-tree nodes `nodes` induce a connected subgraph."""
-    if len(nodes) <= 1:
-        return True
-    start = next(iter(nodes))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for y in adj[queue.popleft()]:
-            if y in nodes and y not in seen:
+def _connected(v: int, tops: list[int], sets: list[frozenset],
+               adj: list[list[int]]) -> bool:
+    """Whether the host bags holding v are connected, given the tops of
+    their components in the BFS forest: one search from the first top,
+    through bags holding v, must reach every other."""
+    seen = {tops[0]}
+    reach = [tops[0]]
+    for x in reach:
+        for y in adj[x]:
+            if y not in seen and v in sets[y]:
                 seen.add(y)
-                queue.append(y)
-    return len(seen) == len(nodes)
+                reach.append(y)
+    return seen.issuperset(tops)
 
 
 def decomposition_from_certificate(cert: KTreeCertificate) -> TreeDecomposition:

@@ -84,6 +84,42 @@ def test_broken_host_tree_is_reported():
     rep = validate_decomposition(g, _td(bags, [(0, 1), (0, 9)]))  # missing bag
     assert not rep.valid
     assert any("missing bag" in v for v in rep.violations)
+    # a cycle: vertex 1 has two tops in the BFS forest from bag 0, bags 1 and
+    # 2, which the off-forest edge (1, 2) joins, so its bags are connected
+    td = _td([{0}, {0, 1}, {0, 1}], [(0, 1), (0, 2), (1, 2)])
+    rep = validate_decomposition(g, td)
+    assert rep == reference_validate_decomposition(g, td)
+    assert rep.violations == (
+        "host tree has 3 edges, needs 2",
+        "bag 0 has size 1, expected 2",
+        "bags 1 and 2 share 2 vertices, expected 1",
+    )
+    # two components, bag 3 alone: vertex 1 lies in both, so it is split
+    g = Graph(3, [(0, 1), (1, 2)])
+    td = _td([{0, 1}, {0, 1}, {0, 1}, {1, 2}], [(0, 1), (0, 2), (1, 2)])
+    rep = validate_decomposition(g, td)
+    assert rep == reference_validate_decomposition(g, td)
+    assert rep.violations[:2] == (
+        "host tree is disconnected",
+        "bags containing vertex 1 are disconnected in the host tree",
+    )
+
+
+@pytest.mark.parametrize("bags, tree_edges, graph, violation", [
+    ([{0, 1}, {0, 1}], ((0, 1), (1, 1)), (2, [(0, 1)]), "tree edge (1, 1) joins bag 1 to itself"),
+    ([{0, 1}, {2, 3}, {0, 3}], ((0, 1), (0, 1)), (4, [(0, 1), (2, 3)]),
+     "tree edge (0, 1) is listed twice"),
+    ([{0, 1}, {0, 1}, {0, 1}], ((0, 1), (1, 2), (1, 0)), (2, [(0, 1)]),
+     "tree edge (1, 0) is listed twice"),
+])
+def test_looped_and_repeated_tree_edges_are_named(bags, tree_edges, graph, violation):
+    g, td = Graph(*graph), TreeDecomposition(tuple(map(frozenset, bags)), tree_edges)
+    rep = validate_decomposition(g, td)
+    assert rep == reference_validate_decomposition(g, td)
+    assert not rep.valid and violation in rep.violations
+    # a repeated pair's share is reported once, in either orientation
+    shares = [tuple(sorted(v.split()[1:4:2])) for v in rep.violations if " share " in v]
+    assert len(shares) == len(set(shares))
 
 
 def test_valid_but_not_smooth():
@@ -194,13 +230,15 @@ def _corrupted_decompositions(draw):
     leaves, an out-of-range member, a tree edge to a missing bag, an extra
     singleton bag, the bag indices permuted (so bag 0, where the validator
     roots the host, may be a leaf or an inner bag), every tree edge written
-    as (j, i)."""
+    as (j, i), a tree edge listed again in either orientation (the tree
+    edges then come as a shuffled tuple)."""
     k = draw(st.integers(1, 5))
     n = draw(st.integers(k + 1, 30))
     g, cert = random_ktree(n, k, seed=draw(st.integers(0, 2**32)))
     td = decomposition_from_certificate(cert)
     bags, tree_edges = list(td.bags), set(td.tree_edges)
-    for kind in draw(st.lists(st.integers(0, 8), max_size=3)):
+    repeats = 0
+    for kind in draw(st.lists(st.integers(0, 9), max_size=3)):
         nb = len(bags)
         if kind == 0:
             idx = draw(st.integers(0, nb - 1))
@@ -235,6 +273,14 @@ def _corrupted_decompositions(draw):
             tree_edges = {tuple(perm[x] if x < nb else x for x in e) for e in tree_edges}
         elif kind == 8:
             tree_edges = {(j, i) for i, j in tree_edges}
+        elif kind == 9:
+            repeats += 1
+    if repeats and tree_edges:
+        listed = sorted(tree_edges)
+        for _ in range(repeats):
+            i, j = draw(st.sampled_from(sorted(tree_edges)))
+            listed.append(draw(st.sampled_from([(i, j), (j, i)])))
+        return g, TreeDecomposition(tuple(bags), tuple(draw(st.permutations(listed))))
     return g, TreeDecomposition(tuple(bags), frozenset(tree_edges))
 
 
@@ -326,6 +372,12 @@ def test_list_bags_are_checked_as_sets():
 
 
 # ---- serialization ----
+
+
+def test_json_refuses_a_tree_edge_named_twice():
+    data = {"bags": [[0, 1], [1, 2]], "tree_edges": [[0, 1], [1, 0]]}
+    with pytest.raises(ValueError, match="two tree edge rows name the same pair of bags"):
+        TreeDecomposition.from_json_dict(data)
 
 
 def test_json_round_trip():

@@ -184,12 +184,23 @@ def reference_validate_decomposition(g, td):
     adj = [[] for _ in range(nb)]
     edges_ok = True
     for i, j in td.tree_edges:
-        if not (0 <= i < nb and 0 <= j < nb) or i == j:
+        if not (0 <= i < nb and 0 <= j < nb):
             axiom.append(f"tree edge ({i}, {j}) references a missing bag")
             edges_ok = False
-            continue
-        adj[i].append(j)
-        adj[j].append(i)
+        elif i == j:
+            axiom.append(f"tree edge ({i}, {j}) joins bag {i} to itself")
+            edges_ok = False
+        else:
+            adj[i].append(j)
+            adj[j].append(i)
+    # a pair named again, in either orientation, after all the above
+    firsts = {}
+    for i, j in td.tree_edges:
+        if 0 <= i < nb and 0 <= j < nb:
+            if frozenset((i, j)) in firsts:
+                axiom.append(f"tree edge ({i}, {j}) is listed twice")
+            else:
+                firsts[frozenset((i, j))] = (i, j)
     if edges_ok and nb > 0:
         if len(td.tree_edges) != nb - 1:
             axiom.append(f"host tree has {len(td.tree_edges)} edges, needs {nb - 1}")
@@ -245,11 +256,10 @@ def reference_validate_decomposition(g, td):
     for idx, b in enumerate(bags):
         if len(b) != width + 1:
             smoothness.append(f"bag {idx} has size {len(b)}, expected {width + 1}")
-    for i, j in sorted(td.tree_edges):
-        if 0 <= i < nb and 0 <= j < nb:
-            share = len(bags[i] & bags[j])
-            if share != width:
-                smoothness.append(f"bags {i} and {j} share {share} vertices, expected {width}")
+    for i, j in sorted(firsts.values()):  # each pair once, as first written
+        share = len(bags[i] & bags[j])
+        if share != width:
+            smoothness.append(f"bags {i} and {j} share {share} vertices, expected {width}")
 
     valid = not axiom
     return DecompositionReport(
