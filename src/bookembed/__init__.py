@@ -23,13 +23,11 @@ from .errors import (
     InvalidInput,
     InvalidOrder,
     InvalidSize,
-    NotAClique,
     SizeTooSmall,
 )
 from .graph import (
     Graph,
     KTreeCertificate,
-    add_simplicial,
     complete_graph,
     is_k_tree,
     ktree_edge_count,
@@ -62,7 +60,6 @@ __all__ = [
     "InvalidOrder",
     "InvalidSize",
     "KTreeCertificate",
-    "NotAClique",
     "QArtifacts",
     "SizeTooSmall",
     "SolverOptions",
@@ -70,7 +67,6 @@ __all__ = [
     "SolverStatus",
     "TreeDecomposition",
     "ValidationResult",
-    "add_simplicial",
     "book_thickness_exact",
     "build_q",
     "complete_bipartite",

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from .bruteforce import oracle_suite
-from .constructions import (build_q, complete_bipartite, complete_split, dujwoo_gadget,
-                            path_power, random_ktree)
+from .constructions import (_q_size, build_q, complete_bipartite, complete_split,
+                            dujwoo_gadget, path_power, random_ktree)
 from .embedding import BookEmbedding, validate_embedding
 from .errors import BookEmbedError, InvalidInput
 from .graph import (Graph, _check_vertex_count, _json_text, complete_graph, is_k_tree,
@@ -82,7 +82,7 @@ _FAMILIES = {
                  lambda a: (complete_graph(a.n), None)),
     "split": (("k", "m"), lambda a: (a.k + a.m, a.k * (a.k - 1) // 2 + a.k * a.m),
               lambda a: (complete_split(a.k, a.m), None)),
-    "q": (("k",), lambda a: _ktree_size(max(a.n or 0, a.k + 11 * (2 * a.k * a.k + 1)), a.k),
+    "q": (("k",), lambda a: _ktree_size(max(a.n or 0, _q_size(a.k)), a.k),
           lambda a: attrgetter("graph", "certificate")(build_q(a.k, a.n))),
     "path-power": (("n", "k"), lambda a: _ktree_size(a.n, a.k),
                    lambda a: (path_power(a.n, a.k), None)),

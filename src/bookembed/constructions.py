@@ -14,8 +14,6 @@ Layer structure of Q (writing K = {u_1, ..., u_k} for the hub clique):
   * for each such w and each i in {2, 3, 4}, three vertices adjacent to
     (K + v + w) - u_1 - u_i;
   * optional padding vertices adjacent to K, to reach a requested size.
-
-Total size without padding: k + 11 * (2k^2 + 1).
 """
 
 from __future__ import annotations
@@ -103,6 +101,12 @@ def dujwoo_gadget(k: int, m: int) -> Graph:
     return Graph(k + 2 * m, _certificate(k, steps)._edges(), labels)
 
 
+def _q_size(k: int) -> int:
+    """Q(k)'s vertex count before padding, k + 11 * (2k^2 + 1): the k hub
+    vertices, and per v in S, v itself, its w and w's nine chain vertices."""
+    return k + 11 * (2 * k * k + 1)
+
+
 def build_q(k: int, n: int | None = None) -> QArtifacts:
     """Build the Q family member for this k (optionally padded up to n vertices).
 
@@ -121,15 +125,12 @@ def build_q(k: int, n: int | None = None) -> QArtifacts:
     w-bag has exactly 4 (its s-bag and three chain heads), and a chain or
     pad bag at most 2; the maximum degree is 4.
 
-    Raises InvalidSize for k < 4 and SizeTooSmall when n is below the
-    unpadded size k + 11*(2k^2 + 1).
+    Raises InvalidSize for k < 4 and SizeTooSmall when n < k + 11(2k^2 + 1).
     """
     if k < 4:
         raise InvalidSize(f"construction needs k >= 4, got {k}")
-    s = 2 * k * k + 1
-    base_n = k + 11 * s
-    if n is None:
-        n = base_n
+    s, base_n = 2 * k * k + 1, _q_size(k)
+    n = base_n if n is None else n
     if n < base_n:
         raise SizeTooSmall(f"needs at least {base_n} vertices for k={k}, got {n}")
 

@@ -100,8 +100,8 @@ def _check_order(g: Graph, order: Sequence[int]) -> None:
 
 
 def _positions(order: Sequence[int]) -> list[int]:
-    """pos[v] is the index of v in `order`, for each v that it lists."""
-    pos = [0] * (max(order) + 1 if order else 0)
+    """pos[v] is the index of v in `order`, a permutation of 0..len(order)-1."""
+    pos = [0] * len(order)
     for i, v in enumerate(order):
         pos[v] = i
     return pos

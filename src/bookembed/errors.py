@@ -5,10 +5,6 @@ class BookEmbedError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NotAClique(BookEmbedError):
-    """A vertex set that was required to be a clique is not one."""
-
-
 class InvalidSize(BookEmbedError):
     """A size parameter is outside the range a construction supports."""
 

@@ -19,7 +19,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InvalidCertificate, InvalidSize, NotAClique
+from .errors import InvalidCertificate, InvalidSize
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -239,28 +239,6 @@ def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     return Graph(n, combinations(range(n), 2))
-
-
-def add_simplicial(g: Graph, clique: Iterable[int], label: str | None = None) -> tuple[Graph, int]:
-    """Add a new vertex adjacent to exactly `clique`; returns (graph, new id).
-
-    Raises NotAClique unless the attachment set is pairwise adjacent in g.
-    """
-    cs = sorted(set(clique))
-    if not cs:
-        raise NotAClique("attachment clique is empty")
-    for v in cs:
-        if not (0 <= v < g.n):
-            raise ValueError(f"attachment vertex {v} not in graph")
-    for a, b in combinations(cs, 2):
-        if not g.has_edge(a, b):
-            raise NotAClique(f"attachment set {cs} misses edge ({a}, {b})")
-    new = g.n
-    edges = list(g.edges) + [(v, new) for v in cs]
-    labels = dict(g.labels)
-    if label is not None:
-        labels[new] = label
-    return Graph(g.n + 1, edges, labels), new
 
 
 @dataclass(frozen=True)

@@ -703,7 +703,7 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     its own, and its bound lb is the larger of 2 and its edge bound.
 
     K_n fits on ceil(n/2) pages (Bernhart and Kainen), so a block whose
-    bound lb is ceil(n/2) is EXACT lb with their zigzag witness: the
+    bound lb is ceil(n/2) is EXACT lb with their zigzag incumbent: the
     vertices in local id order, and local edge (u, v) on page
     (u + v) % n // 2 + 1.  Page j + 1 holds the chords whose (u + v) % n
     is 2j or 2j + 1, all of them edges of the path j, j+1, j-1, j+2, j-2,
@@ -723,9 +723,9 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     one page, and has m <= 3n - 6 edges, since the edge bound 2 means
     m <= n + 2(n - 3).  Under a one-page cap the test never runs.
 
-    First-fit gives the incumbent under the solve's deadline, and an order
-    search starts only while the budget lasts, so a block whose first-fit
-    the deadline cut short builds no search state.
+    Any other block starts from first-fit under the solve's deadline, and
+    an order search starts only while the budget lasts, so a block whose
+    first-fit the deadline cut short builds no search state.
     """
     if (cycle := _outerplanar_cycle(edges)) is not None:
         return 1, 1, cycle, {_norm_edge(*e): 1 for e in edges}
@@ -734,19 +734,18 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
     lb = max(2, density_lower_bound(sub))
     if lb == (sub.n + 1) // 2:
-        return lb, lb, verts, {_norm_edge(u, v): (local[u] + local[v]) % sub.n // 2 + 1
-                               for u, v in edges}
-    incumbent = first_fit_pages(sub, range(sub.n), deadline=search.deadline)
+        incumbent = BookEmbedding(tuple(range(sub.n)),
+                                  {(u, v): (u + v) % sub.n // 2 + 1 for u, v in sub.edges}, lb)
+    else:
+        incumbent = first_fit_pages(sub, range(sub.n), deadline=search.deadline)
     search.reset(incumbent.page_count, incumbent, lb)
     if lb == 2 < search.cap() and not _planar(sub, search.deadline):
-        lb = 3
-        search.reset(incumbent.page_count, incumbent, lb)
-    if lb < search.cap():
+        search.reset(incumbent.page_count, incumbent, 3)
+    if search.lb < search.cap():
         search.check_budget()  # an earlier block, first-fit or `_planar` may have spent it
         if not search.stop:
             _search_orders(sub, search)
-    w = search.witness
-    # verts is sorted, so local edges (u < v) map to normalized edges
+    w = search.witness  # local ids; verts is sorted, so local u < v maps to u' < v'
     pages = {(verts[u], verts[v]): p for (u, v), p in w.pages.items()}
     return search.best, search.lower(), [verts[v] for v in w.order], pages
 

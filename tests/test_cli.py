@@ -321,8 +321,9 @@ def test_gen_at_the_edge_limit_is_built(monkeypatch):
 def test_gen_vertex_counts_match_the_families():
     parse = cli.build_parser().parse_args
     for argv in (["complete", "--n", "5"], ["split", "--k", "3", "--m", "4"],
-                 ["split", "--k", "3", "--m", "0"], ["q", "--k", "4"],
-                 ["q", "--k", "4", "--n", "500"], ["path-power", "--n", "9", "--k", "3"],
+                 ["split", "--k", "3", "--m", "0"], ["q", "--k", "4"], ["q", "--k", "5"],
+                 ["q", "--k", "4", "--n", "400"], ["q", "--k", "4", "--n", "500"],
+                 ["path-power", "--n", "9", "--k", "3"],
                  ["dujwoo", "--k", "3", "--m", "2"], ["complete-bipartite", "--k", "2", "--m", "3"],
                  ["random-ktree", "--n", "12", "--k", "3"]):
         args = parse(["gen", "--family", *argv])

@@ -96,6 +96,19 @@ def test_crosses_costs_the_order_not_its_largest_id():
     assert not crosses([10**9, 0, 1, 2], (10**9, 0), (1, 2))
 
 
+def test_crossing_masks_size_positions_by_the_order_length():
+    """The kernel takes a permutation of 0..n-1; a larger id is an
+    IndexError, met before any list sized by that id is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexError):
+            crossing_masks([(0, 1)], [0, 1, 10**8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_crossing_masks_agree_with_crosses():
     rng = random.Random(19)
     for _ in range(15):

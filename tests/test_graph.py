@@ -19,8 +19,6 @@ from bookembed import (
     InvalidCertificate,
     InvalidSize,
     KTreeCertificate,
-    NotAClique,
-    add_simplicial,
     complete_graph,
     decomposition_from_certificate,
     embed_ktree,
@@ -228,25 +226,6 @@ def test_without_edge():
     assert h.m == 5 and not h.has_edge(1, 2)
     assert g.m == 6  # original untouched
     assert without_edge(h, 1, 2) == h
-
-
-def test_add_simplicial_extends_and_labels():
-    g = complete_graph(3)
-    h, v = add_simplicial(g, [0, 2], label="new")
-    assert v == 3
-    assert h.n == 4 and h.m == 5
-    assert h.neighbors(3) == (0, 2)
-    assert h.labels[3] == "new"
-
-
-def test_add_simplicial_rejects_non_cliques():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(NotAClique):
-        add_simplicial(g, [0, 2])
-    with pytest.raises(NotAClique):
-        add_simplicial(g, [])
-    with pytest.raises(ValueError):
-        add_simplicial(g, [0, 9])
 
 
 # ---- edge count identity ----

@@ -319,6 +319,26 @@ def test_complete_graphs_take_their_zigzag_pages_at_the_root():
         assert res.ok and res.pages_used == want == rep.witness.page_count, n
 
 
+@pytest.mark.parametrize("kw, status, nodes", [
+    ({"node_limit": 1}, SolverStatus.EXACT, 1),
+    ({"node_limit": 1, "max_pages": 2}, SolverStatus.LOWER_BOUND_ONLY, 1),
+    ({}, SolverStatus.EXACT, 52),
+])
+def test_zigzag_blocks_keep_their_bound_after_an_earlier_block(kw, status, nodes):
+    """A 9-vertex G(n, 0.5), solved first, with K7 glued on at its vertex 8.
+    K7's zigzag pages meet its edge bound 4 whether the block before it
+    spent the budget or a cap lies below the bound, and its witness maps
+    back through the one exit that every searched block takes."""
+    h = random_connected_graph(9, random.Random(0), 0.5)
+    g = Graph(15, [*h.edges, *((u + 8, v + 8) for u, v in combinations(range(7), 2))])
+    assert [len(edges) for _, edges in _blocks(g)][::-1] == [14, 21]
+    rep = _bt(g, **kw)
+    assert (rep.status, rep.lower_bound, rep.book_thickness) == (status, 4, 4)
+    assert rep.nodes_explored == nodes
+    res = validate_embedding(g, rep.witness)
+    assert res.ok and res.pages_used == 4
+
+
 @st.composite
 def _near_complete_graphs(draw):
     """K_n, 4 <= n <= 12, less up to the most edges that keep the edge bound
