@@ -143,10 +143,11 @@ def _cmd_bt(args: argparse.Namespace) -> int:
         )
     g = _load("graph", args.graph, _parse_graph)
     report = book_thickness_exact(g, opts)
+    out = report.to_json_dict()  # its witness dict also goes to the witness file
     if args.witness:  # written first, so a failed write leaves stdout empty
-        Path(args.witness).write_text(report.witness.to_json())
+        Path(args.witness).write_text(_json_text(out["witness"]) + "\n")
         _say(f"witness written to {args.witness}")
-    _emit(report.to_json_dict())
+    _emit(out)
     _say(
         f"status {report.status.value}: book thickness {report.book_thickness} "
         f"(lower bound {report.lower_bound}), {report.nodes_explored} nodes "

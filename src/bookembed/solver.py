@@ -30,7 +30,9 @@ exactly the completed arcs that strictly contain its placed endpoint,
 whatever order the rest takes (see `_Prefix.needs`).  At a leaf the order's
 exact page count is the chromatic number of its crossing graph, computed by
 backtracking coloring seeded with a maximal pairwise-crossing set, which is
-the one test of a clique of completed arcs against the cap.
+the one test of a clique of completed arcs against the cap.  The coloring
+starts at the block's lower bound, which holds for every order, and keeps
+each arc's saturation current as arcs are painted (`_fewest_colours`).
 
 Whether two pages can still suffice is kept up to date in a parity
 union-find, where two placed vertices that share two unplaced neighbours
@@ -44,6 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Sequence
 
 from .embedding import BookEmbedding, _check_order, crossing_masks, density_lower_bound
@@ -89,12 +92,13 @@ class SolverReport:
 # ---- coloring engine ----
 
 
-def _greedy_clique_mask(masks: list[int], universe: int) -> int:
+def _greedy_clique_mask(masks: list[int], universe: int, enough: int = -1) -> int:
     # grow from the highest-degree vertex, always adding the candidate with
-    # most neighbors inside the shrinking candidate set; ties to lowest id
+    # most neighbors inside the shrinking candidate set; ties to lowest id.
+    # Stops at `enough` members; the default -1 counts down past 0, never to it
     clique = 0
     cand = universe
-    while cand:
+    while cand and enough:
         best_v, best_deg = -1, -1
         c = cand
         while c:
@@ -105,76 +109,96 @@ def _greedy_clique_mask(masks: list[int], universe: int) -> int:
                 best_v, best_deg = v, d
         clique |= 1 << best_v
         cand &= masks[best_v]
+        enough -= 1
     return clique
 
 
 def _fewest_colours(masks: list[int], cap: int | None = None,
-                    deadline: float | None = None) -> tuple[int, list[int]] | None:
+                    deadline: float | None = None, floor: int = 0) -> tuple[int, list[int]] | None:
     """Fewest colours p < cap (no cap when None) that properly colour the
     conflict graph, with such a colouring; None if it needs cap or more, or
     once the clock, read every 1024 frames, passes `deadline`.
 
-    For each p from the size of a greedy clique, the seed, which keeps
-    colours 0,1,2,..., a backtracking search colours the most saturated
-    vertex next and opens fresh colours one at a time.  `forb[v]` holds the
-    colours v's coloured neighbours use.  The search runs on a stack of
-    frames, one per coloured vertex past the seed: the vertex, the colours
-    it has left to try, the `forb` it was chosen under, and the highest
-    colour used before it.  Trying a colour copies that `forb`, so
-    backtracking restores it by dropping the copy, and a failed p leaves
-    only the seed coloured.
+    For each p from the larger of `floor` and the size of a greedy clique,
+    the seed, which keeps colours 0,1,2,..., a backtracking search colours
+    the most saturated vertex next and opens fresh colours one at a time.
+    A caller passes as `floor` a bound it has proved, at most the chromatic
+    number, so that no colouring is spent showing that fewer colours fail;
+    every p below the chromatic number fails the same way, so the answer
+    does not depend on where the count starts.
 
-    The next vertex has the largest (saturation, degree, -v), packed into one
-    int as sat << 2L | deg << L | (m - v) with L = m.bit_length(): deg < m
-    and 0 < m - v <= m both fit in L bits, so the int orders like the tuple,
-    and its low bits give v back."""
+    `seen[c]` is the mask of vertices with a neighbour of colour c, so v's
+    forbidden colours are the c with bit v of `seen[c]`, and its saturation
+    is their number.  `key[v]` is -1 once v is coloured, else its
+    (saturation, degree, -v) packed into one int as sat << 2L | deg << L |
+    (m - v) with L = m.bit_length(): deg < m and 0 < m - v <= m both fit in
+    L bits, so the int orders like the tuple, the next vertex is the one
+    with the largest key, and its low bits give v back.  Painting v with c
+    raises the saturation of the uncoloured vertices that gain a neighbour
+    of colour c, `masks[v] & ~seen[c]`, and no other key changes.
+
+    The search runs on a stack of frames, one per coloured vertex past the
+    seed: the vertex, the colours it has left to try, the `key`, `seen` and
+    uncoloured mask it was chosen under, and the highest colour used before
+    it.  Those lists are never written once a frame holds them: trying a
+    colour paints copies, so backtracking restores them by dropping the
+    copies.  A vertex with no colour left backs up at once, with no frame,
+    and a failed p leaves only the seed coloured."""
     m = len(masks)
     clique = _greedy_clique_mask(masks, (1 << m) - 1)
     seed = [v for v in range(m) if clique >> v & 1]
     color = [-1] * m
-    low = m.bit_length()
-    rank = [mk.bit_count() << low | (m - v) for v, mk in enumerate(masks)]
-    low_bits, sat_shift = (1 << low) - 1, 2 * low
-
-    def paint(forb: list[int], v: int, c: int) -> None:
-        color[v] = c
-        mk = masks[v]
-        while mk:
-            forb[(mk & -mk).bit_length() - 1] |= 1 << c
-            mk &= mk - 1
-
-    seeded = [0] * m
     for c, v in enumerate(seed):
-        paint(seeded, v, c)
+        color[v] = c
+    low = m.bit_length()
+    low_bits, sat_shift = (1 << low) - 1, 2 * low
+    # the seed's colours are distinct, so a vertex's saturation starts as
+    # its number of seed neighbours
+    seeded = [-1 if clique >> v & 1 else
+              (mk & clique).bit_count() << sat_shift | mk.bit_count() << low | (m - v)
+              for v, mk in enumerate(masks)]
+    one_sat = 1 << sat_shift
     frames = 0
-    p = len(seed)  # 0 only when there is nothing to colour
+    p = max(len(seed), floor)  # 0 only when there is nothing to colour
     while cap is None or p < cap:
-        full = (1 << p) - 1
-        forb, used, stack = seeded, len(seed) - 1, []
-        while len(seed) + len(stack) < m:
+        key, free = seeded, ((1 << m) - 1) & ~clique
+        seen = [masks[v] for v in seed] + [0] * (p - len(seed))
+        used, stack = len(seed) - 1, []
+        while free:
             frames += 1
             if deadline is not None and frames & 1023 == 1 and time.monotonic() >= deadline:
                 return None
-            best = 0
-            for v in range(m):
-                if color[v] < 0:
-                    key = forb[v].bit_count() << sat_shift | rank[v]
-                    if key > best:
-                        best = key
-            v = m - (best & low_bits)
+            v = m - (max(key) & low_bits)
             # no colour above used + 1: fresh colours open one at a time
-            stack.append([v, full & ~forb[v] & ((2 << (used + 1)) - 1), forb, used])
-            while stack and not stack[-1][1]:  # out of colours: back up
-                color[stack.pop()[0]] = -1
-            if not stack:
-                break
-            frame = stack[-1]
-            v, left, saved, used = frame
+            left, bit = 0, 1
+            for s in seen[:used + 2]:
+                if not s >> v & 1:
+                    left |= bit
+                bit <<= 1
+            if left:
+                frame = [v, left, key, seen, free, used]
+                stack.append(frame)
+            else:  # out of colours: back up to the last vertex with one left
+                while stack and not stack[-1][1]:
+                    color[stack.pop()[0]] = -1
+                if not stack:
+                    break
+                frame = stack[-1]
+                v, left, key, seen, free, used = frame
             c = (left & -left).bit_length() - 1
             frame[1] = left & (left - 1)
-            forb = saved[:]
-            paint(forb, v, c)
-            used = max(used, c)
+            key, seen = key[:], seen[:]
+            color[v] = c
+            key[v] = -1
+            free &= ~(1 << v)
+            mk = masks[v]
+            fresh = mk & ~seen[c] & free  # these gain a neighbour of colour c
+            seen[c] |= mk
+            while fresh:
+                key[(fresh & -fresh).bit_length() - 1] += one_sat
+                fresh &= fresh - 1
+            if c > used:
+                used = c
         else:
             return p, color
         p += 1
@@ -186,7 +210,9 @@ def min_pages_for_order(g: Graph, order: Sequence[int]) -> int:
     the chromatic number of the order's crossing graph.  Exact.  Raises
     InvalidOrder when `order` is not a permutation of the vertices."""
     _check_order(g, order)
-    return _fewest_colours(crossing_masks(g.edges, order))[0]
+    # bt(g) pages are needed under any order, and the edge bound is at most bt(g)
+    floor = density_lower_bound(g) if g.edges else 0
+    return _fewest_colours(crossing_masks(g.edges, order), floor=floor)[0]
 
 
 # ---- order search ----
@@ -438,7 +464,7 @@ class _Prefix:
             return self.odd
         masks, pend = self.masks, self.pend
         return any(pend >> a & 1 and c.bit_count() >= t
-                   and _greedy_clique_mask(masks, c).bit_count() >= t
+                   and _greedy_clique_mask(masks, c, t).bit_count() >= t
                    for a, c in enumerate(self.cover))
 
 
@@ -455,7 +481,8 @@ def _search_orders(g: Graph, search: _Search) -> None:
     x, y = [v for v in range(n) if v != root][:2]
 
     def leaf() -> None:
-        found = _fewest_colours(masks, search.cap(), search.deadline)
+        # the block's bound holds for every order, so colouring starts there
+        found = _fewest_colours(masks, search.cap(), search.deadline, search.lb)
         if found is None:
             search.check_budget()  # marks a colouring the deadline cut off
         else:
@@ -561,9 +588,10 @@ def _outerplanar_cycle(edges: list[tuple[int, int]]) -> list[int] | None:
     """
     if len(edges) == 1:
         return sorted(edges[0])
-    adj: dict[int, set[int]] = {v: set() for e in edges for v in e}
-    if len(edges) > 2 * len(adj) - 3:
+    verts = set(chain.from_iterable(edges))
+    if len(edges) > 2 * len(verts) - 3:
         return None
+    adj: dict[int, set[int]] = {v: set() for v in verts}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
@@ -691,7 +719,7 @@ def _planar(block: Graph, deadline: float | None = None) -> bool:
     return True
 
 
-def _solve_block(edges: list[tuple[int, int]], search: _Search):
+def _solve_block(g: Graph, edges: list[tuple[int, int]], search: _Search):
     """Order search on the block with these edges, under the solve's shared
     `search`.  Returns (upper, lower, circular order, page map), with the
     order and pages in the edges' vertex ids.
@@ -700,7 +728,9 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     makes it EXACT 1 with the cycle as its witness, and None means it needs
     2 pages or more, since one page holds exactly the outerplanar graphs
     (Bernhart and Kainen).  Only such a block is renumbered into a graph of
-    its own, and its bound lb is the larger of 2 and its edge bound.
+    its own, unless it is all of `g`, vertices and edges, which is solved in
+    place with no renumbering; its bound lb is the larger of 2 and its edge
+    bound.
 
     K_n fits on ceil(n/2) pages (Bernhart and Kainen), so a block whose
     bound lb is ceil(n/2) is EXACT lb with their zigzag incumbent: the
@@ -729,9 +759,12 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
     """
     if (cycle := _outerplanar_cycle(edges)) is not None:
         return 1, 1, cycle, {_norm_edge(*e): 1 for e in edges}
-    verts = sorted({v for e in edges for v in e})
-    local = {v: i for i, v in enumerate(verts)}
-    sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
+    if len(edges) == len(g.edges) and all(g._adj):  # the block is all of g
+        sub = g
+    else:
+        verts = sorted({v for e in edges for v in e})
+        local = {v: i for i, v in enumerate(verts)}
+        sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
     lb = max(2, density_lower_bound(sub))
     if lb == (sub.n + 1) // 2:
         incumbent = BookEmbedding(tuple(range(sub.n)),
@@ -745,7 +778,10 @@ def _solve_block(edges: list[tuple[int, int]], search: _Search):
         search.check_budget()  # an earlier block, first-fit or `_planar` may have spent it
         if not search.stop:
             _search_orders(sub, search)
-    w = search.witness  # local ids; verts is sorted, so local u < v maps to u' < v'
+    w = search.witness
+    if sub is g:
+        return search.best, search.lower(), list(w.order), w.pages
+    # local ids; verts is sorted, so local u < v maps to u' < v'
     pages = {(verts[u], verts[v]): p for (u, v), p in w.pages.items()}
     return search.best, search.lower(), [verts[v] for v in w.order], pages
 
@@ -778,7 +814,7 @@ def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverR
     placed = [False] * n
     heads: list[int] = []
     for root, edges in reversed(_blocks(g)):
-        b_upper, b_lower, b_order, b_pages = _solve_block(edges, search)
+        b_upper, b_lower, b_order, b_pages = _solve_block(g, edges, search)
         upper, lower = max(upper, b_upper), max(lower, b_lower)
         pages.update(b_pages)
 

@@ -16,6 +16,7 @@ from bookembed import (
     BookEmbedding,
     Graph,
     TreeDecomposition,
+    book_thickness_exact,
     complete_bipartite,
     complete_graph,
     decomposition_from_certificate,
@@ -160,6 +161,10 @@ def test_bt_writes_report_and_witness(capsys, tmp_path):
 
     emb = BookEmbedding.from_json(wpath.read_text())
     assert validate_embedding(complete_bipartite(2, 3), emb).ok
+    # the file and the report carry the witness as the library writes it
+    solved = book_thickness_exact(complete_bipartite(2, 3))
+    assert wpath.read_text() == solved.witness.to_json()
+    assert json.dumps(report["witness"], sort_keys=True) + "\n" == solved.witness.to_json()
 
     code, out, _ = _run(capsys, "check", "--graph", str(gpath), "--embedding", str(wpath))
     assert code == 0

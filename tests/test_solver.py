@@ -32,6 +32,8 @@ from bookembed import (
 )
 from bookembed.bruteforce import (
     _arc_crossing,
+    _assignable,
+    _crossing_pairs,
     book_thickness_brute,
     enumerate_graphs,
     random_connected_graph,
@@ -45,6 +47,7 @@ from util import (
     degree3_ktree,
     path,
     random_tree,
+    reference_fewest_colours,
     stacked_triangulation,
     without_edge,
 )
@@ -119,6 +122,37 @@ def test_min_pages_for_order_past_the_recursion_limit():
     emb = embed_ktree(g, cert)
     assert g.m == 1494 and emb.page_count == 4
     assert min_pages_for_order(g, emb.order) == 4
+
+
+@st.composite
+def _relabelled_graphs_and_orders(draw):
+    n = draw(st.integers(1, 7))
+    edges = _some_edges(draw, n, 12)  # more would cost the brute force seconds
+    perm = draw(st.permutations(range(n)))
+    g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return g, draw(st.permutations(range(n)))
+
+
+def _least_pages_by_brute_force(g, order):
+    adj = _crossing_pairs(tuple(order), list(g.edges))
+    return next(p for p in count() if _assignable(adj, p))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_relabelled_graphs_and_orders())
+def test_min_pages_for_order_matches_brute_force(case):
+    g, order = case
+    assert min_pages_for_order(g, order) == _least_pages_by_brute_force(g, order)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_min_pages_for_order_starts_at_the_edge_bound(n):
+    """Under K_n's zigzag order, the vertices in id order, the greedy clique
+    of K7's crossing graph has 3 arcs but its edge bound is 4, so the
+    colouring starts at the edge bound and never shows that 3 pages fail.
+    The count still matches brute force."""
+    g, order = complete_graph(n), list(range(n))
+    assert min_pages_for_order(g, order) == _least_pages_by_brute_force(g, order) == (n + 1) // 2
 
 
 # ---- equivalence with the brute-force reference ----
@@ -705,6 +739,40 @@ def test_bridges_build_no_block_graph(monkeypatch):
     assert validate_embedding(g, rep.witness).ok
 
 
+def _exact_search_graphs():
+    # the structures of perfbench's exact_search workload: K7, K8, six G(n, p)
+    # drawn from Random(0) in this order, and the pendant graph
+    rng = random.Random(0)
+    return [complete_graph(7), complete_graph(8)] + [
+        random_connected_graph(n, rng, p)
+        for n, p in ((8, 0.5), (8, 0.7), (8, 0.9), (9, 0.3), (9, 0.5), (9, 0.7))
+    ] + [_pendant_graph()]
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_a_block_that_is_the_whole_graph_is_solved_in_place(index, monkeypatch):
+    """A block with all of g's vertices and edges is solved on g itself,
+    with no block graph, where g plus one isolated vertex renumbers the
+    same block into a graph of its own.  Both give the same report."""
+    built = []
+    block_graph = solver.Graph
+    monkeypatch.setattr(solver, "Graph", lambda *args: built.append(args) or block_graph(*args))
+    g = _exact_search_graphs()[index]
+    blocks = [edges for _, edges in _blocks(g)]
+    searched = sum(solver._outerplanar_cycle(edges) is None for edges in blocks)
+    whole = _bt(g, node_limit=200_000)
+    assert len(built) == (0 if len(blocks) == 1 else searched)
+    built.clear()
+    padded = _bt(Graph(g.n + 1, g.edges), node_limit=200_000)
+    assert len(built) == searched
+    assert whole.status is SolverStatus.EXACT
+    assert (whole.status, whole.book_thickness, whole.lower_bound, whole.nodes_explored) == (
+        padded.status, padded.book_thickness, padded.lower_bound, padded.nodes_explored)
+    assert whole.witness.pages == padded.witness.pages
+    assert whole.witness.order + (g.n,) == padded.witness.order
+    assert validate_embedding(g, whole.witness).ok
+
+
 # ---- the planarity bound ----
 
 
@@ -952,6 +1020,32 @@ def test_leaf_colouring_gives_up_exactly_at_the_cap(case):
             p, colors = found
             assert p == pages and max(colors, default=-1) < p
             assert all(colors[i] != colors[j] for i, mk in enumerate(masks) for j in _bits(mk))
+
+
+@st.composite
+def _masks_caps_and_floors(draw):
+    m = draw(st.integers(0, 24))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)))
+    masks = [0] * m
+    for u, v in combinations(range(m), 2):
+        if rng.random() < density:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    cap = draw(st.sampled_from((None, 1, 2, 3, 4, 5, 6, 7, 8)))
+    chromatic = reference_fewest_colours(masks)[0]
+    return masks, cap, draw(st.integers(0, chromatic))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_masks_caps_and_floors())
+def test_leaf_colouring_matches_the_scan_reference(case):
+    """`_fewest_colours` keeps each vertex's saturation current where the
+    reference scans every vertex for it, and starts from any floor up to
+    the chromatic number: both give the same page count and the same
+    colouring, or both give up under the cap."""
+    masks, cap, floor = case
+    assert _fewest_colours(masks, cap, None, floor) == reference_fewest_colours(masks, cap, floor)
 
 
 @st.composite

@@ -300,6 +300,55 @@ def reference_first_fit(g, order, deadline=None):
     return BookEmbedding(tuple(order), {e: pages[e] for e in g.edges}, len(stacks))
 
 
+def reference_fewest_colours(masks, cap=None, floor=0):
+    """`_fewest_colours` as a scan: for each p from the larger of `floor`
+    and a greedy clique's size, colour that clique 0, 1, 2, ... in id order,
+    then backtrack, always colouring next the uncoloured vertex with the
+    largest (saturation, degree, -v), found by scanning all m vertices, with
+    `forb[v]` the colours of v's coloured neighbours copied at every step,
+    and colours tried from 0 up to one past the highest used.  Returns
+    (p, colours) for the first p < cap that works, else None."""
+    m = len(masks)
+    clique, cand = [], set(range(m))
+    while cand:  # most neighbours among the candidates, ties to lowest id
+        v = max(sorted(cand), key=lambda u: sum(masks[u] >> w & 1 for w in cand))
+        clique.append(v)
+        cand = {w for w in cand if masks[v] >> w & 1}
+    seed = sorted(clique)
+    color = [-1] * m
+    seeded = [0] * m
+    for c, v in enumerate(seed):
+        color[v] = c
+        for u in range(m):
+            if masks[v] >> u & 1:
+                seeded[u] |= 1 << c
+    p = max(len(seed), floor)
+    while cap is None or p < cap:
+        forb, used, stack = seeded, len(seed) - 1, []
+        while len(seed) + len(stack) < m:
+            v = max((u for u in range(m) if color[u] < 0),
+                    key=lambda u: (bin(forb[u]).count("1"), bin(masks[u]).count("1"), -u))
+            stack.append([v, ((1 << p) - 1) & ~forb[v] & ((2 << (used + 1)) - 1), forb, used])
+            while stack and not stack[-1][1]:
+                color[stack.pop()[0]] = -1
+            if not stack:
+                break
+            frame = stack[-1]
+            v, left, saved, used = frame
+            c = (left & -left).bit_length() - 1
+            frame[1] = left & (left - 1)
+            forb = saved[:]
+            color[v] = c
+            for u in range(m):
+                if masks[v] >> u & 1:
+                    forb[u] |= 1 << c
+            used = max(used, c)
+        else:
+            return p, color
+        p += 1
+    return None
+
+
 def reference_validate_embedding(g, emb):
     """`validate_embedding` the slow, literal way: every page key checked to
     be a pair of ints, edge sets rebuilt and compared after normalizing
