@@ -1,44 +1,34 @@
 """Exact book thickness for small graphs.
 
-Facts of Bernhart and Kainen (JCTB 1979) come before any search.  The
-book thickness of a graph is the maximum over its blocks (biconnected
+The book thickness of a graph is the maximum over its blocks (biconnected
 components and bridges), so each block is solved on its own and the
-witnesses are spliced at the cut vertices.  One page holds exactly the
-outerplanar graphs, so every block first meets an O(m log m) test on its
-own edges (`_outerplanar_cycle`) that returns its one-page witness or shows
-it needs more.  p pages hold at most n + p(n-3) edges, so such a block
-starts from that edge bound (`density_lower_bound`) or 2.  When the bound
-is ceil(n/2), their zigzag pages of K_n meet it, so a complete block, or
-one that misses few enough edges, is settled with no search.  When it is 2
-and first-fit needs more, a planarity test (`_planar`) raises a non-planar
-block to 3 with no search, since two pages are a plane drawing.
+witnesses are spliced at the cut vertices.  Facts of Bernhart and Kainen
+(JCTB 1979) come before any search, as root rules that each block meets in
+this order, each with its argument in its docstring:
+
+- `_outerplanar_cycle`: one page holds exactly the outerplanar graphs;
+- `density_lower_bound`: p pages hold at most n + p(n-3) edges; lb >= 2;
+- `_zigzag_pages`: K_n's zigzag pages meet a bound of ceil(n/2);
+- `_first_fit`: first-fit under the identity order gives the incumbent;
+- `_not_planar`: two pages are a plane drawing, so a non-planar block needs 3;
+- `_search_orders`: the order search below closes whatever gap is left.
 
 Each remaining block's circular orders are searched depth-first, filling
-positions 1..n-1 left to right with a maximum-degree vertex pinned at
-position 0.  Reflecting an order about position 0 reverses positions
-1..n-1, so keeping only the orders that place two fixed other vertices x, y
-with x first skips one of each reflected pair, as soon as y comes up, and
-exactly (n-1)!/2 orders are considered.
+positions 1..n-1 left to right with a maximum-degree vertex pinned at 0.
+Reflecting an order about position 0 reverses positions 1..n-1, so keeping
+only the orders that place two fixed other vertices x, y with x first skips
+one of each reflected pair as soon as y comes up: (n-1)!/2 orders in all.
 
 Every node carries a partial crossing graph that each completion of its
-prefix contains, and a prefix is abandoned as soon as that graph already
-needs as many pages as the best embedding found so far.  Its nodes are the
-completed edges, whose crossings are final once both endpoints are placed,
-plus one node per placed vertex that still has an unplaced neighbour: such
-a pending edge will end to the right of every completed arc, so it crosses
-exactly the completed arcs that strictly contain its placed endpoint,
-whatever order the rest takes (see `_Prefix.needs`).  At a leaf the order's
-exact page count is the chromatic number of its crossing graph, computed by
-backtracking coloring seeded with a maximal pairwise-crossing set, which is
-the one test of a clique of completed arcs against the cap.  The coloring
-starts at the block's lower bound, which holds for every order, and keeps
-each arc's saturation current as arcs are painted (`_fewest_colours`).
-
-Whether two pages can still suffice is kept up to date in a parity
-union-find, where two placed vertices that share two unplaced neighbours
-are also linked (`_Prefix.needs` argues both).  Both searches, the order
-search and the leaf coloring, backtrack the same way: each step snapshots
-the state it changes, and undoing the step restores the snapshot.
+prefix contains: the completed edges, and one hub per placed vertex with an
+unplaced neighbour, whose pending edges cross exactly the completed arcs
+over it.  A prefix is abandoned once that graph needs as many pages as the
+best embedding so far, two pages being tested in a parity union-find
+(`_Prefix.needs` argues both).  At a leaf the order's page count is the
+chromatic number of its crossing graph, found by a backtracking colouring
+from the block's lower bound (`_fewest_colours`).  Both searches backtrack
+the same way: each step snapshots the state it changes, and undoing the
+step restores the snapshot.
 """
 
 from __future__ import annotations
@@ -67,11 +57,12 @@ class SolverOptions:
     node_limit: int | None = None  # search nodes (placements)
 
     def __post_init__(self) -> None:
-        # zero is legal (a zero budget stops at once); negative, NaN or a non-int cap is not
-        for name in ("max_pages", "time_budget", "node_limit"):
+        # zero is legal (a zero budget stops at once); negative, NaN or another type is not
+        for name, number in (("max_pages", False), ("time_budget", True), ("node_limit", False)):
             value = getattr(self, name)
-            if value is not None and name != "time_budget" and type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value is not None and type(value) not in ((int, float) if number else (int,)):
+                raise ValueError(f"{name} must be {'a number' if number else 'an int'}, "
+                                 f"got {value!r}")
             if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be at least 0, got {value}")
 
@@ -219,9 +210,10 @@ def min_pages_for_order(g: Graph, order: Sequence[int]) -> int:
 
 
 class _Search:
-    """The state of one solve.  The budget, the page cap and the node count
-    are shared by all blocks; `reset` starts each block from its incumbent
-    and its sound lower bound."""
+    """The state of one solve: the budget, the page cap and the node count,
+    shared by all blocks, and the one record of a block's two sides.  Only
+    `offer` lowers its upper bound `best`, and only `prove` raises its sound
+    lower bound `lb`; `stop` is set once they meet or the budget runs out."""
 
     __slots__ = ("best", "witness", "lb", "stop", "budget_hit", "nodes", "deadline",
                  "node_limit", "max_pages")
@@ -233,11 +225,8 @@ class _Search:
         self.nodes = 0
         self.budget_hit = False
 
-    def reset(self, best: int, witness: BookEmbedding, lb: int) -> None:
-        self.best = best
-        self.witness = witness
-        self.lb = lb
-        self.stop = best <= lb
+    def reset(self, lb: int) -> None:
+        self.best, self.witness, self.lb, self.stop = float("inf"), None, lb, False
 
     def cap(self) -> int:
         # prune prefixes that already need at least this many pages
@@ -254,19 +243,24 @@ class _Search:
             return max(self.max_pages + 1, self.lb)
         return self.best
 
-    def offer(self, pages: int, witness: BookEmbedding) -> None:
-        if pages < self.best:
-            self.best = pages
-            self.witness = witness
-            if pages <= self.lb:
-                self.stop = True
+    def offer(self, witness: BookEmbedding) -> None:
+        """Keep `witness` if it uses fewer pages than the best so far."""
+        if witness.page_count < self.best:
+            self.best, self.witness = witness.page_count, witness
+            self.stop = self.stop or self.best <= self.lb
 
-    def check_budget(self) -> None:
+    def prove(self, lb: int) -> None:
+        self.lb = max(self.lb, lb)
+        self.stop = self.stop or self.best <= self.lb
+
+    def check_budget(self) -> bool:
+        """Mark the budget spent if it is; True when the search must stop."""
         if (self.node_limit is not None and self.nodes >= self.node_limit) or (
             self.deadline is not None and time.monotonic() >= self.deadline
         ):
             self.budget_hit = True
             self.stop = True
+        return self.stop
 
 
 class _Prefix:
@@ -469,7 +463,12 @@ class _Prefix:
 
 
 def _search_orders(g: Graph, search: _Search) -> None:
-    # runs only for n > 2; the budget is checked after every placement
+    """The last root rule, the order search of the module docstring, runs
+    only while lb is below the cap and the budget lasts: an earlier block,
+    first-fit or `_planar` may have spent it, so a block whose first-fit the
+    deadline cut short builds no search state.  Blocks here have n > 2."""
+    if search.lb >= search.cap() or search.check_budget():
+        return
     n = g.n
     prefix = _Prefix(g)
     order, pos, arcs, masks = prefix.order, prefix.pos, prefix.arcs, prefix.masks
@@ -489,7 +488,7 @@ def _search_orders(g: Graph, search: _Search) -> None:
             p, colors = found
             pages = {_norm_edge(order[a], order[b]): colors[i] + 1
                      for i, (a, b) in enumerate(arcs)}
-            search.offer(p, BookEmbedding(tuple(order), pages, p))
+            search.offer(BookEmbedding(tuple(order), pages, p))
 
     def dfs(d: int) -> None:
         for v in range(n):
@@ -719,71 +718,72 @@ def _planar(block: Graph, deadline: float | None = None) -> bool:
     return True
 
 
+def _zigzag_pages(sub: Graph, search: _Search) -> None:
+    """K_n fits on ceil(n/2) pages (Bernhart and Kainen), so a block whose
+    bound lb is ceil(n/2) is EXACT lb with their zigzag pages: the vertices
+    in id order, and edge (u, v) on page (u + v) % n // 2 + 1.  Page j + 1
+    holds the chords whose (u + v) % n is 2j or 2j + 1, all of them edges of
+    the path j, j+1, j-1, j+2, j-2, ... (mod n), whose sums alternate 2j + 1
+    and 2j (mod n).  The path visits each vertex once, and each step moves
+    one end of the previous chord one place outward, so the earlier chords
+    lie within the arc that a new chord spans, and no two cross.  The pages
+    run to (n - 1) // 2 + 1, which is ceil(n/2) for odd n as for even n, and
+    a block that misses edges of K_n only loses chords.  No block fits on
+    fewer than lb pages, so the witness uses all of 1..lb."""
+    if search.lb == (sub.n + 1) // 2:
+        pages = {(u, v): (u + v) % sub.n // 2 + 1 for u, v in sub.edges}
+        search.offer(BookEmbedding(tuple(range(sub.n)), pages, search.lb))
+
+
+def _first_fit(sub: Graph, search: _Search) -> None:
+    """First-fit under the identity order is the incumbent of a block the
+    zigzag pages leave open.  Past the solve's deadline it puts each edge
+    left on a page of its own, so its witness is valid however it ends."""
+    search.offer(first_fit_pages(sub, range(sub.n), deadline=search.deadline))
+
+
+def _not_planar(sub: Graph, search: _Search) -> None:
+    """Two pages hold only planar graphs (Bernhart and Kainen): with the
+    spine drawn as a circle, one page's edges inside it and the other's
+    outside, no two edges cross.  So when the bound is 2 and the incumbent
+    and cap leave 3 or more pages open, a block that `_planar` finds
+    non-planar needs 3.  Such a block is biconnected, since a bridge fits
+    on one page.  Under a one-page cap the test never runs, and one that
+    the deadline cuts off proves nothing."""
+    if search.lb == 2 < search.cap() and not _planar(sub, search.deadline):
+        search.prove(3)
+
+
+_ROOT_RULES = (_zigzag_pages, _first_fit, _not_planar, _search_orders)
+
+
+def _block_graph(g: Graph, edges: list[tuple[int, int]]) -> tuple[Graph, list[int] | None]:
+    """The block with these edges as a graph of its own, with its sorted
+    vertex ids `verts`, so that its edge (u, v) is (verts[u], verts[v]); or
+    g itself, with None, when the block is all of g, vertices and edges."""
+    if len(edges) == len(g.edges) and all(g._adj):
+        return g, None
+    verts = sorted({v for e in edges for v in e})
+    local = {v: i for i, v in enumerate(verts)}
+    return Graph(len(verts), [(local[u], local[v]) for u, v in edges]), verts
+
+
 def _solve_block(g: Graph, edges: list[tuple[int, int]], search: _Search):
-    """Order search on the block with these edges, under the solve's shared
-    `search`.  Returns (upper, lower, circular order, page map), with the
-    order and pages in the edges' vertex ids.
-
-    Every block first meets `_outerplanar_cycle` on its own edges: a cycle
-    makes it EXACT 1 with the cycle as its witness, and None means it needs
-    2 pages or more, since one page holds exactly the outerplanar graphs
-    (Bernhart and Kainen).  Only such a block is renumbered into a graph of
-    its own, unless it is all of `g`, vertices and edges, which is solved in
-    place with no renumbering; its bound lb is the larger of 2 and its edge
-    bound.
-
-    K_n fits on ceil(n/2) pages (Bernhart and Kainen), so a block whose
-    bound lb is ceil(n/2) is EXACT lb with their zigzag incumbent: the
-    vertices in local id order, and local edge (u, v) on page
-    (u + v) % n // 2 + 1.  Page j + 1 holds the chords whose (u + v) % n
-    is 2j or 2j + 1, all of them edges of the path j, j+1, j-1, j+2, j-2,
-    ... (mod n), whose sums alternate 2j + 1 and 2j (mod n).  The path
-    visits each vertex once, and each step moves one end of the previous
-    chord one place outward, so the earlier chords lie within the arc that
-    a new chord spans, and no two cross.  The pages run to (n - 1) // 2 + 1,
-    which is ceil(n/2) for odd n as for even n, and a block that misses
-    edges of K_n only loses chords.  No block fits on fewer than lb pages,
-    so the witness uses all of 1..lb.
-
-    Two pages hold only planar graphs (Bernhart and Kainen): with the spine
-    drawn as a circle, one page's edges inside it and the other's outside,
-    no two edges cross.  So when the edge bound is 2 and the incumbent and
-    cap leave 3 or more pages open, a block that `_planar` finds non-planar
-    starts from 3.  Such a block is biconnected, since a bridge settles at
-    one page, and has m <= 3n - 6 edges, since the edge bound 2 means
-    m <= n + 2(n - 3).  Under a one-page cap the test never runs.
-
-    Any other block starts from first-fit under the solve's deadline, and
-    an order search starts only while the budget lasts, so a block whose
-    first-fit the deadline cut short builds no search state.
-    """
+    """The block with these edges under the solve's shared `search`, as
+    (upper, lower, circular order, page map) in its vertex ids: one page
+    from its edges alone, or else `_ROOT_RULES` walked from its edge bound."""
     if (cycle := _outerplanar_cycle(edges)) is not None:
         return 1, 1, cycle, {_norm_edge(*e): 1 for e in edges}
-    if len(edges) == len(g.edges) and all(g._adj):  # the block is all of g
-        sub = g
-    else:
-        verts = sorted({v for e in edges for v in e})
-        local = {v: i for i, v in enumerate(verts)}
-        sub = Graph(len(verts), [(local[u], local[v]) for u, v in edges])
-    lb = max(2, density_lower_bound(sub))
-    if lb == (sub.n + 1) // 2:
-        incumbent = BookEmbedding(tuple(range(sub.n)),
-                                  {(u, v): (u + v) % sub.n // 2 + 1 for u, v in sub.edges}, lb)
-    else:
-        incumbent = first_fit_pages(sub, range(sub.n), deadline=search.deadline)
-    search.reset(incumbent.page_count, incumbent, lb)
-    if lb == 2 < search.cap() and not _planar(sub, search.deadline):
-        search.reset(incumbent.page_count, incumbent, 3)
-    if search.lb < search.cap():
-        search.check_budget()  # an earlier block, first-fit or `_planar` may have spent it
-        if not search.stop:
-            _search_orders(sub, search)
+    sub, verts = _block_graph(g, edges)
+    search.reset(max(2, density_lower_bound(sub)))
+    for rule in _ROOT_RULES:
+        if search.stop:
+            break
+        rule(sub, search)
     w = search.witness
-    if sub is g:
-        return search.best, search.lower(), list(w.order), w.pages
-    # local ids; verts is sorted, so local u < v maps to u' < v'
-    pages = {(verts[u], verts[v]): p for (u, v), p in w.pages.items()}
-    return search.best, search.lower(), [verts[v] for v in w.order], pages
+    order = w.order if verts is None else [verts[v] for v in w.order]
+    pages = w.pages if verts is None else {(verts[u], verts[v]): p for (u, v), p in w.pages.items()}
+    return search.best, search.lower(), order, pages
 
 
 def book_thickness_exact(g: Graph, opts: SolverOptions | None = None) -> SolverReport:

@@ -322,12 +322,32 @@ def test_a_colouring_cut_in_the_last_leaf_leaves_the_budget_spent(monkeypatch):
     g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     incumbent = first_fit_pages(g, range(4))
     assert incumbent.page_count == 2
-    for budget in range(10):  # the leaf's one read is the solve's 7th
+    for budget in range(10):  # the leaf's one read is the 8th, after the rule's own budget check
         _ticking(monkeypatch)
         search = solver._Search(SolverOptions(time_budget=budget), solver.time.monotonic())
-        search.reset(2, incumbent, 1)
+        search.reset(1)
+        search.offer(incumbent)
         _search_orders(g, search)
         assert search.lower() == 1 <= search.best, budget
+
+
+def test_a_block_record_keeps_the_first_witness_of_each_page_count():
+    """Only `offer` lowers a block's upper bound and only `prove` raises its
+    lower bound.  A witness on as many pages as the best is refused, so the
+    first one found stays, and the block closes once the two sides meet."""
+    g = complete_bipartite(3, 3)
+    first, later = first_fit_pages(g, range(6)), first_fit_pages(g, [0, 3, 1, 4, 2, 5])
+    assert first.page_count == later.page_count == 3 and first.order != later.order
+    search = solver._Search(SolverOptions(), 0.0)
+    search.reset(2)
+    assert search.witness is None and not search.stop
+    search.offer(first)
+    search.offer(later)
+    assert search.witness is first and (search.best, search.lb, search.stop) == (3, 2, False)
+    search.prove(1)
+    assert (search.lb, search.stop) == (2, False)
+    search.prove(3)
+    assert (search.best, search.lb, search.stop) == (3, 3, True)
 
 
 def test_root_bound_closes_complete_graphs():
@@ -408,10 +428,12 @@ def test_negative_budgets_and_caps_are_rejected(kw):
 
 
 @pytest.mark.parametrize("kw", [{"max_pages": 2.5}, {"max_pages": 1.5}, {"max_pages": True},
-                                {"node_limit": 7.0}, {"node_limit": False}])
+                                {"node_limit": 7.0}, {"node_limit": False},
+                                {"time_budget": True}, {"time_budget": "1"}])
 def test_fractional_and_bool_caps_are_rejected(kw):
     # max_pages=2.5 once reported lower bound 3.5 on a graph of book thickness
-    # 3, max_pages=1.5 lower bound 2.5 on K2,3, and True was read as 1
+    # 3, max_pages=1.5 lower bound 2.5 on K2,3, and True was read as 1; a
+    # time_budget of True was read as 1 s, and "1" raised a bare TypeError
     with pytest.raises(ValueError, match=next(iter(kw))):
         SolverOptions(**kw)
 
@@ -1086,6 +1108,81 @@ def test_degree3_ktrees_fit_on_k_pages(k, sizes):
             assert res.ok and res.pages_used <= k, (n, seed)
 
 
+# ---- root rules ----
+
+
+@pytest.mark.parametrize("graphs, kw, traffic", [
+    (_exact_search_graphs, {"node_limit": 200_000}, (21, 3, 5, 3, 4)),
+    (lambda: [g for n in range(1, 7) for g in enumerate_graphs(n)], {}, (273, 12, 63, 32, 24)),
+], ids=["exact-search", "connected-to-6"])
+def test_root_rules_run_only_where_their_preconditions_hold(graphs, kw, traffic, monkeypatch):
+    """Each root rule runs only on the blocks it can move.  A block with no
+    one-page witness starts from its edge bound lb, at least 2.  First-fit
+    never runs on a block whose lb is ceil(n/2), which the zigzag pages
+    settle; the planarity test runs only when lb == 2 is below first-fit's
+    pages; and no `_Prefix` is built for a block whose root closed its gap.
+    The traffic over the nine `exact_search` structures and every connected
+    graph with n <= 6 is (blocks, zigzag, first-fit, planarity, search)."""
+    bound, first_fit, planar, prefix, solve = (
+        solver.density_lower_bound, solver.first_fit_pages, solver._planar, solver._Prefix,
+        solver._solve_block)
+    counts = dict.fromkeys(("blocks", "zigzag", "first-fit", "planar", "search"), 0)
+    root = {}  # the bounds of the block whose rules are running
+
+    def solve_block(*args):
+        counts["blocks"] += 1
+        return solve(*args)
+
+    def edge_bound(block):
+        lb = bound(block)
+        root.update(lb=max(2, lb), cap=(block.n + 1) // 2)
+        counts["zigzag"] += root["lb"] == root["cap"]
+        return lb
+
+    def first_fit_incumbent(block, order, **kw):
+        assert root["lb"] != (block.n + 1) // 2, block.edges
+        counts["first-fit"] += 1
+        incumbent = first_fit(block, order, **kw)
+        root["cap"] = incumbent.page_count
+        return incumbent
+
+    def planarity(block, deadline=None):
+        assert root["lb"] == 2 < root["cap"], block.edges
+        counts["planar"] += 1
+        verdict = planar(block, deadline)
+        root["lb"] = 2 if verdict else 3
+        return verdict
+
+    def search_state(block):
+        assert root["lb"] < root["cap"], block.edges
+        counts["search"] += 1
+        return prefix(block)
+
+    monkeypatch.setattr(solver, "_solve_block", solve_block)
+    monkeypatch.setattr(solver, "density_lower_bound", edge_bound)
+    monkeypatch.setattr(solver, "first_fit_pages", first_fit_incumbent)
+    monkeypatch.setattr(solver, "_planar", planarity)
+    monkeypatch.setattr(solver, "_Prefix", search_state)
+    for g in graphs():
+        assert _bt(g, **kw).status is SolverStatus.EXACT
+    assert tuple(counts.values()) == traffic
+
+
+def test_root_rules_alone_give_a_valid_witness_and_a_sound_gap():
+    """With `node_limit=0` no order is searched, and the rules before the
+    search embed any graph: the witness is valid, the bounds hold the exact
+    value, and the report is EXACT only where they meet."""
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs += [_needs_search(), _pendant_graph(), complete_graph(30),
+               _relabelled(random_ktree(200, 2, 1)[0], 1)]
+    for g in graphs:
+        rep = _bt(g, node_limit=0)
+        assert rep.nodes_explored == 0 and validate_embedding(g, rep.witness).ok, g.edges
+        assert (rep.status is SolverStatus.EXACT) == (rep.lower_bound == rep.book_thickness)
+        if g.n <= 6:
+            assert rep.lower_bound <= _bt(g).book_thickness <= rep.book_thickness, g.edges
+
+
 # ---- pinned reports ----
 
 
@@ -1107,10 +1204,24 @@ def _pinned_graphs():
     return graphs + [Graph(n, edges)]
 
 
-def _pinned_digest(kw, fields=None):
+def _root_rule_graphs():
+    # one graph past each root rule: K4, ..., K9 glued in a chain at cut
+    # vertices (zigzag pages), K3,3 (first-fit, then not planar), K4,4 (not
+    # planar, then the order search) and an 8-cycle with four chords, which
+    # is planar but takes first-fit three pages where two suffice
+    n, edges = 1, []
+    for k in range(4, 10):
+        edges += [(u + n - 1, v + n - 1) for u, v in combinations(range(k), 2)]
+        n += k - 1
+    chords = [(0, 2), (0, 3), (1, 3), (2, 4)]
+    return [Graph(n, edges), complete_bipartite(3, 3), complete_bipartite(4, 4),
+            Graph(8, [(i, (i + 1) % 8) for i in range(8)] + chords)]
+
+
+def _pinned_digest(kw, fields=None, graphs=_pinned_graphs):
     # sha256 of every report without `elapsed`, or of just `fields` of each
     reports = []
-    for g in _pinned_graphs():
+    for g in graphs():
         rep = _bt(g, **kw).to_json_dict()
         del rep["elapsed"]
         reports.append(rep if fields is None else [rep[f] for f in fields])
@@ -1122,6 +1233,7 @@ def _pinned_digest(kw, fields=None):
     ({"max_pages": 1}, "2832d70fe29ffb5d902ee7b8f3b307789e64dd28960309feb69c41526db2a8c4"),
     ({"max_pages": 2}, "e61f38af9cb97e862e74bc71232dcf5c1312e6d57bafa684b90021b083ef475b"),
     ({"node_limit": 7}, "d6d1939b6803ba9cd473b190c5f7240d63dceed616a98d015567ef2f099e64e6"),
+    ({"node_limit": 0}, "0b7c0eaafc822a883bc411217371cb7a764bc2612173af9a4d7bd808876c20ce"),
 ])
 def test_reports_are_pinned(kw, digest):
     # status, bounds, node count and witness of every report, byte for byte
@@ -1133,8 +1245,19 @@ def test_reports_are_pinned(kw, digest):
     ({"max_pages": 1}, "913969f8191d7d12728cd5e0c91aba1ef134e54af7fedbeccc4e230eee6e7406"),
     ({"max_pages": 2}, "3c7f07db912f7294b735fef8dfe5bc352c2974b5b745da6166d82d091859d323"),
     ({"node_limit": 7}, "b66459dc2e901fc578505b94842cba5115363990e264441b8bf4cc62ffccb2fa"),
+    ({"node_limit": 0}, "866f120c179eb512a54afb9bbe80042fa51fa915aadc9ec2e31e724a93f72e7d"),
 ])
 def test_report_values_are_pinned(kw, digest):
     # the values alone: a change to the search may move node counts and
     # witnesses, but never a status or a bound
     assert _pinned_digest(kw, ("status", "book_thickness", "lower_bound")) == digest
+
+
+@pytest.mark.parametrize("kw, digest", [
+    ({}, "519b666b14202dcf763562942a260006c4c40cee28a3e09b9a187f74314811d8"),
+    ({"node_limit": 0}, "7fc428b8d909e02a0b232c19aa373128cb53f62444de8f0b3f3ed6fa84620257"),
+    ({"max_pages": 2}, "4a71ae96fdd0c4743b15ede6ef18d31180e21287596974242b42481be3cbaa07"),
+])
+def test_root_rule_reports_are_pinned(kw, digest):
+    # every root rule, root-only and past it: status, bounds, nodes, witness
+    assert _pinned_digest(kw, graphs=_root_rule_graphs) == digest
